@@ -389,8 +389,11 @@ def interface_residual(
                 np.max(np.linalg.norm(t_out, axis=1)),
                 1e-300,
             )
-            worst = max(worst, np.max(np.linalg.norm(t_out - t_in, axis=1)) / scale)
-    return worst
+            # np.maximum, unlike max, carries a NaN through to the result.
+            worst = np.maximum(
+                worst, np.max(np.linalg.norm(t_out - t_in, axis=1)) / scale
+            )
+    return float(worst)
 
 
 def maxwell_eigenvalue_margin(k: float, ball_radius: float, n_scan: int = 20) -> float:

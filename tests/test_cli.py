@@ -1,6 +1,7 @@
 """Configuration parsing, output writers, and the command-line workflow."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nfem.measurement import (
     add_noise,
     assemble_nearfield,
     build_sphere_grid,
+    crc64,
     read_nearfield,
 )
 from nfem.forward import LayeredCavityConfig, Shell
@@ -190,6 +192,13 @@ class TestCliWorkflow:
     def test_selfcheck_passes(self, cfg_path):
         assert main(["selfcheck", "--config", str(cfg_path)]) == 0
 
+    def test_selfcheck_passes_for_far_probe_draw(self, tmp_path):
+        # This seed draws the probe source at 1.035 rho, beyond where the
+        # data series order converges; the source is pulled back inside.
+        cfg = tmp_path / "far.ini"
+        cfg.write_text(FAST_CONFIG.replace("seed = 7", "seed = 228819406"))
+        assert main(["selfcheck", "--config", str(cfg)]) == 0
+
     def test_selfcheck_fails_on_eigenvalue(self, tmp_path):
         bad = tmp_path / "eig.ini"
         bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 4.4934094579"))
@@ -207,6 +216,32 @@ class TestCliWorkflow:
             ["reconstruct", "--data", str(bad), "--config", str(cfg_path),
              "--out", str(tmp_path)]
         ) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_simulate_refuses_non_finite_data(self, tmp_path, capsys):
+        # n_max = 90 overflows the wavefunctions, so the matrix is all NaN.
+        bad = tmp_path / "nan.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 90"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.glob("*.nfem")) == []
+
+    def test_non_finite_entry_exit_code(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        blob = bytearray((out / "fast_noisy.nfem").read_bytes())
+        # Overwrite the last matrix entry with NaN and restore a valid CRC.
+        struct.pack_into("<dd", blob, len(blob) - 24, np.nan, 0.0)
+        struct.pack_into("<Q", blob, len(blob) - 8, crc64(bytes(blob[6:-8])))
+        bad = tmp_path / "nan.nfem"
+        bad.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(
+            ["reconstruct", "--data", str(bad), "--config", str(cfg_path),
+             "--out", str(out)]
+        ) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_wavenumber_mismatch_rejected(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -126,6 +126,14 @@ class TestTransmission:
         assert np.max(np.abs(c_te)) > 1e-6
         assert np.max(np.abs(c_tm)) > 1e-6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_residual_reports_nan(self):
+        # At n_max = 90 the wavefunctions overflow to NaN; the residual must
+        # say so rather than fold the NaN away and read as converged.
+        cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, 90)
+        res = interface_residual(cfg, Y_SRC, P_SRC, samples=2, seed=0)
+        assert np.isnan(res)
+
 
 class TestSourceExpansion:
     def test_reconstructs_dipole_field(self):

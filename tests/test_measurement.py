@@ -3,9 +3,12 @@ binary data format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfem.errors import (
     ChecksumError,
+    DataFormatError,
     DimensionMismatchError,
     InvalidArgumentError,
     MalformedHeaderError,
@@ -156,6 +159,52 @@ class TestNoise:
             NoiseSpec(-0.01, 0)
 
 
+def _oracle_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte << 56
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x42F0E1EBA9EA3693 if crc & (1 << 63) else crc << 1)
+            crc &= 0xFFFFFFFFFFFFFFFF
+        table.append(crc)
+    return table
+
+
+_ORACLE_TABLE = _oracle_table()
+
+
+def crc64_oracle(data: bytes) -> int:
+    """Byte-at-a-time CRC-64/ECMA-182: init 0, unreflected, no final xor."""
+    crc = 0
+    for b in data:
+        crc = ((crc << 8) & 0xFFFFFFFFFFFFFFFF) ^ _ORACLE_TABLE[((crc >> 56) ^ b) & 0xFF]
+    return crc
+
+
+class TestCrc64:
+    def test_oracle_check_value(self):
+        assert crc64_oracle(b"123456789") == 0x6C40DF5F0B497347
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=5000))
+    def test_matches_oracle(self, data):
+        assert crc64(data) == crc64_oracle(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 80), st.integers(-1, 1), st.data())
+    def test_matches_oracle_at_lane_boundaries(self, root, offset, draw):
+        # The lane count steps at perfect squares, and at even squares the
+        # lanes tile the input exactly; probe each and its neighbours.
+        n = max(0, root * root + offset)
+        data = draw.draw(st.binary(min_size=n, max_size=n))
+        assert crc64(data) == crc64_oracle(data)
+        assert crc64(memoryview(data)) == crc64_oracle(data)
+
+    def test_megabyte_buffer(self):
+        data = np.random.default_rng(3).bytes(1 << 20)
+        assert crc64(data) == crc64_oracle(data)
+
+
 class TestFileFormat:
     def test_crc64_check_value(self):
         # Standard CRC-64/ECMA-182 check value for "123456789".
@@ -215,6 +264,15 @@ class TestFileFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(DimensionMismatchError):
             read_nearfield(path)
+
+    def test_non_finite_entries_refused(self, matrix, tmp_path):
+        path = tmp_path / "nan.nfem"
+        entries = matrix.entries.copy()
+        entries[1, 2] = np.inf
+        bad = NearFieldMatrix(grid=matrix.grid, entries=entries)
+        with pytest.raises(DataFormatError, match="non-finite"):
+            write_nearfield(bad, path, BALL.k)
+        assert not path.exists()
 
     def test_entries_shape_validated(self, grid):
         with pytest.raises(DimensionMismatchError):
