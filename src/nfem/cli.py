@@ -6,7 +6,8 @@ Subcommands
     selfcheck    run internal consistency checks for a config
     probe        inspect the regularized solve at a single sampling point
 
-Exit codes: 0 success, 2 configuration error, 3 data-format error,
+Exit codes: 0 success, 2 configuration error (including arguments the
+numerics reject and degenerate transmission systems), 3 data-format error,
 4 selfcheck failure, 5 unsupported geometry.
 """
 
@@ -21,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config_text, load_config
-from .errors import ConfigError, DataFormatError, UnsupportedGeometryError
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    DegenerateConfigError,
+    InvalidArgumentError,
+    UnsupportedGeometryError,
+)
 from .forward import (
     data_truncation_order,
     interface_residual,
@@ -31,7 +38,8 @@ from .forward import (
 )
 from .lsm import (
     build_sampling_grid,
-    indicator_at,
+    regularized_solve,
+    rhs_vector,
     run_imaging,
     single_layer_eval,
     svd_factorize,
@@ -66,6 +74,11 @@ def _data_config(cfg: RunConfig):
     return cfg.cavity_config().__class__(
         cavity_radius=cfg.cavity_radius, shells=cfg.shells, k=cfg.k, n_max=n_max
     )
+
+
+def _fixed_alpha(cfg: RunConfig) -> float | None:
+    """The configured alpha in fixed mode; None selects the Morozov root."""
+    return cfg.alpha_fixed if cfg.alpha_mode == "fixed" else None
 
 
 def _probe_source(cfg: RunConfig) -> np.ndarray:
@@ -139,17 +152,21 @@ def _reconstruct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bounds = np.asarray(cfg.box).reshape(3, 2)
     grid = build_sampling_grid(bounds, cfg.spacing, cfg.mask_radius)
-    h_noise = matrix.noise_level if cfg.alpha_mode == "morozov" else 0.0
     t0 = time.perf_counter()
     field = run_imaging(
-        matrix, grid, np.asarray(cfg.polarization), h_noise, k=cfg.k
+        matrix, grid, np.asarray(cfg.polarization), matrix.noise_level, k=cfg.k,
+        alpha=_fixed_alpha(cfg),
     )
     elapsed = time.perf_counter() - t0
     active = grid.active
     lo = float(np.min(field.log_indicator[active]))
     hi = float(np.max(field.log_indicator[active]))
+    alphas = field.alpha[active]
     print(f"swept {int(np.sum(active))} active sampling points in {elapsed:.1f} s")
     print(f"log10 indicator range over active points: [{lo:.3f}, {hi:.3f}]")
+    print(f"alpha ({cfg.alpha_mode}): {int(np.sum(field.flagged))} of "
+          f"{alphas.size} active points flagged; min/median/max "
+          f"{np.min(alphas):.3e} / {np.median(alphas):.3e} / {np.max(alphas):.3e}")
     written = []
     if "csv" in cfg.formats:
         csv_path = out / f"{cfg.prefix}_imaging.csv"
@@ -237,23 +254,22 @@ def _probe(args) -> int:
         return EXIT_OK
 
     svd = svd_factorize(matrix, k=cfg.k)
-    h_noise = matrix.noise_level if cfg.alpha_mode == "morozov" else 0.0
-    value, sol = indicator_at(
-        z, np.asarray(cfg.polarization), svd, matrix.grid, cfg.k, h_noise
-    )
+    b = rhs_vector(z, np.asarray(cfg.polarization), matrix.grid, cfg.k)
+    sol = regularized_solve(svd, b[:, None], matrix.noise_level, _fixed_alpha(cfg),
+                            want_g=True)
     print(f"sampling point: {z.tolist()}")
-    print(f"regularization alpha: {sol.alpha:.6e}"
-          + ("  (bracket endpoint, flagged)" if sol.morozov_flagged else ""))
-    print(f"discrepancy ||A g - b||: {sol.discrepancy:.6e}")
-    print(f"density norm ||g||: {sol.g_norm_discrete:.6e}")
-    print(f"indicator 1/||g||: {value:.6e}")
+    print(f"regularization alpha: {sol.alpha[0]:.6e}"
+          + ("  (flagged: bracket endpoint or unconverged)" if sol.flagged[0] else ""))
+    print(f"discrepancy ||A g - b||: {sol.discrepancy[0]:.6e}")
+    print(f"density norm ||g||: {sol.g_norm[0]:.6e}")
+    print(f"indicator 1/||g||: {1.0 / sol.g_norm[0]:.6e}")
     # Herglotz-style sanity readout: the reconstructed single layer potential
     # along a short outward ray from the sampling point.
     direction = z / np.linalg.norm(z)
     print("single-layer field magnitude along outward ray:")
     for step in (0.0, 0.1, 0.2):
         x = z + step * direction
-        val = single_layer_eval(sol.g, x, matrix.grid, cfg.k)
+        val = single_layer_eval(sol.g[:, 0], x, matrix.grid, cfg.k)
         print(f"  |V g|({np.linalg.norm(x):.3f}) = {np.linalg.norm(val):.6e}")
     return EXIT_OK
 
@@ -297,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidArgumentError, DegenerateConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataFormatError as exc:

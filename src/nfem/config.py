@@ -48,8 +48,17 @@ class RunConfig:
             raise ConfigError(
                 "measurement.rho must be smaller than forward.cavity_radius"
             )
+        if self.rho <= 0:
+            raise ConfigError("measurement.rho must be positive")
+        if self.n_theta < 2 or self.n_phi < 4:
+            raise ConfigError("measurement.n_theta must be >= 2 and n_phi >= 4")
         if self.noise_level < 0:
             raise ConfigError("measurement.noise_level must be nonnegative")
+        if self.mask_radius < self.rho:
+            raise ConfigError(
+                "lsm.mask_radius must be at least measurement.rho: sampling "
+                "points on the measurement sphere have a singular right-hand side"
+            )
         if self.spacing <= 0:
             raise ConfigError("lsm.spacing must be positive")
         if self.alpha_mode not in ("morozov", "fixed"):
@@ -60,6 +69,8 @@ class RunConfig:
             self.box[2 * i] >= self.box[2 * i + 1] for i in range(3)
         ):
             raise ConfigError("lsm.box must be six numbers lo hi per axis, lo < hi")
+        if any(sep in self.prefix for sep in ("/", "\\")):
+            raise ConfigError("output.prefix must not contain a path separator")
         bad = [f for f in self.formats if f not in ("csv", "vtk")]
         if bad:
             raise ConfigError(f"output.formats entries must be csv/vtk, got {bad}")

@@ -100,21 +100,17 @@ def curl_incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
 
 
 def green_apply(x: np.ndarray, z: np.ndarray, h_pol: np.ndarray, k: float) -> np.ndarray:
-    """G(x, z) h for broadcast batches of x against a single (z, h).
+    """G(x, z) h for broadcast batches of x, z and h, each of shape (..., 3).
 
-    Vector form of ``green_tensor(x, z, k) @ h`` without building 3x3 blocks;
-    used by the sampling-point sweeps where x has shape (..., 3).
+    Two-scalar form of ``green_tensor(x, z, k) @ h`` with d = x - z:
+    G h = a h + c d, a = (i/k)(k^2 Phi + Phi'/r), c = (i/k)(Phi'' - Phi'/r)(d.h)/r^2.
     """
     k = check_wavenumber(k)
     d, r = _separation(x, z)
+    h = np.asarray(h_pol)
     p = np.exp(1j * k * r) / (4 * np.pi * r)
-    f1 = (1j * k - 1.0 / r) * p
+    f1_r = (1j * k - 1.0 / r) * p / r
     f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
-    rhat = d / r[..., None]
-    h = np.asarray(h_pol, dtype=float)
-    rh = rhat @ h
-    hp = (
-        f2[..., None] * rh[..., None] * rhat
-        + (f1 / r)[..., None] * (h - rh[..., None] * rhat)
-    )
-    return (1j / k) * (k**2 * p[..., None] * h + hp)
+    a = (1j / k) * (k**2 * p + f1_r)
+    c = (1j / k) * (f2 - f1_r) * np.einsum("...c,...c->...", d, h) / r**2
+    return a[..., None] * h + c[..., None] * d

@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .green import check_wavenumber, green_apply
+from .green import green_apply
 from .measurement import NearFieldMatrix, SphereGrid
 
-# Morozov bisection bracket relative to sigma_1^2, and stopping width in
-# log10 units of alpha.  The width must be tight enough that the discrepancy
-# equation holds to 1e-6 relative at the returned root.
+# Morozov root bracket relative to sigma_1^2, and the stopping step (or
+# bracket width) in log10 units of alpha.  Reaching the tolerance keeps the
+# discrepancy equation to far better than 1e-6 relative at the returned root.
 ALPHA_LO_FACTOR = 1e-14
 ALPHA_LOG10_TOL = 1e-8
 ALPHA_MAX_STEPS = 200
@@ -36,7 +36,8 @@ _CHUNK = 2048
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD of the quadrature-weighted near-field matrix."""
+    """Full SVD of the quadrature-weighted near-field matrix, with U^H and
+    C = diag(sqrt(w2)) V, so that ||C x|| is the weighted norm of g = V x."""
 
     u: np.ndarray
     s: np.ndarray
@@ -44,6 +45,12 @@ class SvdFactorization:
     weights2: np.ndarray  # per-column quadrature weight (w_j repeated per tangent)
     grid: SphereGrid
     k: float | None = None
+    uh: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "uh", self.u.conj().T)
+        object.__setattr__(self, "c", np.sqrt(self.weights2)[:, None] * self.vh.conj().T)
 
     @property
     def norm2(self) -> float:
@@ -67,7 +74,6 @@ def rhs_vector(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> 
 
 def rhs_matrix(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> np.ndarray:
     """Right-hand sides for a batch of sampling points, shape (2n, n_z)."""
-    check_wavenumber(k)
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if np.any(np.abs(np.linalg.norm(z, axis=1) - grid.radius) <= 1e-9):
         raise InvalidArgumentError(
@@ -91,108 +97,125 @@ class TikhonovSolution:
     morozov_flagged: bool = False
 
 
-def _filter_sums(s: np.ndarray, beta_abs2: np.ndarray, alpha: np.ndarray):
-    """Residual^2 and ||g||_2^2 of the Tikhonov solution in the SVD basis.
+@dataclass(frozen=True)
+class RegularizedBatch:
+    """Regularized solves of a batch of right-hand sides, one entry per column."""
 
-    s: (r,), beta_abs2: (r, n_z), alpha: (n_z,).
-    """
-    s2 = (s * s)[:, None]
-    denom = s2 + alpha[None, :]
-    res2 = np.sum((alpha[None, :] / denom) ** 2 * beta_abs2, axis=0)
-    gn2 = np.sum((s[:, None] / denom) ** 2 * beta_abs2, axis=0)
-    return res2, gn2
+    alpha: np.ndarray
+    flagged: np.ndarray  # Morozov root clamped to a bracket end or unconverged
+    discrepancy: np.ndarray  # ||A g - b||
+    g_norm: np.ndarray  # weighted density norm ||g||
+    g: np.ndarray | None = None  # densities, shape (2n, n_z), on request
 
 
-def _morozov_bisect(
-    s: np.ndarray, beta_abs2: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bisection for the discrepancy roots of many columns.
-
-    Solves ||A g_a - b|| = h ||A|| ||g_a|| per column on a log-alpha bracket;
-    the left side minus right side is monotone increasing in alpha.  Columns
-    whose bracket shows no sign change are clamped to the appropriate
-    endpoint and flagged.
-    """
-    n_z = beta_abs2.shape[1]
-    sigma1 = s[0]
-    lo = np.full(n_z, np.log10(ALPHA_LO_FACTOR * sigma1**2))
-    hi = np.full(n_z, np.log10(sigma1**2))
-    flagged = np.zeros(n_z, dtype=bool)
-
-    def d(log_alpha):
-        res2, gn2 = _filter_sums(s, beta_abs2, 10.0**log_alpha)
-        return np.sqrt(res2) - h * sigma1 * np.sqrt(gn2)
-
+def _morozov_root(s2, beta2, h):
+    """Morozov alpha and flag per row of beta2 = |U^H b|^2: safeguarded
+    Newton in x = ln alpha on the increasing phi(x) = ln res^2 - ln(h^2
+    sigma_1^2 ||g||^2), from the regula falsi point of [1e-14 sigma_1^2,
+    sigma_1^2], bisecting when a step leaves the bracket.  A row stops when
+    its step or bracket is below ALPHA_LOG10_TOL decades.  Rows with no sign
+    change are clamped to the end it points at and flagged, as are rows
+    still running after ALPHA_MAX_STEPS."""
+    n = beta2.shape[0]
+    alpha = np.full(n, ALPHA_LO_FACTOR * s2[0])
     if h == 0:
-        return 10.0**lo, np.ones(n_z, dtype=bool)
-    d_lo, d_hi = d(lo), d(hi)
-    clamp_lo = d_lo >= 0
-    clamp_hi = d_hi <= 0
-    flagged = clamp_lo | clamp_hi
+        return alpha, np.ones(n, dtype=bool)
+
+    def phi(x, b2):  # phi and dphi/dx from the fused filter sums, in place
+        a = np.exp(x)
+        inv = np.reciprocal(np.add.outer(a, s2))
+        q = b2 * inv
+        q *= inv  # |beta|^2 / (s^2 + a)^2
+        res2 = a * a * np.sum(q, axis=1)
+        gn2 = np.sum(np.multiply(q, s2, out=q), axis=1)
+        p = np.sum(np.multiply(q, inv, out=q), axis=1)
+        return np.log(res2 / (h * h * s2[0] * gn2)), 2 * a * p * (a / res2 + 1 / gn2)
+
+    x_lo, x_hi = np.log(alpha[0]), np.log(s2[0])
+    f_lo, f_hi = phi(np.full(n, x_lo), beta2)[0], phi(np.full(n, x_hi), beta2)[0]
+    alpha[f_hi <= 0] = s2[0]
+    flagged = (f_lo >= 0) | (f_hi <= 0)
+    rows = np.nonzero(~flagged)[0]
+    lo, hi, work = np.full(rows.size, x_lo), np.full(rows.size, x_hi), beta2[rows]
+    x = x_lo - f_lo[rows] * (x_hi - x_lo) / (f_hi[rows] - f_lo[rows])
+    tol = ALPHA_LOG10_TOL * np.log(10.0)
     for _ in range(ALPHA_MAX_STEPS):
-        if np.all((hi - lo) < ALPHA_LOG10_TOL):
+        if rows.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        pos = d(mid) >= 0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    alpha = 10.0 ** (0.5 * (lo + hi))
-    alpha = np.where(clamp_lo, ALPHA_LO_FACTOR * sigma1**2, alpha)
-    alpha = np.where(clamp_hi, sigma1**2, alpha)
+        f, df = phi(x, work)
+        hi, lo = np.where(f >= 0, x, hi), np.where(f >= 0, lo, x)
+        new = x - f / df
+        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        alpha[rows] = np.exp(new)
+        keep = (np.abs(new - x) >= tol) & (hi - lo >= tol)
+        rows, lo, hi, x = rows[keep], lo[keep], hi[keep], new[keep]
+        if not keep.all():
+            work = work[keep]
+    flagged[rows] = True
     return alpha, flagged
 
 
-def tikhonov_solve(
-    svd: SvdFactorization, b: np.ndarray, alpha: float
-) -> TikhonovSolution:
-    """Spectral Tikhonov solution g = sum_i s_i/(s_i^2 + alpha) (u_i* b) v_i."""
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be positive")
-    beta = svd.u.conj().T @ b
-    filt = svd.s / (svd.s**2 + alpha)
-    g = svd.vh.conj().T @ (filt * beta)
-    res2, _ = _filter_sums(svd.s, np.abs(beta[:, None]) ** 2, np.array([alpha]))
-    g_norm_disc = float(np.sqrt(np.sum(svd.weights2 * np.abs(g) ** 2)))
-    return TikhonovSolution(
-        g=g,
-        alpha=float(alpha),
-        discrepancy=float(np.sqrt(res2[0])),
-        g_norm_discrete=g_norm_disc,
-    )
-
-
-def morozov_alpha(
-    svd: SvdFactorization, b: np.ndarray, h: float
-) -> tuple[float, bool]:
-    """Root of ||A g_a - b|| = h ||A|| ||g_a||; returns (alpha, flagged)."""
-    if h < 0:
+def regularized_solve(
+    svd: SvdFactorization, b: np.ndarray, h_noise: float = 0.0,
+    alpha: float | None = None, want_g: bool = False,
+) -> RegularizedBatch:
+    """Tikhonov solves g = sum_i s_i/(s_i^2 + alpha) (u_i* b) v_i for the
+    columns of b (2n, n_z): alpha as given, or else per column the root of
+    Morozov's equation ||A g - b|| = h ||A|| ||g|| with h = h_noise.  Each
+    column's results depend on that column alone, so a batch of one gives
+    the same bits as the same column inside any batch.
+    """
+    if alpha is not None and not 0 < alpha < np.inf:
+        raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
+    if h_noise < 0:
         raise InvalidArgumentError("noise level must be nonnegative")
-    if not np.any(b):
+    if not np.all(np.any(b, axis=0)):
         raise InvalidArgumentError("right-hand side is zero")
-    beta = svd.u.conj().T @ b
-    alpha, flagged = _morozov_bisect(svd.s, np.abs(beta[:, None]) ** 2, h)
-    return float(alpha[0]), bool(flagged[0])
+    beta = _matmul_rows(b.T, svd.uh.T)  # rows are right-hand sides
+    beta2 = beta.real**2 + beta.imag**2
+    s2 = svd.s**2
+    if alpha is None:
+        alpha, flagged = _morozov_root(s2, beta2, h_noise)
+    else:
+        alpha, flagged = np.full(len(beta), float(alpha)), np.zeros(len(beta), bool)
+    inv = 1.0 / (s2 + alpha[:, None])
+    x = beta * (svd.s * inv)
+    y = _matmul_rows(x, svd.c.T)
+    disc = alpha * np.sqrt(np.sum(beta2 * inv * inv, axis=1))
+    g_norm = np.sqrt(np.sum(y.real**2 + y.imag**2, axis=1))
+    g = _matmul_rows(x, svd.vh.conj()).T if want_g else None
+    return RegularizedBatch(alpha, flagged, disc, g_norm, g)
+
+
+def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m with a single row rounded as it would be inside a batch: numpy
+    sends a one-row product to gemv, which sums in another order than gemm."""
+    return ((a if len(a) > 1 else np.repeat(a, 2, axis=0)) @ m)[: len(a)]
+
+
+def _single(sol: RegularizedBatch) -> TikhonovSolution:
+    return TikhonovSolution(sol.g[:, 0], float(sol.alpha[0]), float(sol.discrepancy[0]),
+                            float(sol.g_norm[0]), bool(sol.flagged[0]))
+
+
+def tikhonov_solve(svd: SvdFactorization, b: np.ndarray, alpha: float) -> TikhonovSolution:
+    """Spectral Tikhonov solution g = sum_i s_i/(s_i^2 + alpha) (u_i* b) v_i."""
+    return _single(regularized_solve(svd, b[:, None], alpha=alpha, want_g=True))
+
+
+def morozov_alpha(svd: SvdFactorization, b: np.ndarray, h: float) -> tuple[float, bool]:
+    """Root of ||A g - b|| = h ||A|| ||g||; returns (alpha, flagged)."""
+    sol = regularized_solve(svd, b[:, None], h_noise=h)
+    return float(sol.alpha[0]), bool(sol.flagged[0])
 
 
 def indicator_at(
-    z: np.ndarray,
-    h_pol: np.ndarray,
-    svd: SvdFactorization,
-    grid: SphereGrid,
-    k: float,
-    h_noise: float,
+    z: np.ndarray, h_pol: np.ndarray, svd: SvdFactorization, grid: SphereGrid,
+    k: float, h_noise: float,
 ) -> tuple[float, TikhonovSolution]:
     """Unnormalized indicator 1/||g_z|| (weighted norm) at one sampling point."""
-    b = rhs_vector(z, h_pol, grid, k)
-    alpha, flagged = morozov_alpha(svd, b, h_noise)
-    sol = tikhonov_solve(svd, b, alpha)
-    sol = TikhonovSolution(
-        g=sol.g,
-        alpha=sol.alpha,
-        discrepancy=sol.discrepancy,
-        g_norm_discrete=sol.g_norm_discrete,
-        morozov_flagged=flagged,
-    )
+    b = rhs_vector(z, h_pol, grid, k)[:, None]
+    sol = _single(regularized_solve(svd, b, h_noise, want_g=True))
     return 1.0 / sol.g_norm_discrete, sol
 
 
@@ -244,33 +267,22 @@ def build_sampling_grid(
 
 @dataclass(frozen=True)
 class ImagingField:
-    """Normalized indicator over a sampling grid plus its masked log version."""
+    """Normalized indicator over a sampling grid plus its masked log version,
+    with each active point's alpha and Morozov flag (0 and False if masked)."""
 
     grid: SamplingGrid
     indicator: np.ndarray
     log_indicator: np.ndarray
+    alpha: np.ndarray
+    flagged: np.ndarray
 
 
 def _worker_count() -> int:
-    env = os.environ.get("NFEM_THREADS", "0")
     try:
-        n = int(env)
+        n = int(os.environ.get("NFEM_THREADS", "0"))
     except ValueError:
         n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
-
-
-def _sweep_chunk(svd, grid, k, h_pol, h_noise, pts):
-    """1/||g_z|| for a chunk of sampling points (weighted density norm)."""
-    b = rhs_matrix(pts, h_pol, grid, k)
-    beta = svd.u.conj().T @ b
-    alpha, _ = _morozov_bisect(svd.s, np.abs(beta) ** 2, h_noise)
-    filt = svd.s[:, None] / (svd.s[:, None] ** 2 + alpha[None, :])
-    g = svd.vh.conj().T @ (filt * beta)
-    gnorm = np.sqrt(np.sum(svd.weights2[:, None] * np.abs(g) ** 2, axis=0))
-    return 1.0 / gnorm
+    return n if n > 0 else min(4, os.cpu_count() or 1)
 
 
 def run_imaging(
@@ -280,9 +292,11 @@ def run_imaging(
     h_noise: float,
     svd: SvdFactorization | None = None,
     k: float | None = None,
+    alpha: float | None = None,
 ) -> ImagingField:
-    """Full indicator sweep: I normalized to max 1 over active points,
-    log10(I) with masked points set to 0.
+    """Full indicator sweep: I = 1/||g_z|| normalized to max 1 over active
+    points, log10(I) with masked points set to 0.  alpha is the Morozov root
+    for noise level h_noise, or fixed when given.
 
     The SVD is computed once and shared by every sampling point; chunks of
     points are independent, so the result is bitwise identical for any
@@ -298,49 +312,34 @@ def run_imaging(
     if active_idx.size == 0:
         raise InvalidArgumentError("sampling grid has no active points")
     raw = np.zeros(grid.n_points)
+    alphas = np.zeros(grid.n_points)
+    flagged = np.zeros(grid.n_points, dtype=bool)
     chunks = [
         active_idx[i : i + _CHUNK] for i in range(0, active_idx.size, _CHUNK)
     ]
-    sphere = svd.grid
 
     def work(idx):
-        return idx, _sweep_chunk(svd, sphere, k, h_pol, h_noise, grid.points[idx])
+        b = rhs_matrix(grid.points[idx], h_pol, svd.grid, k)
+        return idx, regularized_solve(svd, b, h_noise, alpha)
 
     n_workers = _worker_count()
-    if n_workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for idx, vals in pool.map(work, chunks):
-                raw[idx] = vals
-    else:
-        for idx in chunks:
-            raw[idx] = work(idx)[1]
+    with ThreadPoolExecutor(max_workers=max(1, min(n_workers, len(chunks)))) as pool:
+        for idx, sol in pool.map(work, chunks):
+            raw[idx], alphas[idx], flagged[idx] = 1.0 / sol.g_norm, sol.alpha, sol.flagged
     peak = np.max(raw[active_idx])
     indicator = raw / peak
     log_ind = np.zeros(grid.n_points)
     log_ind[active_idx] = np.log10(indicator[active_idx])
-    return ImagingField(grid=grid, indicator=indicator, log_indicator=log_ind)
+    return ImagingField(grid, indicator, log_ind, alphas, flagged)
 
 
 def single_layer_eval(
     g: np.ndarray, x: np.ndarray, grid: SphereGrid, k: float
 ) -> np.ndarray:
     """Electric single layer potential sum_j w_j G(x, y_j) g(y_j), g tangential."""
-    check_wavenumber(k)
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - grid.radius) <= 1e-9:
         raise InvalidArgumentError("evaluation point lies on the measurement sphere")
     g = np.asarray(g).reshape(grid.n_nodes, 2)
     density = g[:, 0, None] * grid.e1 + g[:, 1, None] * grid.e2
-    diff = x[None, :] - grid.nodes
-    r = np.linalg.norm(diff, axis=1)
-    p = np.exp(1j * k * r) / (4 * np.pi * r)
-    f1 = (1j * k - 1.0 / r) * p
-    f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
-    rhat = diff / r[:, None]
-    rd = np.einsum("jc,jc->j", rhat, density.astype(complex))
-    gp = (
-        f2[:, None] * rd[:, None] * rhat
-        + (f1 / r)[:, None] * (density - rd[:, None] * rhat)
-    )
-    vals = (1j / k) * (k**2 * p[:, None] * density + gp)
-    return np.einsum("j,jc->c", grid.weights, vals)
+    return grid.weights @ green_apply(x, grid.nodes, density, k)

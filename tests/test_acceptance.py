@@ -24,12 +24,13 @@ from nfem.forward import (
 from nfem.lsm import (
     build_sampling_grid,
     morozov_alpha,
+    regularized_solve,
+    rhs_matrix,
     rhs_vector,
     run_imaging,
     svd_factorize,
     tikhonov_solve,
 )
-from nfem.lsm import _sweep_chunk
 from nfem.measurement import (
     NoiseSpec,
     add_noise,
@@ -223,7 +224,9 @@ def test_separation_holds_at_other_wavenumbers(k, sphere):
     pts = grid.points[band]
     vals = np.concatenate(
         [
-            _sweep_chunk(svd_k, sphere, k, POL, NOISE, pts[i : i + 2048])
+            1.0 / regularized_solve(
+                svd_k, rhs_matrix(pts[i : i + 2048], POL, sphere, k), NOISE
+            ).g_norm
             for i in range(0, len(pts), 2048)
         ]
     )

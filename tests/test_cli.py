@@ -1,6 +1,7 @@
 """Configuration parsing, output writers, and the command-line workflow."""
 
 import csv
+import re
 import struct
 
 import numpy as np
@@ -169,7 +170,18 @@ class TestCliWorkflow:
             ["reconstruct", "--data", str(data), "--config", str(cfg_path),
              "--out", str(out)]
         ) == 0
-        capsys.readouterr()
+        stats = re.search(
+            r"alpha \(morozov\): (\d+) of (\d+) active points flagged; "
+            r"min/median/max (\S+) / (\S+) / (\S+)\n",
+            capsys.readouterr().out,
+        )
+        assert stats is not None
+        n_active = int(np.sum(np.linalg.norm(
+            build_sampling_grid(np.array([[-2, 2]] * 3), 0.5, 1.0).points, axis=1
+        ) > 1.0 + 1e-9))
+        assert int(stats[1]) == 0 and int(stats[2]) == n_active
+        lo, mid, hi = (float(v) for v in stats.groups()[2:])
+        assert 0 < lo <= mid <= hi
         for name in ("fast_imaging.csv", "fast_imaging.vtk", "fast_slice_xy.csv",
                      "fast_slice_yz.csv", "fast_slice_xz.csv"):
             assert (out / name).exists()
@@ -255,6 +267,56 @@ class TestCliWorkflow:
         )
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+    def test_fixed_alpha_is_used(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        data = str(out / "fast_noisy.nfem")
+        images = []
+        for value in ("1e-3", "1e+2"):
+            cfg = tmp_path / f"fixed{value}.ini"
+            cfg.write_text(FAST_CONFIG.replace(
+                "alpha_mode = morozov", f"alpha_mode = fixed\nalpha_fixed = {value}"))
+            img = tmp_path / f"img{value}"
+            assert main(["reconstruct", "--data", data, "--config", str(cfg),
+                         "--out", str(img)]) == 0
+            images.append((img / "fast_imaging.csv").read_bytes())
+            capsys.readouterr()
+            assert main(["probe", "--data", data, "--config", str(cfg),
+                         "--z", "1.6,0,0"]) == 0
+            text = capsys.readouterr().out
+            assert f"regularization alpha: {float(value):.6e}\n" in text
+            assert "flagged" not in text
+        assert images[0] != images[1]
+
+    @pytest.mark.parametrize("command, edits", [
+        ("simulate", [("n_theta = 6", "n_theta = 1")]),
+        ("reconstruct", [("mask_radius = 1.0", "mask_radius = 0.5")]),
+        ("simulate", [("prefix = fast", "prefix = out/fast")]),
+        ("reconstruct", [("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = nan")]),
+        ("reconstruct", [("box = -2 2 -2 2 -2 2", "box = -0.5 0.5 -0.5 0.5 -0.5 0.5")]),
+        # The data series order for rho = 1.45 reaches a singular TE system.
+        ("simulate", [("rho = 1.0", "rho = 1.45"), ("mask_radius = 1.0", "mask_radius = 1.45")]),
+    ], ids=["n_theta", "mask_radius", "prefix", "alpha_fixed", "no_active_points",
+            "degenerate"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejected_config_exit_code(self, cfg_path, tmp_path, capsys, command, edits):
+        # Configs the parser reads but the run cannot honour end in one
+        # error line and exit code 2, never in a traceback or a finished run.
+        text = FAST_CONFIG
+        for old, new in edits:
+            text = text.replace(old, new)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        args = ["--config", str(bad), "--out", str(tmp_path / "new")]
+        if command == "reconstruct":
+            out = tmp_path / "out"
+            main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+            args += ["--data", str(out / "fast_noisy.nfem")]
+        capsys.readouterr()
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_probe_masked_point(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,14 +5,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfem.errors import InvalidArgumentError
 from nfem.forward import LayeredCavityConfig, Shell
 from nfem.green import green_tensor
 from nfem.lsm import (
+    ALPHA_LO_FACTOR,
+    SvdFactorization,
     build_sampling_grid,
     indicator_at,
     morozov_alpha,
+    regularized_solve,
     rhs_matrix,
     rhs_vector,
     run_imaging,
@@ -126,6 +131,127 @@ class TestMorozov:
     def test_zero_rhs_rejected(self, svd):
         with pytest.raises(InvalidArgumentError):
             morozov_alpha(svd, np.zeros(svd.u.shape[0], dtype=complex), 0.02)
+
+
+def morozov_bisect_oracle(s, beta_abs2, h):
+    """The fixed 31-step bisection in log10 alpha that the Morozov root
+    finder replaced: columns of beta_abs2 = |U^H b|^2 are right-hand sides.
+    Returns (alpha, flagged)."""
+    n_z = beta_abs2.shape[1]
+    sigma1 = s[0]
+    lo = np.full(n_z, np.log10(ALPHA_LO_FACTOR * sigma1**2))
+    hi = np.full(n_z, np.log10(sigma1**2))
+
+    def d(log_alpha):
+        denom = (s * s)[:, None] + (10.0**log_alpha)[None, :]
+        res2 = np.sum(((10.0**log_alpha)[None, :] / denom) ** 2 * beta_abs2, axis=0)
+        gn2 = np.sum((s[:, None] / denom) ** 2 * beta_abs2, axis=0)
+        return np.sqrt(res2) - h * sigma1 * np.sqrt(gn2)
+
+    if h == 0:
+        return 10.0**lo, np.ones(n_z, dtype=bool)
+    clamp_lo = d(lo) >= 0
+    clamp_hi = d(hi) <= 0
+    for _ in range(200):
+        if np.all((hi - lo) < 1e-8):
+            break
+        mid = 0.5 * (lo + hi)
+        pos = d(mid) >= 0
+        hi = np.where(pos, mid, hi)
+        lo = np.where(pos, lo, mid)
+    alpha = 10.0 ** (0.5 * (lo + hi))
+    alpha = np.where(clamp_lo, ALPHA_LO_FACTOR * sigma1**2, alpha)
+    alpha = np.where(clamp_hi, sigma1**2, alpha)
+    return alpha, clamp_lo | clamp_hi
+
+
+def spectral_sums(s, beta_abs2, alpha):
+    """||A g - b|| and ||g||_2 of the Tikhonov solution, per column."""
+    denom = (s * s)[:, None] + alpha[None, :]
+    res = np.sqrt(np.sum((alpha[None, :] / denom) ** 2 * beta_abs2, axis=0))
+    gn = np.sqrt(np.sum((s[:, None] / denom) ** 2 * beta_abs2, axis=0))
+    return res, gn
+
+
+@pytest.fixture(scope="module")
+def chunk_rhs(sphere):
+    """One full 2048-point sweep chunk, radii 1.05 to 3.5, so the cavity wall
+    band (1.15 to 1.35) and the shell are well covered."""
+    rng = np.random.default_rng(3)
+    dirs = rng.standard_normal((2048, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.concatenate([rng.uniform(1.15, 1.35, 512), rng.uniform(1.05, 3.5, 1536)])
+    return rhs_matrix(dirs * radii[:, None], POL, sphere, K)
+
+
+class TestRegularizedSolve:
+    def test_alpha_matches_bisection_oracle(self, svd, chunk_rhs):
+        beta_abs2 = np.abs(svd.u.conj().T @ chunk_rhs) ** 2
+        want, want_flagged = morozov_bisect_oracle(svd.s, beta_abs2, 0.02)
+        got = regularized_solve(svd, chunk_rhs, 0.02)
+        assert not np.any(want_flagged)
+        assert np.array_equal(got.flagged, want_flagged)
+        assert np.max(np.abs(got.alpha / want - 1)) < 1e-7
+
+    def test_batch_of_one_is_bitwise_its_column(self, svd, chunk_rhs):
+        for alpha in (None, 1e-5):
+            batch = regularized_solve(svd, chunk_rhs, 0.02, alpha)
+            for j in (0, 1, 517, 2047):
+                one = regularized_solve(svd, chunk_rhs[:, [j]], 0.02, alpha)
+                for name in ("alpha", "flagged", "discrepancy", "g_norm"):
+                    assert getattr(one, name)[0] == getattr(batch, name)[j]
+
+    def test_fixed_alpha_matches_tikhonov(self, svd, chunk_rhs):
+        b = chunk_rhs[:, :3]
+        batch = regularized_solve(svd, b, alpha=1e-4, want_g=True)
+        assert not np.any(batch.flagged)
+        for j in range(3):
+            sol = tikhonov_solve(svd, b[:, j], 1e-4)
+            assert np.allclose(batch.g[:, j], sol.g, rtol=1e-12, atol=0)
+            assert batch.discrepancy[j] == pytest.approx(sol.discrepancy, rel=1e-12)
+
+    def test_clamped_at_both_bracket_ends(self, svd, chunk_rhs):
+        b = chunk_rhs[:, :16]
+        floor = regularized_solve(svd, b, 0.0)
+        assert np.all(floor.flagged)
+        assert np.all(floor.alpha == ALPHA_LO_FACTOR * svd.norm2**2)
+        ceiling = regularized_solve(svd, b, 1e6)
+        assert np.all(ceiling.flagged)
+        assert np.all(ceiling.alpha == svd.norm2**2)
+
+    def test_weighted_norm(self, svd, chunk_rhs):
+        sol = regularized_solve(svd, chunk_rhs[:, :4], 0.02, want_g=True)
+        direct = np.sqrt(np.sum(svd.weights2[:, None] * np.abs(sol.g) ** 2, axis=0))
+        assert np.allclose(sol.g_norm, direct, rtol=1e-12, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 48),
+        st.floats(0.0, 1.0),
+        st.floats(1e-4, 0.5),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_root_contract_or_flagged(self, rank, decay, h, n_z, seed):
+        # Random unitary U and V, singular values decaying geometrically
+        # over up to 15 decades, random coefficients beta of varying scale.
+        rng = np.random.default_rng(seed)
+
+        def unitary(n):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return np.linalg.qr(m)[0]
+
+        s = 10.0 ** (rng.uniform(-3, 3) - decay * 15 * np.arange(rank) / rank)
+        u = unitary(rank)
+        beta = (rng.standard_normal((rank, n_z)) + 1j * rng.standard_normal((rank, n_z)))
+        beta *= 10.0 ** rng.uniform(-6, 0, size=(rank, 1))
+        svd = SvdFactorization(u=u, s=s, vh=unitary(rank), weights2=np.ones(rank),
+                               grid=None)
+        b = u @ beta
+        sol = regularized_solve(svd, b, h)
+        res, gn = spectral_sums(s, np.abs(beta) ** 2, sol.alpha)
+        ok = np.abs(res - h * s[0] * gn) < 1e-6 * np.linalg.norm(b, axis=0)
+        assert np.all(ok | sol.flagged)
 
 
 class TestRhs:
