@@ -100,13 +100,14 @@ def _simulate(args) -> int:
     config = _data_config(cfg)
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
-    clean = assemble_nearfield(config, grid)
+    coeffs = solve_modes(config)
+    clean = assemble_nearfield(config, grid, coeffs)
     elapsed = time.perf_counter() - t0
 
     defect = np.max(np.abs(clean.entries - clean.entries.T))
     scale = max(np.max(np.abs(clean.entries)), 1e-300)
     residual = interface_residual(config, _probe_source(cfg),
-                                  np.asarray(cfg.polarization))
+                                  np.asarray(cfg.polarization), coeffs=coeffs)
 
     clean_path = out / f"{cfg.prefix}_clean.nfem"
     write_nearfield(clean, clean_path, cfg.k)

@@ -140,11 +140,12 @@ class ModeCoefficients:
     exterior: dict = field(repr=False)
 
 
-def _trace_pair(family: str, n: int, kind: int, k_med: float, A: float, r: float):
+def _trace_pair(family: str, n, kind: int, k_med: float, A: float, r: float):
     """(tangential E, tangential A curl E) radial factors at radius r.
 
-    Common geometric factors shared by both sides of an interface are
-    dropped; only ratios across the interface matter.
+    ``n`` may be an array of degrees.  Common geometric factors shared by
+    both sides of an interface are dropped; only ratios across the interface
+    matter.
     """
     t = k_med * r
     if kind == 1:
@@ -161,28 +162,29 @@ def _trace_pair(family: str, n: int, kind: int, k_med: float, A: float, r: float
     return psip / k_med, A * k_med * z
 
 
-def _trace_vec(family: str, n: int, kind: int, k_med: float, A: float, r: float):
+def _trace_vec(family: str, n, kind: int, k_med: float, A: float, r: float):
     u, v = _trace_pair(family, n, kind, k_med, A, r)
     return np.array([u, v], dtype=complex)
 
 
 def _inv2_apply(t1: np.ndarray, t3: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Solve [t1 t3] x = vec by Cramer's rule (columns are trace 2-vectors)."""
+    """Solve [t1 t3] x = vec by Cramer's rule (columns are trace 2-vectors),
+    elementwise over any trailing axes."""
     det = t1[0] * t3[1] - t3[0] * t1[1]
     num0 = vec[0] * t3[1] - t3[0] * vec[1]
     num1 = t1[0] * vec[1] - vec[0] * t1[1]
-    if num0 == 0 and num1 == det:
-        # vec coincides with the radiating basis column; keep the zero-contrast
-        # cancellation exact instead of round-tripping through complex division.
-        return np.array([0.0 + 0.0j, 1.0 + 0.0j])
-    return np.array([num0 / det, num1 / det])
+    # Where vec coincides with the radiating basis column, keep the
+    # zero-contrast cancellation exact instead of round-tripping through
+    # complex division.
+    exact = (num0 == 0) & (num1 == det)
+    return np.array([np.where(exact, 0.0, num0 / det), np.where(exact, 1.0, num1 / det)])
 
 
 def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     """Solve the transmission problem for every degree and family.
 
-    Per (n, family) the tangential trace pair (E, A curl E) is propagated
-    across the shells by 2x2 transfer steps; this keeps each step
+    Per family the tangential trace pairs (E, A curl E) of all degrees are
+    propagated across the shells by 2x2 transfer steps; this keeps each step
     well-conditioned (the per-shell basis determinant is a Wronskian) and
     makes the zero-contrast case an exact cancellation, so vacuum
     configurations return R_n = 0 to machine precision.
@@ -190,61 +192,57 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     media = config.media()
     radii = config.interface_radii
     n_shells = len(config.shells)
-    reflection = {f: np.zeros(config.n_max, dtype=complex) for f in FAMILIES}
-    shell_coeffs = {
-        f: np.zeros((config.n_max, n_shells, 2), dtype=complex) for f in FAMILIES
-    }
-    exterior = {f: np.zeros(config.n_max, dtype=complex) for f in FAMILIES}
+    degrees = np.arange(1, config.n_max + 1)
+    reflection, shell_coeffs, exterior, singular = {}, {}, {}, []
+    for fam in FAMILIES:
 
-    for n in range(1, config.n_max + 1):
-        for fam in FAMILIES:
+        def trace(kind, region, r):
+            return _trace_vec(fam, degrees, kind, *media[region], r)
+
+        # y_n overflows at high degree, and the inf and NaN it makes spread
+        # through the transfer steps into R_n, where the callers report them.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t1_cav, t3_cav = trace(1, 0, radii[0]), trace(3, 0, radii[0])
+            shells = [
+                (trace(1, s, radii[s - 1]), trace(3, s, radii[s - 1]),
+                 trace(1, s, radii[s]), trace(3, s, radii[s]))
+                for s in range(1, n_shells + 1)
+            ]
             # Propagate the two interior basis traces (regular, radiating)
             # from the cavity boundary to the outermost interface.
-            k0, a0 = media[0]
-            vec_reg = _trace_vec(fam, n, 1, k0, a0, radii[0])
-            vec_rad = _trace_vec(fam, n, 3, k0, a0, radii[0])
-            for s in range(1, n_shells + 1):
-                k_s, a_s = media[s]
-                t1_in = _trace_vec(fam, n, 1, k_s, a_s, radii[s - 1])
-                t3_in = _trace_vec(fam, n, 3, k_s, a_s, radii[s - 1])
-                t1_out = _trace_vec(fam, n, 1, k_s, a_s, radii[s])
-                t3_out = _trace_vec(fam, n, 3, k_s, a_s, radii[s])
-                step = lambda v: (lambda ab: ab[0] * t1_out + ab[1] * t3_out)(
-                    _inv2_apply(t1_in, t3_in, v)
-                )
-                vec_reg = step(vec_reg)
-                vec_rad = step(vec_rad)
+            vec_reg, vec_rad = t1_cav, t3_cav
+            for t1_in, t3_in, t1_out, t3_out in shells:
+                ab = _inv2_apply(t1_in, t3_in, vec_reg)
+                vec_reg = ab[0] * t1_out + ab[1] * t3_out
+                ab = _inv2_apply(t1_in, t3_in, vec_rad)
+                vec_rad = ab[0] * t1_out + ab[1] * t3_out
             # Exterior carries only the radiating basis: match
             # R vec_reg + vec_rad = gamma t3_ext at the outermost radius.
-            k_e, a_e = media[-1]
-            t3_ext = _trace_vec(fam, n, 3, k_e, a_e, radii[-1])
+            t3_ext = trace(3, -1, radii[-1])
             det = vec_reg[0] * (-t3_ext[1]) - (-t3_ext[0]) * vec_reg[1]
-            scale = max(np.abs(vec_reg).max(), 1e-300) * max(np.abs(t3_ext).max(), 1e-300)
-            if abs(det) < scale / COND_LIMIT:
-                raise DegenerateConfigError(
-                    f"singular transmission system at degree n={n}, family {fam}"
-                )
+            scale = np.maximum(np.abs(vec_reg).max(axis=0), 1e-300) * np.maximum(
+                np.abs(t3_ext).max(axis=0), 1e-300
+            )
+            bad = degrees[np.abs(det) < scale / COND_LIMIT]
+            if bad.size:
+                singular.append((bad[0], FAMILIES.index(fam), fam))
             rhs = -vec_rad
-            r_coef = (rhs[0] * (-t3_ext[1]) - (-t3_ext[0]) * rhs[1]) / det
-            gamma = (vec_reg[0] * rhs[1] - rhs[0] * vec_reg[1]) / det
-            reflection[fam][n - 1] = r_coef
-            exterior[fam][n - 1] = gamma
+            reflection[fam] = (rhs[0] * (-t3_ext[1]) - (-t3_ext[0]) * rhs[1]) / det
+            exterior[fam] = (vec_reg[0] * rhs[1] - rhs[0] * vec_reg[1]) / det
             # Recover per-shell (regular, radiating) coefficients by forward
             # substitution of the combined interior trace.
-            k0, a0 = media[0]
-            vec = (
-                _trace_vec(fam, n, 3, k0, a0, radii[0])
-                + r_coef * _trace_vec(fam, n, 1, k0, a0, radii[0])
-            )
-            for s in range(1, n_shells + 1):
-                k_s, a_s = media[s]
-                t1_in = _trace_vec(fam, n, 1, k_s, a_s, radii[s - 1])
-                t3_in = _trace_vec(fam, n, 3, k_s, a_s, radii[s - 1])
+            vec = t3_cav + reflection[fam] * t1_cav
+            shell_coeffs[fam] = np.zeros((config.n_max, n_shells, 2), dtype=complex)
+            for s, (t1_in, t3_in, t1_out, t3_out) in enumerate(shells):
                 ab = _inv2_apply(t1_in, t3_in, vec)
-                shell_coeffs[fam][n - 1, s - 1] = ab
-                t1_out = _trace_vec(fam, n, 1, k_s, a_s, radii[s])
-                t3_out = _trace_vec(fam, n, 3, k_s, a_s, radii[s])
+                shell_coeffs[fam][:, s] = ab.T
                 vec = ab[0] * t1_out + ab[1] * t3_out
+    if singular:
+        # The lowest failing degree, TE before TM within one degree.
+        n, _, fam = min(singular)
+        raise DegenerateConfigError(
+            f"singular transmission system at degree n={n}, family {fam}"
+        )
     return ModeCoefficients(
         config=config,
         reflection=reflection,
@@ -302,9 +300,11 @@ def scattered_field(
     c_te, c_tm = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
     deg = _mode_degrees(config.n_max)
     m1, n1 = sf.vswf_fields(pts, config.k, config.n_max, 1)
-    w_te = coeffs.reflection["TE"][deg - 1] * c_te
-    w_tm = coeffs.reflection["TM"][deg - 1] * c_tm
-    out = np.einsum("q,qij->ij", w_te, m1) + np.einsum("q,qij->ij", w_tm, n1)
+    # Overflowed degrees make the field NaN; the warnings say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_te = coeffs.reflection["TE"][deg - 1] * c_te
+        w_tm = coeffs.reflection["TM"][deg - 1] * c_tm
+        out = np.einsum("q,qij->ij", w_te, m1) + np.einsum("q,qij->ij", w_tm, n1)
     return out.reshape(x.shape) if x.ndim > 1 else out[0]
 
 
@@ -323,30 +323,33 @@ def _region_field(
     k_med = media[region][0]
     n_shells = len(config.shells)
 
-    def accum(kind, w_te, w_tm):
+    def accum(kind, r_te, r_tm):
+        """Fields of the modes with per-degree coefficients r_te, r_tm."""
         m_f, n_f = sf.vswf_fields(points, k_med, config.n_max, kind)
-        e = np.einsum("q,qij->ij", w_te, m_f) + np.einsum("q,qij->ij", w_tm, n_f)
-        # curl M = k N, curl N = k M
-        c = k_med * (
-            np.einsum("q,qij->ij", w_te, n_f) + np.einsum("q,qij->ij", w_tm, m_f)
-        )
+        # Degrees whose coefficients overflowed make the fields NaN, which
+        # the residual reports; the warnings on the way say nothing more.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_te, w_tm = r_te[deg - 1] * c_te, r_tm[deg - 1] * c_tm
+            e = np.einsum("q,qij->ij", w_te, m_f) + np.einsum("q,qij->ij", w_tm, n_f)
+            # curl M = k N, curl N = k M
+            c = k_med * (
+                np.einsum("q,qij->ij", w_te, n_f) + np.einsum("q,qij->ij", w_tm, m_f)
+            )
         return e, c
 
     if region == 0:
-        w_te = coeffs.reflection["TE"][deg - 1] * c_te
-        w_tm = coeffs.reflection["TM"][deg - 1] * c_tm
-        return accum(1, w_te, w_tm)
+        return accum(1, coeffs.reflection["TE"], coeffs.reflection["TM"])
     if region == n_shells + 1:
-        w_te = coeffs.exterior["TE"][deg - 1] * c_te
-        w_tm = coeffs.exterior["TM"][deg - 1] * c_tm
-        return accum(3, w_te, w_tm)
+        return accum(3, coeffs.exterior["TE"], coeffs.exterior["TM"])
     s = region - 1
     e = np.zeros((points.shape[0], 3), dtype=complex)
     c = np.zeros_like(e)
     for kind, col in ((1, 0), (3, 1)):
-        w_te = coeffs.shell_coeffs["TE"][deg - 1, s, col] * c_te
-        w_tm = coeffs.shell_coeffs["TM"][deg - 1, s, col] * c_tm
-        ek, ck = accum(kind, w_te, w_tm)
+        ek, ck = accum(
+            kind,
+            coeffs.shell_coeffs["TE"][:, s, col],
+            coeffs.shell_coeffs["TM"][:, s, col],
+        )
         e += ek
         c += ck
     return e, c

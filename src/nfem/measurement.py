@@ -157,10 +157,13 @@ def assemble_nearfield(
     p_te, p_tm = tangential_projections(grid, config.k, config.n_max)
     r_te = coeffs.reflection["TE"][deg - 1]
     r_tm = coeffs.reflection["TM"][deg - 1]
-    entries = -(config.k**2) * (
-        p_te.T @ (r_te[:, None] * np.conj(p_te))
-        + p_tm.T @ (r_tm[:, None] * np.conj(p_tm))
-    )
+    # Degrees whose R_n overflowed make the entries NaN, which the NFEM1
+    # writer and selfcheck report; the warnings on the way say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = -(config.k**2) * (
+            p_te.T @ (r_te[:, None] * np.conj(p_te))
+            + p_tm.T @ (r_tm[:, None] * np.conj(p_tm))
+        )
     return NearFieldMatrix(grid=grid, entries=entries)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lpmv, spherical_jn, spherical_yn
+from scipy.special import lpmv, spherical_jn, spherical_yn
 
 from .errors import InvalidArgumentError, SingularPointError
 
@@ -114,9 +114,10 @@ def assoc_legendre(n: int, m: int, x: float) -> tuple[float, float]:
         if m == 0:
             return float(sign if x > 0 else (-1.0) ** n), 0.0
         if m == 1:
-            # P_n^1 ~ -sin(theta) n(n+1)/2 near x=1 (CS phase).
+            # P_n^1 ~ -sin(theta) n(n+1)/2 near x=1 (CS phase), and
+            # P_n^1(-x) = (-1)^(n+1) P_n^1(x) with d/dtheta changing sign.
             dtheta = -n * (n + 1) / 2.0
-            return 0.0, float(dtheta if x > 0 else -((-1.0) ** n) * dtheta)
+            return 0.0, float(dtheta if x > 0 else ((-1.0) ** n) * dtheta)
         raise InvalidArgumentError(
             f"theta-derivative undefined at the pole for m={m} >= 2"
         )
@@ -126,80 +127,6 @@ def assoc_legendre(n: int, m: int, x: float) -> tuple[float, float]:
     p_prev = float(lpmv(m, n - 1, x)) if n - 1 >= m else 0.0
     dtheta = -((n + m) * p_prev - n * x * p) / sin_t
     return p, dtheta
-
-
-def _norm_factor(n: np.ndarray | int, m: np.ndarray | int) -> np.ndarray:
-    """sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!)."""
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=float)
-    return np.sqrt(
-        (2 * n + 1) / (4 * np.pi) * np.exp(gammaln(n - m + 1) - gammaln(n + m + 1))
-    )
-
-
-def _tau_pi(n: int, m: int, cos_t: np.ndarray, sin_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized tangential Legendre functions for m >= 0.
-
-    tau = lambda_nm d/dtheta P_n^m(cos theta), pi = lambda_nm m P_n^m / sin theta,
-    with analytic limits on the polar axis.
-    """
-    lam = _norm_factor(n, m)
-    tau = np.zeros_like(cos_t)
-    pi_f = np.zeros_like(cos_t)
-    on_pole = sin_t < 1e-13
-    off = ~on_pole
-    if np.any(off):
-        x, s = cos_t[off], sin_t[off]
-        p = lpmv(m, n, x)
-        p_prev = lpmv(m, n - 1, x) if n - 1 >= m else np.zeros_like(x)
-        tau[off] = -lam * ((n + m) * p_prev - n * x * p) / s
-        pi_f[off] = lam * m * p / s
-    if np.any(on_pole) and m == 1:
-        north = on_pole & (cos_t > 0)
-        south = on_pole & (cos_t < 0)
-        base = -lam * n * (n + 1) / 2.0
-        tau[north] = base
-        pi_f[north] = base
-        tau[south] = -((-1.0) ** n) * base
-        pi_f[south] = ((-1.0) ** n) * base
-    # m = 0 and m >= 2: both limits vanish on the axis.
-    return tau, pi_f
-
-
-def _radial_parts(
-    n: int, kind: int, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z_n(t), z_n(t)/t and psi_n'(t)/t with the regular t->0 limit for kind 1."""
-    z_over_t = np.empty_like(t, dtype=complex)
-    psip_over_t = np.empty_like(t, dtype=complex)
-    z = np.empty_like(t, dtype=complex)
-    small = t < 1e-6
-    big = ~small
-    if np.any(big):
-        tb = t[big]
-        if kind == 1:
-            zb = spherical_jn(n, tb)
-            zpb = spherical_jn(n, tb, derivative=True)
-        else:
-            zb = spherical_jn(n, tb) + 1j * spherical_yn(n, tb)
-            zpb = spherical_jn(n, tb, derivative=True) + 1j * spherical_yn(
-                n, tb, derivative=True
-            )
-        z[big] = zb
-        z_over_t[big] = zb / tb
-        psip_over_t[big] = (zb + tb * zpb) / tb
-    if np.any(small):
-        if kind == 3:
-            raise SingularPointError(
-                "radiating wavefunction evaluated at the origin"
-            )
-        ts = t[small]
-        # j_n(t) ~ t^n / (2n+1)!!
-        dfact = float(np.prod(np.arange(2 * n + 1, 0, -2)))
-        z[small] = ts**n / dfact
-        z_over_t[small] = ts ** (n - 1) / dfact
-        psip_over_t[small] = (n + 1) * ts ** (n - 1) / dfact
-    return z, z_over_t, psip_over_t
 
 
 @dataclass(frozen=True)
@@ -227,13 +154,66 @@ def _spherical_frame(points: np.ndarray) -> tuple[np.ndarray, ...]:
     rhat = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=1)
     that = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
     phat = np.stack([-sin_p, cos_p, np.zeros_like(sin_p)], axis=1)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    # On the axis phi = 0 matches the frame above; arctan2 gives pi for x = -0.0.
+    phi = np.where(on_axis, 0.0, np.arctan2(pts[:, 1], pts[:, 0]))
     return pts, r, cos_t, sin_t, phi, rhat, that, phat
 
 
 def vswf_modes(n_max: int) -> list[tuple[int, int]]:
     """Mode enumeration (n, m), n = 1..n_max, m = -n..n, in a fixed order."""
     return [(n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1)]
+
+
+def _legendre_table(cos_t: np.ndarray, sin_t: np.ndarray, n_max: int) -> np.ndarray:
+    """Fully normalized Legendre functions for 0 <= m <= n <= n_max at every point.
+
+    T[n, 0] = lambda_n0 P_n(cos theta) and, for m >= 1,
+    T[n, m] = lambda_nm P_n^m(cos theta) / sin theta, by the upward recurrence
+    of Holmes & Featherstone (J. Geodesy 76, 2002).  Dividing the m >= 1
+    columns by sin theta keeps them finite, and exact, on the polar axis;
+    nothing overflows up to ORDER_CAP.  Entries with m > n are zero.
+    """
+    table = np.zeros((n_max + 1, n_max + 1, cos_t.size))
+    table[0, 0] = 1.0 / np.sqrt(4 * np.pi)
+    if n_max >= 1:
+        table[1, 1] = -np.sqrt(1.5) * table[0, 0]
+    for m in range(2, n_max + 1):
+        table[m, m] = -np.sqrt((2 * m + 1) / (2 * m)) * sin_t * table[m - 1, m - 1]
+    for n in range(1, n_max + 1):
+        table[n, n - 1] = np.sqrt(2 * n + 1) * cos_t * table[n - 1, n - 1]
+        m = np.arange(n - 1)[:, None]
+        a = np.sqrt((4 * n * n - 1) / (n * n - m * m))
+        b = np.sqrt(((n - 1) ** 2 - m * m) / (4 * (n - 1) ** 2 - 1))
+        table[n, : n - 1] = a * (cos_t * table[n - 1, : n - 1] - b * table[n - 2, : n - 1])
+    return table
+
+
+def _radial_table(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
+    """z_n(t), z_n(t)/t and psi_n'(t)/t for n = 1..n_max, shape (3, n_max, points).
+
+    psi_n'/t = z_{n-1} - n z_n/t, the recurrence scipy's derivative uses.
+    The regular kind takes its t -> 0 limit below t = 1e-6, where
+    z_n/t = t^(n-1)/(2n+1)!!; the radiating kind is singular there.
+    """
+    out = np.empty((3, n_max, t.size), dtype=float if kind == 1 else complex)
+    n = np.arange(n_max + 1)[:, None]
+    small = t < 1e-6
+    if np.any(small):
+        if kind == 3:
+            raise SingularPointError("radiating wavefunction evaluated at the origin")
+        ts = t[small]
+        steps = np.vstack([np.full_like(ts, 1.0 / 3.0), ts / (2 * n[2:] + 1)])
+        w = np.cumprod(steps, axis=0)
+        out[:, :, small] = [ts * w, w, (n[1:] + 1) * w]
+    big = ~small
+    tb = t[big]
+    z = spherical_jn(n, tb)
+    if kind == 3:
+        z = z + 1j * spherical_yn(n, tb)
+    out[0][:, big] = z[1:]
+    out[1][:, big] = z[1:] / tb
+    out[2][:, big] = z[:-1] - n[1:] * out[1][:, big]
+    return out
 
 
 def vswf_fields(
@@ -252,42 +232,52 @@ def vswf_fields(
     pts, r, cos_t, sin_t, phi, rhat, that, phat = _spherical_frame(points)
     if kind == 3 and np.any(r < 1e-12):
         raise SingularPointError("radiating wavefunction evaluated at the origin")
-    npts = pts.shape[0]
-    modes = vswf_modes(n_max)
-    m_fields = np.zeros((len(modes), npts, 3), dtype=complex)
-    n_fields = np.zeros((len(modes), npts, 3), dtype=complex)
-    t = k * r
-    idx = 0
-    for n in range(1, n_max + 1):
-        z, z_over_t, psip_over_t = _radial_parts(n, kind, t)
-        s = 1.0 / np.sqrt(n * (n + 1))
-        for m in range(-n, n + 1):
-            ma = abs(m)
-            tau, pi_f = _tau_pi(n, ma, cos_t, sin_t)
-            if m < 0:
-                # lambda_{n,-m} P_n^{-m} = (-1)^m lambda_nm P_n^m flips pi's sign
-                # through the factor m.
-                sgn = (-1.0) ** ma
-                tau = sgn * tau
-                pi_f = -sgn * pi_f
-            lam_p = _norm_factor(n, ma) * (
-                lpmv(ma, n, cos_t) if ma <= n else np.zeros_like(cos_t)
-            )
-            if m < 0:
-                lam_p = ((-1.0) ** ma) * lam_p
-            e_imphi = np.exp(1j * m * phi)
-            b_t = s * tau * e_imphi
-            b_p = 1j * s * pi_f * e_imphi
-            y_nm = lam_p * e_imphi
-            # M = z C,  C = i pi that - tau phat  (scaled by s, e^{im phi})
-            m_fields[idx] = z[:, None] * (
-                b_p[:, None] * that - b_t[:, None] * phat
-            )
-            n_fields[idx] = (
-                (np.sqrt(n * (n + 1)) * z_over_t * y_nm)[:, None] * rhat
-                + psip_over_t[:, None] * (b_t[:, None] * that + b_p[:, None] * phat)
-            )
-            idx += 1
+    z, z_over_t, psip_over_t = _radial_table(n_max, kind, k * r)
+    table = _legendre_table(cos_t, sin_t, n_max)
+
+    # Mode q = (n, m) in vswf_modes order is row n^2 + n + m - 1.
+    deg = np.repeat(np.arange(1, n_max + 1), 2 * np.arange(1, n_max + 1) + 1)
+    order = np.arange(deg.size) - deg * deg - deg + 1
+    col, zero, rows = np.abs(order), order == 0, deg - 1
+    n, m = deg[:, None].astype(float), order[:, None].astype(float)
+    # tau = d/dtheta and pi = m/sin(theta) times lambda_nm P_n^m, from
+    # (1-x^2) dP_n^m/dx = (n+m) P_{n-1}^m - n x P_n^m; for m = 0,
+    # tau = sqrt(n(n+1)) lambda_n1 P_n^1, which vanishes on the axis.
+    t_nm = table[deg, col]
+    c = np.sqrt((2 * n + 1) / (2 * n - 1) * (n * n - m * m))
+    tau = n * cos_t * t_nm - c * table[rows, col]
+    tau[zero] = np.sqrt(n[zero] * (n[zero] + 1)) * sin_t * table[deg[zero], 1]
+    lam_p = sin_t * t_nm
+    lam_p[zero] = t_nm[zero]
+    # lambda_{n,-m} P_n^{-m} = (-1)^m lambda_nm P_n^m: the sign rides on the
+    # phase factor, and pi takes its own through m.
+    m_range = np.arange(-n_max, n_max + 1)
+    sign = np.where((m_range < 0) & (m_range % 2 == 1), -1.0, 1.0)
+    phase = (sign[:, None] * np.exp(1j * m_range[:, None] * phi))[order + n_max]
+    # M = z C and N = sqrt(n(n+1)) z/t Y rhat + psi'/t B, where
+    # s e^{im phi} (i pi, tau) = (a, b) give C = a that - b phat and
+    # B = b that + a phat, with s = 1/sqrt(n(n+1)).
+    root = np.sqrt(np.arange(1, n_max + 1) * np.arange(2, n_max + 2))[:, None]
+    a = m * t_nm * phase
+    a *= 1j
+    b = tau * phase
+    y_rad = (z_over_t * root)[rows] * lam_p * phase
+    del t_nm, tau, lam_p, phase  # released before the outputs are allocated
+    z_s = (z / root)[rows]
+    psi_s = (psip_over_t / root)[rows]
+    shape = (deg.size, pts.shape[0], 3)
+    m_fields = np.empty(shape, dtype=complex)
+    n_fields = np.empty(shape, dtype=complex)
+    # One Cartesian component at a time bounds the temporaries to two.
+    acc, term = np.empty_like(a), np.empty_like(a)
+    for j in range(3):
+        np.multiply(a, that[:, j], out=acc)
+        acc -= np.multiply(b, phat[:, j], out=term)
+        np.multiply(acc, z_s, out=m_fields[:, :, j])
+        np.multiply(b, that[:, j], out=acc)
+        acc += np.multiply(a, phat[:, j], out=term)
+        acc *= psi_s
+        np.add(acc, np.multiply(y_rad, rhat[:, j], out=term), out=n_fields[:, :, j])
     return m_fields, n_fields
 
 

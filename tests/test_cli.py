@@ -231,13 +231,31 @@ class TestCliWorkflow:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_simulate_refuses_non_finite_data(self, tmp_path, capsys):
-        # n_max = 90 overflows the wavefunctions, so the matrix is all NaN.
+        # n_max = 90 overflows the mode coefficients, so the matrix is all NaN.
         bad = tmp_path / "nan.ini"
         bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 90"))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert list(out.glob("*.nfem")) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simulate_overflow_is_one_error_line(self, tmp_path, capsys):
+        # The mode coefficients overflow at n_max = 90: one error line and
+        # exit 3, with no numpy warning before it and no data file after it.
+        bad = tmp_path / "nan.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 90"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.glob("*.nfem")) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_selfcheck_overflow_fails(self, tmp_path):
+        bad = tmp_path / "nan.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 90"))
+        assert main(["selfcheck", "--config", str(bad)]) == 4
 
     def test_non_finite_entry_exit_code(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,10 +4,12 @@ vacuum nulls, truncation rules, and the eigenvalue margin."""
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import spherical_jn
+from scipy.special import spherical_jn, spherical_yn
 
-from nfem.errors import InvalidArgumentError
+from nfem.errors import DegenerateConfigError, InvalidArgumentError
 from nfem.forward import (
+    COND_LIMIT,
+    FAMILIES,
     LayeredCavityConfig,
     Shell,
     data_truncation_order,
@@ -128,7 +130,7 @@ class TestTransmission:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_residual_reports_nan(self):
-        # At n_max = 90 the wavefunctions overflow to NaN; the residual must
+        # At n_max = 90 the mode coefficients overflow to NaN; the residual must
         # say so rather than fold the NaN away and read as converged.
         cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, 90)
         res = interface_residual(cfg, Y_SRC, P_SRC, samples=2, seed=0)
@@ -185,3 +187,110 @@ class TestEigenvalueMargin:
         assert maxwell_eigenvalue_margin(0.75, 2.0) == pytest.approx(
             maxwell_eigenvalue_margin(1.5, 1.0), abs=1e-9
         )
+
+
+def _trace_vec_scalar(family, n, kind, k_med, A, r):
+    t = k_med * r
+    z = spherical_jn(n, t)
+    zp = spherical_jn(n, t, derivative=True)
+    if kind == 3:
+        z = z + 1j * spherical_yn(n, t)
+        zp = zp + 1j * spherical_yn(n, t, derivative=True)
+    psip = z + t * zp
+    if family == "TE":
+        return np.array([z, A * psip], dtype=complex)
+    return np.array([psip / k_med, A * k_med * z], dtype=complex)
+
+
+def _inv2_apply_scalar(t1, t3, vec):
+    det = t1[0] * t3[1] - t3[0] * t1[1]
+    num0 = vec[0] * t3[1] - t3[0] * vec[1]
+    num1 = t1[0] * vec[1] - vec[0] * t1[1]
+    if num0 == 0 and num1 == det:
+        return np.array([0.0 + 0.0j, 1.0 + 0.0j])
+    return np.array([num0 / det, num1 / det])
+
+
+def solve_modes_oracle(config):
+    """(reflection, exterior, shell_coeffs) one degree and family at a time:
+    the scalar loop that the degree-vectorized solve_modes replaced."""
+    media = config.media()
+    radii = config.interface_radii
+    n_shells = len(config.shells)
+    reflection = {f: np.zeros(config.n_max, dtype=complex) for f in FAMILIES}
+    exterior = {f: np.zeros(config.n_max, dtype=complex) for f in FAMILIES}
+    shell = {f: np.zeros((config.n_max, n_shells, 2), dtype=complex) for f in FAMILIES}
+    for n in range(1, config.n_max + 1):
+        for fam in FAMILIES:
+            def tr(kind, region, r):
+                return _trace_vec_scalar(fam, n, kind, *media[region], r)
+
+            def step(s, v):
+                ab = _inv2_apply_scalar(tr(1, s, radii[s - 1]), tr(3, s, radii[s - 1]), v)
+                return ab, ab[0] * tr(1, s, radii[s]) + ab[1] * tr(3, s, radii[s])
+
+            vec_reg, vec_rad = tr(1, 0, radii[0]), tr(3, 0, radii[0])
+            for s in range(1, n_shells + 1):
+                vec_reg, vec_rad = step(s, vec_reg)[1], step(s, vec_rad)[1]
+            t3_ext = tr(3, -1, radii[-1])
+            det = vec_reg[0] * (-t3_ext[1]) - (-t3_ext[0]) * vec_reg[1]
+            scale = max(np.abs(vec_reg).max(), 1e-300) * max(np.abs(t3_ext).max(), 1e-300)
+            if abs(det) < scale / COND_LIMIT:
+                raise DegenerateConfigError(
+                    f"singular transmission system at degree n={n}, family {fam}"
+                )
+            rhs = -vec_rad
+            r_coef = (rhs[0] * (-t3_ext[1]) - (-t3_ext[0]) * rhs[1]) / det
+            reflection[fam][n - 1] = r_coef
+            exterior[fam][n - 1] = (vec_reg[0] * rhs[1] - rhs[0] * vec_reg[1]) / det
+            vec = tr(3, 0, radii[0]) + r_coef * tr(1, 0, radii[0])
+            for s in range(1, n_shells + 1):
+                shell[fam][n - 1, s - 1], vec = step(s, vec)
+    return reflection, exterior, shell
+
+
+def _rel_per_degree(got, want):
+    """Largest |got - want| over each degree's entries, relative to |want|."""
+    err = np.abs(got - want).reshape(len(want), -1).max(axis=1, initial=0.0)
+    scale = np.abs(want).reshape(len(want), -1).max(axis=1, initial=0.0)
+    return np.where(scale > 0, err / np.where(scale > 0, scale, 1.0), err)
+
+
+class TestVectorizedSolve:
+    @pytest.mark.parametrize(
+        "shells,k",
+        [
+            ((Shell(2.5, 1.0, 2.0),), 0.75),
+            ((Shell(2.5, 1.0, 0.5),), 0.3),
+            ((Shell(2.0, 2.0, 3.0), Shell(2.8, 0.7, 4.0)), 1.5),
+            ((), 0.75),
+            ((Shell(2.0, 1.0, 1.0), Shell(2.5, 1.0, 1.0)), 0.75),
+        ],
+    )
+    def test_matches_scalar_oracle(self, shells, k):
+        cfg = LayeredCavityConfig(1.5, shells, k, 60)
+        got = solve_modes(cfg)
+        want_r, want_e, want_s = solve_modes_oracle(cfg)
+        for fam in FAMILIES:
+            assert np.all(_rel_per_degree(got.reflection[fam], want_r[fam]) <= 1e-13)
+            # The exterior and shell coefficients come from a forward
+            # substitution that loses every digit past about degree 45 at
+            # these radii, in the oracle as much as here.
+            assert np.all(_rel_per_degree(got.exterior[fam][:40], want_e[fam][:40]) <= 1e-13)
+            assert np.all(
+                _rel_per_degree(got.shell_coeffs[fam][:40], want_s[fam][:40]) <= 1e-13
+            )
+            if all(s.A == 1.0 and s.N == 1.0 for s in shells):
+                assert np.array_equal(got.reflection[fam], want_r[fam])
+
+    # The oracle's scalar steps overflow, with warnings, past degree 88.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_singular_degree_matches_oracle(self):
+        # The data order for rho = 1.45 runs past a singular TE system; both
+        # name the same first failing degree.
+        n_max = data_truncation_order(1.5, BALL.shells, 0.75, 1.45)
+        cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, n_max)
+        with pytest.raises(DegenerateConfigError) as want:
+            solve_modes_oracle(cfg)
+        with pytest.raises(DegenerateConfigError, match=str(want.value)):
+            solve_modes(cfg)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, lpmv, spherical_jn, spherical_yn
 
 from nfem import specialfun as sf
 from nfem.errors import InvalidArgumentError, SingularPointError
@@ -124,19 +125,38 @@ class TestLegendre:
         assert dp == pytest.approx(0.0, abs=1e-14)
         with pytest.raises(InvalidArgumentError):
             sf.assoc_legendre(3, 2, 1.0)
+        # m = 1 at either pole: the central difference just inside it.
+        eps = 1e-6
+        for n in (1, 2, 3, 6):
+            for theta in (0.0, math.pi):
+                x = math.cos(theta)
+                inner = theta - eps if theta else theta + eps
+                fd = (sf.assoc_legendre(n, 1, math.cos(inner + eps))[0]
+                      - sf.assoc_legendre(n, 1, math.cos(inner - eps))[0]) / (2 * eps)
+                assert sf.assoc_legendre(n, 1, x)[1] == pytest.approx(fd, rel=1e-4)
 
     def test_tangential_functions_pole_limits(self):
-        # For m = 1 both tau and pi tend to -lambda n(n+1)/2 at the north pole;
-        # approach the axis and compare against the stored limit.
-        n, m = 3, 1
-        eps = 1e-4
-        cos_t = np.array([np.cos(eps), 1.0])
-        sin_t = np.array([np.sin(eps), 0.0])
-        tau, pi_f = sf._tau_pi(n, m, cos_t, sin_t)
-        assert tau[1] == pytest.approx(tau[0], rel=1e-6)
-        assert pi_f[1] == pytest.approx(pi_f[0], rel=1e-6)
-        lam = sf._norm_factor(n, m)
-        assert tau[1] == pytest.approx(-lam * n * (n + 1) / 2.0, rel=1e-13)
+        # For m = 1 both tau and pi tend to -lambda n(n+1)/2 at the north pole
+        # (and to -/+ (-1)^n times that at the south pole); read them off M_{n,1}
+        # = z s (i pi that - tau phat) e^{i phi} on the axis and 1e-4 off it.
+        k, r, eps = 0.9, 0.8, 1e-4
+        for n in (3, 10):
+            lam = math.sqrt((2 * n + 1) / (4 * math.pi * n * (n + 1)))
+            q = sf.vswf_modes(n).index((n, 1))
+            zs = spherical_jn(n, k * r) / math.sqrt(n * (n + 1))
+            for pole in (1.0, -1.0):
+                theta = np.array([0.0, eps]) if pole > 0 else np.array([np.pi, np.pi - eps])
+                pts = r * np.stack([np.sin(theta), 0 * theta, np.cos(theta)], axis=1)
+                m_f = sf.vswf_fields(pts, k, n, 1)[0][q]
+                that = np.stack([np.cos(theta), 0 * theta, -np.sin(theta)], axis=1)
+                tau = -m_f[:, 1] / zs  # phat = (0, 1, 0) at phi = 0
+                pi_f = np.sum(m_f * that, axis=1) / (1j * zs)
+                assert tau[0] == pytest.approx(tau[1], rel=1e-6)
+                assert pi_f[0] == pytest.approx(pi_f[1], rel=1e-6)
+                base = -lam * n * (n + 1) / 2.0
+                sign = 1.0 if pole > 0 else (-1.0) ** n
+                assert tau[0] == pytest.approx(sign * base, rel=1e-13)
+                assert pi_f[0] == pytest.approx(sign * pole * base, rel=1e-13)
 
 
 def fd_curl(f, x, eps=1e-5):
@@ -234,3 +254,178 @@ class TestVswf:
     def test_origin_rejected_for_radiating(self):
         with pytest.raises(SingularPointError):
             sf.vswf_eval("M", 3, 1, 0, self.K, np.zeros(3))
+
+
+def _norm_factor(n, m):
+    """sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!)."""
+    return np.sqrt((2 * n + 1) / (4 * np.pi) * np.exp(gammaln(n - m + 1) - gammaln(n + m + 1)))
+
+
+def _tau_pi(n, m, cos_t, sin_t):
+    """lambda_nm d/dtheta P_n^m and lambda_nm m P_n^m / sin theta for m >= 0,
+    from lpmv, with the analytic limits on the polar axis."""
+    lam = _norm_factor(n, m)
+    tau = np.zeros_like(cos_t)
+    pi_f = np.zeros_like(cos_t)
+    on_pole = sin_t < 1e-13
+    off = ~on_pole
+    if np.any(off):
+        x, s = cos_t[off], sin_t[off]
+        p = lpmv(m, n, x)
+        p_prev = lpmv(m, n - 1, x) if n - 1 >= m else np.zeros_like(x)
+        tau[off] = -lam * ((n + m) * p_prev - n * x * p) / s
+        pi_f[off] = lam * m * p / s
+    if np.any(on_pole) and m == 1:
+        north = on_pole & (cos_t > 0)
+        south = on_pole & (cos_t < 0)
+        base = -lam * n * (n + 1) / 2.0
+        tau[north] = base
+        pi_f[north] = base
+        # P_n^1(-x) = (-1)^(n+1) P_n^1(x), and d/dtheta changes sign.
+        tau[south] = ((-1.0) ** n) * base
+        pi_f[south] = -((-1.0) ** n) * base
+    # m = 0 and m >= 2: both limits vanish on the axis.
+    return tau, pi_f
+
+
+def _radial_parts(n, kind, t):
+    """z_n(t), z_n(t)/t and psi_n'(t)/t with the regular t->0 limit for kind 1."""
+    z_over_t = np.empty_like(t, dtype=complex)
+    psip_over_t = np.empty_like(t, dtype=complex)
+    z = np.empty_like(t, dtype=complex)
+    small = t < 1e-6
+    big = ~small
+    if np.any(big):
+        tb = t[big]
+        if kind == 1:
+            zb = spherical_jn(n, tb)
+            zpb = spherical_jn(n, tb, derivative=True)
+        else:
+            zb = spherical_jn(n, tb) + 1j * spherical_yn(n, tb)
+            zpb = spherical_jn(n, tb, derivative=True) + 1j * spherical_yn(
+                n, tb, derivative=True
+            )
+        z[big] = zb
+        z_over_t[big] = zb / tb
+        psip_over_t[big] = (zb + tb * zpb) / tb
+    if np.any(small):
+        ts = t[small]
+        # j_n(t) ~ t^n / (2n+1)!!
+        dfact = float(math.prod(range(2 * n + 1, 0, -2)))
+        z[small] = ts**n / dfact
+        z_over_t[small] = ts ** (n - 1) / dfact
+        psip_over_t[small] = (n + 1) * ts ** (n - 1) / dfact
+    return z, z_over_t, psip_over_t
+
+
+def vswf_fields_oracle(points, k, n_max, kind):
+    """All M and N wavefunctions, one (n, m) at a time from lpmv: the
+    per-mode construction that vswf_fields replaced."""
+    pts, r, cos_t, sin_t, phi, rhat, that, phat = sf._spherical_frame(points)
+    modes = sf.vswf_modes(n_max)
+    m_fields = np.zeros((len(modes), pts.shape[0], 3), dtype=complex)
+    n_fields = np.zeros_like(m_fields)
+    for idx, (n, m) in enumerate(modes):
+        z, z_over_t, psip_over_t = _radial_parts(n, kind, k * r)
+        s = 1.0 / np.sqrt(n * (n + 1))
+        ma = abs(m)
+        tau, pi_f = _tau_pi(n, ma, cos_t, sin_t)
+        lam_p = _norm_factor(n, ma) * lpmv(ma, n, cos_t)
+        if m < 0:
+            # lambda_{n,-m} P_n^{-m} = (-1)^m lambda_nm P_n^m flips pi's sign
+            # through the factor m.
+            sgn = (-1.0) ** ma
+            tau, pi_f, lam_p = sgn * tau, -sgn * pi_f, sgn * lam_p
+        e_imphi = np.exp(1j * m * phi)
+        b_t = s * tau * e_imphi
+        b_p = 1j * s * pi_f * e_imphi
+        y_nm = lam_p * e_imphi
+        m_fields[idx] = z[:, None] * (b_p[:, None] * that - b_t[:, None] * phat)
+        n_fields[idx] = (
+            (np.sqrt(n * (n + 1)) * z_over_t * y_nm)[:, None] * rhat
+            + psip_over_t[:, None] * (b_t[:, None] * that + b_p[:, None] * phat)
+        )
+    return m_fields, n_fields
+
+
+class TestVswfKernel:
+    """The all-(n, m) recurrence kernel against the per-mode lpmv oracle, and
+    its identities at degrees where lpmv overflows."""
+
+    @pytest.mark.parametrize("kind", [1, 3])
+    @pytest.mark.parametrize("n_max", [1, 6, 40])
+    def test_matches_lpmv_oracle(self, n_max, kind):
+        rng = np.random.default_rng(n_max + 10 * kind)
+        dirs = rng.normal(size=(24, 3))
+        pts = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts *= rng.uniform(0.2, 2.5, size=(24, 1))
+        axis = [[0.0, 0.0, 0.9], [0.0, 0.0, -1.7]]
+        pts = np.vstack([pts, axis] + ([[[0.0, 0.0, 0.0]]] if kind == 1 else []))
+        got = sf.vswf_fields(pts, 0.9, n_max, kind)
+        want = vswf_fields_oracle(pts, 0.9, n_max, kind)
+        for g, w in zip(got, want):
+            err = np.abs(g - w).reshape(len(g), -1).max(axis=1)
+            scale = np.abs(w).reshape(len(w), -1).max(axis=1)
+            assert np.all(err <= 1e-12 * scale)
+
+    def test_axis_point_ignores_sign_of_zero(self):
+        # (-0.0, 0, z) is the same point as (0, 0, z).
+        pts = np.array([[0.0, 0.0, 0.8], [-0.0, 0.0, 0.8], [-0.0, -0.0, -0.8], [0.0, 0.0, -0.8]])
+        m_f, n_f = sf.vswf_fields(pts, 0.9, 4, 1)
+        for f in (m_f, n_f):
+            assert np.array_equal(f[:, 0], f[:, 1]) and np.array_equal(f[:, 2], f[:, 3])
+
+    @pytest.mark.parametrize("kind", [1, 3])
+    def test_finite_at_order_cap(self, kind):
+        # j_n underflows gracefully, down to the origin; h_n of degree
+        # ORDER_CAP exceeds the double range below t of about 4.3, so kind 3
+        # is sampled beyond that.
+        rng = np.random.default_rng(kind)
+        dirs = rng.normal(size=(12, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        low = 0.05 if kind == 1 else 6.0
+        radii = np.exp(rng.uniform(np.log(low), np.log(250.0), size=(12, 1)))
+        pts = np.vstack([dirs * radii, [[0.0, 0.0, 7.0], [0.0, 0.0, -240.0]]]
+                        + ([[[0.0, 0.0, 0.0]]] if kind == 1 else []))
+        m_f, n_f = sf.vswf_fields(pts, 0.9, sf.ORDER_CAP, kind)
+        assert np.all(np.isfinite(m_f)) and np.all(np.isfinite(n_f))
+        assert np.max(np.abs(m_f[-1])) > 0 and np.max(np.abs(n_f[-1])) > 0
+
+    # Points with k|x| near the degree, where the wavefunctions vary on a
+    # unit length scale and the finite differences resolve them.
+    K = 0.9
+    FAR = [np.array(p) for p in [(80.0, -60.0, 90.0), (-100.0, 70.0, -55.0)]]
+
+    def field(self, which, n, m, kind):
+        return lambda x: sf.vswf_eval(which, kind, n, m, self.K, x).field
+
+    @pytest.mark.parametrize("kind", [1, 3])
+    @pytest.mark.parametrize("n,m", [(120, 0), (121, -7), (125, 125)])
+    def test_high_degree_divergence_free(self, n, m, kind):
+        for x in self.FAR:
+            for which in ("M", "N"):
+                f = self.field(which, n, m, kind)
+                scale = max(np.max(np.abs(f(x))), 1e-300)
+                assert abs(fd_div(f, x)) < 5e-6 * self.K * scale
+
+    @pytest.mark.parametrize("kind", [1, 3])
+    @pytest.mark.parametrize("n,m", [(120, 1), (123, -60)])
+    def test_high_degree_curl_relations(self, n, m, kind):
+        for x in self.FAR:
+            fm = self.field("M", n, m, kind)
+            fn = self.field("N", n, m, kind)
+            scale = max(np.max(np.abs(fn(x))), np.max(np.abs(fm(x))), 1e-300)
+            assert np.max(np.abs(fd_curl(fm, x) - self.K * fn(x))) < 1e-5 * scale
+            assert np.max(np.abs(fd_curl(fn, x) - self.K * fm(x))) < 1e-5 * scale
+
+    def test_high_degree_conjugation_symmetry(self):
+        n_max = 130
+        pts = np.vstack([np.array(self.FAR), [[0.3, -0.2, 0.5]]])
+        m_f, n_f = sf.vswf_fields(pts, self.K, n_max, 1)
+        modes = sf.vswf_modes(n_max)
+        for n, m in [(120, 1), (124, 77), (130, 130)]:
+            a, b = modes.index((n, m)), modes.index((n, -m))
+            for f in (m_f, n_f):
+                scale = np.max(np.abs(f[a]))
+                assert scale > 0
+                assert np.max(np.abs(np.conj(f[a]) - (-1.0) ** m * f[b])) <= 1e-14 * scale
