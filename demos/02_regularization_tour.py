@@ -18,9 +18,10 @@ from nfem import (
     assemble_nearfield,
     build_sphere_grid,
     morozov_alpha,
+    regularized_solve,
+    rhs_matrix,
     rhs_vector,
     svd_factorize,
-    tikhonov_solve,
 )
 
 k = 0.75
@@ -42,23 +43,24 @@ b = rhs_vector(z, pol, grid, k)
 print(f"\nregularization sweep at sampling point {z.tolist()}:")
 print(f"  {'alpha':>10}  {'residual':>10}  {'||g||':>10}")
 for alpha in np.logspace(-10, 0, 6) * svd.norm2**2:
-    sol = tikhonov_solve(svd, b, alpha)
-    print(f"  {alpha:10.2e}  {sol.discrepancy:10.3e}  {np.linalg.norm(sol.g):10.3e}")
+    sol = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True)
+    print(f"  {alpha:10.2e}  {sol.discrepancy[0]:10.3e}  {np.linalg.norm(sol.g):10.3e}")
 
 # Small alpha: tiny residual, huge solution (noise amplified).
 # Large alpha: bounded solution, residual saturates.  The discrepancy
 # principle picks the crossover where the residual matches the noise level.
 alpha_star, flagged = morozov_alpha(svd, b, 0.02)
-sol = tikhonov_solve(svd, b, alpha_star)
+sol = regularized_solve(svd, b[:, None], alpha=alpha_star, want_g=True)
 target = 0.02 * svd.norm2 * np.linalg.norm(sol.g)
 print(f"\ndiscrepancy-principle choice: alpha = {alpha_star:.3e}"
       + (" (flagged)" if flagged else ""))
-print(f"  residual {sol.discrepancy:.4e} vs target {target:.4e}")
+print(f"  residual {sol.discrepancy[0]:.4e} vs target {target:.4e}")
 
 # ------------------------------------------------- indicator contrast
+# The imaging sweep solves many sampling points at once: the columns of b
+# are right-hand sides, each with its own Morozov root.
 print("\nindicator 1/||g|| at points inside vs outside the cavity:")
-for z in ([1.2, 0.0, 0.0], [1.4, 0.3, 0.0], [1.8, 0.0, 0.0], [2.4, 0.0, 0.0]):
-    b = rhs_vector(np.array(z, dtype=float), pol, grid, k)
-    alpha_star, _ = morozov_alpha(svd, b, 0.02)
-    sol = tikhonov_solve(svd, b, alpha_star)
-    print(f"  z = {z}:  1/||g|| = {1.0 / sol.g_norm_discrete:.3e}")
+zs = np.array([[1.2, 0.0, 0.0], [1.4, 0.3, 0.0], [1.8, 0.0, 0.0], [2.4, 0.0, 0.0]])
+sol = regularized_solve(svd, rhs_matrix(zs, pol, grid, k), h_noise=0.02)
+for z, g_norm in zip(zs, sol.g_norm):
+    print(f"  z = {z.tolist()}:  1/||g|| = {1.0 / g_norm:.3e}")

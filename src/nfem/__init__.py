@@ -16,17 +16,8 @@ from .errors import (
     MalformedHeaderError,
     NfemError,
     SingularPointError,
-    UnsupportedGeometryError,
 )
-from .green import (
-    Dipole,
-    curl_incident_field,
-    grad_phi,
-    green_apply,
-    green_tensor,
-    incident_field,
-    phi,
-)
+from .green import Dipole, curl_incident_field, green_apply, incident_field
 from .forward import (
     LayeredCavityConfig,
     ModeCoefficients,
@@ -56,9 +47,7 @@ from .lsm import (
     RegularizedBatch,
     SamplingGrid,
     SvdFactorization,
-    TikhonovSolution,
     build_sampling_grid,
-    indicator_at,
     morozov_alpha,
     regularized_solve,
     rhs_matrix,
@@ -66,15 +55,9 @@ from .lsm import (
     run_imaging,
     single_layer_eval,
     svd_factorize,
-    tikhonov_solve,
 )
 from .config import RunConfig, default_config_text, load_config
-from .output import (
-    read_vtk_scalars,
-    write_cross_sections,
-    write_imaging_csv,
-    write_imaging_vtk,
-)
+from .output import write_cross_sections, write_imaging_csv, write_imaging_vtk
 
 __version__ = "0.1.0"
 
@@ -88,14 +71,10 @@ __all__ = [
     "MalformedHeaderError",
     "NfemError",
     "SingularPointError",
-    "UnsupportedGeometryError",
     "Dipole",
     "curl_incident_field",
-    "grad_phi",
     "green_apply",
-    "green_tensor",
     "incident_field",
-    "phi",
     "LayeredCavityConfig",
     "ModeCoefficients",
     "Shell",
@@ -120,9 +99,7 @@ __all__ = [
     "RegularizedBatch",
     "SamplingGrid",
     "SvdFactorization",
-    "TikhonovSolution",
     "build_sampling_grid",
-    "indicator_at",
     "morozov_alpha",
     "regularized_solve",
     "rhs_matrix",
@@ -130,11 +107,9 @@ __all__ = [
     "run_imaging",
     "single_layer_eval",
     "svd_factorize",
-    "tikhonov_solve",
     "RunConfig",
     "default_config_text",
     "load_config",
-    "read_vtk_scalars",
     "write_cross_sections",
     "write_imaging_csv",
     "write_imaging_vtk",

@@ -8,12 +8,13 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error (including arguments the
 numerics reject and degenerate transmission systems), 3 data-format error,
-4 selfcheck failure, 5 unsupported geometry.
+4 selfcheck failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -27,15 +28,8 @@ from .errors import (
     DataFormatError,
     DegenerateConfigError,
     InvalidArgumentError,
-    UnsupportedGeometryError,
 )
-from .forward import (
-    data_truncation_order,
-    interface_residual,
-    maxwell_eigenvalue_margin,
-    solve_modes,
-    truncation_order,
-)
+from .forward import interface_residual, maxwell_eigenvalue_margin, solve_modes
 from .lsm import (
     build_sampling_grid,
     regularized_solve,
@@ -45,6 +39,7 @@ from .lsm import (
     svd_factorize,
 )
 from .measurement import (
+    NearFieldMatrix,
     NoiseSpec,
     add_noise,
     assemble_nearfield,
@@ -59,21 +54,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SELFCHECK = 4
-EXIT_GEOMETRY = 5
 
 # Margin below which the wavenumber counts as sitting on a Maxwell
 # eigenvalue of the measurement ball, where the sampling method degenerates.
 MARGIN_FLOOR = 1e-3
-
-
-def _data_config(cfg: RunConfig):
-    """Cavity config with the series order raised for on-sphere data synthesis."""
-    n_max = cfg.n_max
-    if n_max is None:
-        n_max = data_truncation_order(cfg.cavity_radius, cfg.shells, cfg.k, cfg.rho)
-    return cfg.cavity_config().__class__(
-        cavity_radius=cfg.cavity_radius, shells=cfg.shells, k=cfg.k, n_max=n_max
-    )
 
 
 def _fixed_alpha(cfg: RunConfig) -> float | None:
@@ -97,7 +81,7 @@ def _simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _data_config(cfg)
+    config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
     coeffs = solve_modes(config)
@@ -142,13 +126,19 @@ def _simulate(args) -> int:
     return EXIT_OK
 
 
-def _reconstruct(args) -> int:
+def _load_data(args) -> tuple[RunConfig, NearFieldMatrix]:
+    """The run's config and data file, which must agree on the wavenumber."""
     cfg = load_config(args.config)
     matrix, k_data = read_nearfield(args.data)
     if abs(k_data - cfg.k) > 1e-12 * max(1.0, cfg.k):
         raise ConfigError(
             f"wavenumber mismatch: data file has k={k_data}, config has k={cfg.k}"
         )
+    return cfg, matrix
+
+
+def _reconstruct(args) -> int:
+    cfg, matrix = _load_data(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bounds = np.asarray(cfg.box).reshape(3, 2)
@@ -194,7 +184,7 @@ def _selfcheck(args) -> int:
     if not ok:
         failures.append("wavenumber sits on a Maxwell eigenvalue")
 
-    config = _data_config(cfg)
+    config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     coeffs = solve_modes(config)
     matrix = assemble_nearfield(config, grid, coeffs)
@@ -214,13 +204,7 @@ def _selfcheck(args) -> int:
     if not ok:
         failures.append("transmission conditions violated beyond tolerance")
 
-    bumped = config.__class__(
-        cavity_radius=config.cavity_radius,
-        shells=config.shells,
-        k=config.k,
-        n_max=config.n_max + 5,
-    )
-    ref = assemble_nearfield(bumped, grid)
+    ref = assemble_nearfield(dataclasses.replace(config, n_max=config.n_max + 5), grid)
     diff = np.max(np.abs(ref.entries - matrix.entries))
     ok = diff / scale < 1e-8
     print(f"[{'PASS' if ok else 'FAIL'}] series convergence (order +5): "
@@ -236,12 +220,7 @@ def _selfcheck(args) -> int:
 
 
 def _probe(args) -> int:
-    cfg = load_config(args.config)
-    matrix, k_data = read_nearfield(args.data)
-    if abs(k_data - cfg.k) > 1e-12 * max(1.0, cfg.k):
-        raise ConfigError(
-            f"wavenumber mismatch: data file has k={k_data}, config has k={cfg.k}"
-        )
+    cfg, matrix = _load_data(args)
     try:
         z = np.array([float(v) for v in args.z.split(",")])
         if z.shape != (3,):
@@ -320,9 +299,6 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except UnsupportedGeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
 
 
 if __name__ == "__main__":

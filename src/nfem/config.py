@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .forward import LayeredCavityConfig, Shell, truncation_order
+from .forward import LayeredCavityConfig, Shell, data_truncation_order
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,14 @@ class RunConfig:
         return self
 
     def cavity_config(self) -> LayeredCavityConfig:
+        """The forward config that synthesizes this run's data: n_max, or by
+        default the series order converged for sources and receivers on the
+        measurement sphere."""
         n_max = self.n_max
         if n_max is None:
-            n_max = truncation_order(self.cavity_radius, self.shells, self.k)
+            n_max = data_truncation_order(
+                self.cavity_radius, self.shells, self.k, self.rho
+            )
         return LayeredCavityConfig(
             cavity_radius=self.cavity_radius,
             shells=self.shells,

@@ -21,10 +21,6 @@ class ConfigError(NfemError):
     """Run configuration file is malformed or inconsistent."""
 
 
-class UnsupportedGeometryError(NfemError):
-    """Requested forward synthesis outside the concentric-sphere class."""
-
-
 class DataFormatError(NfemError):
     """Base class for near-field data file problems."""
 

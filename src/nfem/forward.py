@@ -141,11 +141,11 @@ class ModeCoefficients:
 
 
 def _trace_pair(family: str, n, kind: int, k_med: float, A: float, r: float):
-    """(tangential E, tangential A curl E) radial factors at radius r.
+    """(tangential E, tangential A curl E) radial factors at radius r, as a
+    complex array of shape (2, *n.shape) for an array of degrees n.
 
-    ``n`` may be an array of degrees.  Common geometric factors shared by
-    both sides of an interface are dropped; only ratios across the interface
-    matter.
+    Common geometric factors shared by both sides of an interface are
+    dropped; only ratios across the interface matter.
     """
     t = k_med * r
     if kind == 1:
@@ -157,14 +157,8 @@ def _trace_pair(family: str, n, kind: int, k_med: float, A: float, r: float):
             n, t, derivative=True
         )
     psip = z + t * zp
-    if family == "TE":
-        return z, A * psip
-    return psip / k_med, A * k_med * z
-
-
-def _trace_vec(family: str, n, kind: int, k_med: float, A: float, r: float):
-    u, v = _trace_pair(family, n, kind, k_med, A, r)
-    return np.array([u, v], dtype=complex)
+    pair = (z, A * psip) if family == "TE" else (psip / k_med, A * k_med * z)
+    return np.array(pair, dtype=complex)
 
 
 def _inv2_apply(t1: np.ndarray, t3: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -197,7 +191,7 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     for fam in FAMILIES:
 
         def trace(kind, region, r):
-            return _trace_vec(fam, degrees, kind, *media[region], r)
+            return _trace_pair(fam, degrees, kind, *media[region], r)
 
         # y_n overflows at high degree, and the inf and NaN it makes spread
         # through the transfer steps into R_n, where the callers report them.
@@ -378,10 +372,8 @@ def interface_residual(
         pts = r * dirs
         e_in, curl_in = _region_field(pts, q, config, coeffs, c_te, c_tm)
         if q == 0:
-            e_in = e_in + np.array([incident_field(pt, dip, config.k) for pt in pts])
-            curl_in = curl_in + np.array(
-                [curl_incident_field(pt, dip, config.k) for pt in pts]
-            )
+            e_in = e_in + incident_field(pts, dip, config.k)
+            curl_in = curl_in + curl_incident_field(pts, dip, config.k)
         e_out, curl_out = _region_field(pts, q + 1, config, coeffs, c_te, c_tm)
         a_in, a_out = media[q][1], media[q + 1][1]
         for f_in, f_out in ((e_in, e_out), (a_in * curl_in, a_out * curl_out)):

@@ -87,17 +87,6 @@ def rhs_matrix(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> 
 
 
 @dataclass(frozen=True)
-class TikhonovSolution:
-    """Regularized density for one sampling point."""
-
-    g: np.ndarray
-    alpha: float
-    discrepancy: float
-    g_norm_discrete: float
-    morozov_flagged: bool = False
-
-
-@dataclass(frozen=True)
 class RegularizedBatch:
     """Regularized solves of a batch of right-hand sides, one entry per column."""
 
@@ -193,30 +182,10 @@ def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return ((a if len(a) > 1 else np.repeat(a, 2, axis=0)) @ m)[: len(a)]
 
 
-def _single(sol: RegularizedBatch) -> TikhonovSolution:
-    return TikhonovSolution(sol.g[:, 0], float(sol.alpha[0]), float(sol.discrepancy[0]),
-                            float(sol.g_norm[0]), bool(sol.flagged[0]))
-
-
-def tikhonov_solve(svd: SvdFactorization, b: np.ndarray, alpha: float) -> TikhonovSolution:
-    """Spectral Tikhonov solution g = sum_i s_i/(s_i^2 + alpha) (u_i* b) v_i."""
-    return _single(regularized_solve(svd, b[:, None], alpha=alpha, want_g=True))
-
-
 def morozov_alpha(svd: SvdFactorization, b: np.ndarray, h: float) -> tuple[float, bool]:
     """Root of ||A g - b|| = h ||A|| ||g||; returns (alpha, flagged)."""
     sol = regularized_solve(svd, b[:, None], h_noise=h)
     return float(sol.alpha[0]), bool(sol.flagged[0])
-
-
-def indicator_at(
-    z: np.ndarray, h_pol: np.ndarray, svd: SvdFactorization, grid: SphereGrid,
-    k: float, h_noise: float,
-) -> tuple[float, TikhonovSolution]:
-    """Unnormalized indicator 1/||g_z|| (weighted norm) at one sampling point."""
-    b = rhs_vector(z, h_pol, grid, k)[:, None]
-    sol = _single(regularized_solve(svd, b, h_noise, want_g=True))
-    return 1.0 / sol.g_norm_discrete, sol
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import csv
 
 import numpy as np
 
-from .errors import InvalidArgumentError
 from .lsm import ImagingField
 
 _FMT = "%.17g"
@@ -80,7 +79,7 @@ def write_cross_sections(field: ImagingField, out_dir, prefix: str) -> list[str]
     """CSV slice per coordinate plane at the lattice level nearest the origin.
 
     Returns the written file paths.  Each row is (coordinate 1, coordinate 2,
-    log10 indicator, masked).
+    log10 indicator, masked), coordinate 1 running fastest.
     """
     grid = field.grid
     nx, ny, nz = grid.shape
@@ -93,37 +92,17 @@ def write_cross_sections(field: ImagingField, out_dir, prefix: str) -> list[str]
     paths = []
     for name, (ax1, ax2), fixed in _PLANES:
         level = int(np.argmin(np.abs(axes[fixed])))
+        # Cube axis 2 - i is coordinate i, so the slice is (ax2, ax1) since ax1 < ax2.
+        c2, c1 = np.meshgrid(axes[ax2], axes[ax1], indexing="ij")
+        rows = np.column_stack([
+            c1.ravel(), c2.ravel(), np.take(log_cube, level, axis=2 - fixed).ravel(),
+            ~np.take(active_cube, level, axis=2 - fixed).ravel(),
+        ])
         path = f"{out_dir}/{prefix}_slice_{name}.csv"
+        # "\r\n" ends rows as csv.writer does in write_imaging_csv (RFC 4180).
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"z_{'xyz'[ax1]}", f"z_{'xyz'[ax2]}",
-                             "log10_indicator", "masked"])
-            for i2, c2 in enumerate(axes[ax2]):
-                for i1, c1 in enumerate(axes[ax1]):
-                    idx = [0, 0, 0]
-                    idx[ax1], idx[ax2], idx[fixed] = i1, i2, level
-                    # cube index order is (z, y, x)
-                    zyx = (idx[2], idx[1], idx[0])
-                    writer.writerow(
-                        [
-                            _g(c1),
-                            _g(c2),
-                            _g(log_cube[zyx]),
-                            "0" if active_cube[zyx] else "1",
-                        ]
-                    )
+            np.savetxt(f, rows, fmt=[_FMT] * 3 + ["%d"], delimiter=",", newline="\r\n",
+                       header=f"z_{'xyz'[ax1]},z_{'xyz'[ax2]},log10_indicator,masked",
+                       comments="")
         paths.append(path)
     return paths
-
-
-def read_vtk_scalars(path) -> np.ndarray:
-    """Parse the scalar list back out of a file written by write_imaging_vtk."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    try:
-        start = lines.index("LOOKUP_TABLE default") + 1
-        dims_line = next(l for l in lines if l.startswith("DIMENSIONS"))
-    except (ValueError, StopIteration) as exc:
-        raise InvalidArgumentError(f"{path}: not a structured-points file") from exc
-    n = int(np.prod([int(v) for v in dims_line.split()[1:4]]))
-    return np.array([float(v) for v in lines[start : start + n]])

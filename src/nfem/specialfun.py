@@ -1,5 +1,5 @@
-"""Spherical Bessel/Hankel functions, Riccati-Bessel pairs, associated
-Legendre functions, and vector spherical wavefunctions (VSWFs).
+"""Vector spherical wavefunctions (VSWFs), from array kernels for the radial
+functions and the fully normalized associated Legendre functions.
 
 Conventions
 -----------
@@ -26,118 +26,13 @@ curl N = k M, and both families are divergence free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import lpmv, spherical_jn, spherical_yn
+from scipy.special import spherical_jn, spherical_yn
 
 from .errors import InvalidArgumentError, SingularPointError
 
 # Upward recurrence of y_n overflows silently well before this; keep a hard cap.
 ORDER_CAP = 200
-
-
-def _check_order(order_max: int) -> None:
-    if order_max < 0:
-        raise InvalidArgumentError(f"order_max must be >= 0, got {order_max}")
-    if order_max > ORDER_CAP:
-        raise InvalidArgumentError(
-            f"order_max {order_max} exceeds the hard cap {ORDER_CAP}"
-        )
-
-
-def _check_argument(t: float) -> None:
-    if not np.isfinite(t) or t <= 0:
-        raise InvalidArgumentError(f"argument must be positive and finite, got {t}")
-
-
-@dataclass(frozen=True)
-class RadialTable:
-    """j_n, y_n and first derivatives for n = 0..order_max at one argument."""
-
-    order_max: int
-    argument: float
-    j_values: np.ndarray
-    y_values: np.ndarray
-    j_derivs: np.ndarray
-    y_derivs: np.ndarray
-
-
-def sph_bessel_table(order_max: int, t: float) -> RadialTable:
-    """Tabulate spherical Bessel functions of both kinds with derivatives."""
-    _check_order(order_max)
-    _check_argument(t)
-    n = np.arange(order_max + 1)
-    return RadialTable(
-        order_max=order_max,
-        argument=float(t),
-        j_values=spherical_jn(n, t),
-        y_values=spherical_yn(n, t),
-        j_derivs=spherical_jn(n, t, derivative=True),
-        y_derivs=spherical_yn(n, t, derivative=True),
-    )
-
-
-def sph_hankel1(order_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """h_n^(1) = j_n + i y_n and its derivative for n = 0..order_max."""
-    table = sph_bessel_table(order_max, t)
-    h = table.j_values + 1j * table.y_values
-    hp = table.j_derivs + 1j * table.y_derivs
-    return h, hp
-
-
-def riccati(order_max: int, t: float, kind: int) -> tuple[np.ndarray, np.ndarray]:
-    """Riccati functions psi_n(t) = t z_n(t) and psi_n'(t) = z_n + t z_n'."""
-    if kind not in (1, 3):
-        raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
-    if kind == 1:
-        table = sph_bessel_table(order_max, t)
-        z, zp = table.j_values, table.j_derivs
-    else:
-        z, zp = sph_hankel1(order_max, t)
-    return t * z, z + t * zp
-
-
-def assoc_legendre(n: int, m: int, x: float) -> tuple[float, float]:
-    """P_n^m(x) (Condon-Shortley phase included) and d/dtheta P_n^m(cos theta).
-
-    The second return value is the theta-derivative evaluated where
-    cos theta = x, not the x-derivative.
-    """
-    if m < 0 or m > n:
-        raise InvalidArgumentError(f"need 0 <= m <= n, got n={n}, m={m}")
-    if abs(x) > 1:
-        raise InvalidArgumentError(f"|x| must be <= 1, got {x}")
-    if abs(x) == 1.0:
-        # Analytic pole limits; tangential-harmonic grids never hit the poles.
-        sign = 1.0 if x > 0 else (-1.0) ** n
-        if m == 0:
-            return float(sign if x > 0 else (-1.0) ** n), 0.0
-        if m == 1:
-            # P_n^1 ~ -sin(theta) n(n+1)/2 near x=1 (CS phase), and
-            # P_n^1(-x) = (-1)^(n+1) P_n^1(x) with d/dtheta changing sign.
-            dtheta = -n * (n + 1) / 2.0
-            return 0.0, float(dtheta if x > 0 else ((-1.0) ** n) * dtheta)
-        raise InvalidArgumentError(
-            f"theta-derivative undefined at the pole for m={m} >= 2"
-        )
-    p = float(lpmv(m, n, x))
-    sin_t = float(np.sqrt(1.0 - x * x))
-    # (1-x^2) dP/dx = (n+m) P_{n-1}^m - n x P_n^m;  d/dtheta = -sin(theta) d/dx.
-    p_prev = float(lpmv(m, n - 1, x)) if n - 1 >= m else 0.0
-    dtheta = -((n + m) * p_prev - n * x * p) / sin_t
-    return p, dtheta
-
-
-@dataclass(frozen=True)
-class VswfValue:
-    """One vector spherical wavefunction value in Cartesian components."""
-
-    field: np.ndarray
-    kind: int
-    family: str
-    degree: int
-    order: int
 
 
 def _spherical_frame(points: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -228,7 +123,8 @@ def vswf_fields(
         raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
     if k <= 0:
         raise InvalidArgumentError(f"wavenumber must be positive, got {k}")
-    _check_order(n_max)
+    if not 0 <= n_max <= ORDER_CAP:
+        raise InvalidArgumentError(f"n_max must be in [0, {ORDER_CAP}], got {n_max}")
     pts, r, cos_t, sin_t, phi, rhat, that, phat = _spherical_frame(points)
     if kind == 3 and np.any(r < 1e-12):
         raise SingularPointError("radiating wavefunction evaluated at the origin")
@@ -280,18 +176,3 @@ def vswf_fields(
         np.add(acc, np.multiply(y_rad, rhat[:, j], out=term), out=n_fields[:, :, j])
     return m_fields, n_fields
 
-
-def vswf_eval(
-    family: str, kind: int, n: int, m: int, wavenumber: float, point: np.ndarray
-) -> VswfValue:
-    """Evaluate one VSWF at one point (Cartesian complex 3-vector)."""
-    if family not in ("M", "N"):
-        raise InvalidArgumentError(f"family must be 'M' or 'N', got {family!r}")
-    if n < 1:
-        raise InvalidArgumentError(f"degree must be >= 1, got {n}")
-    if abs(m) > n:
-        raise InvalidArgumentError(f"|m| must be <= n, got n={n}, m={m}")
-    m_f, n_f = vswf_fields(np.asarray(point, dtype=float)[None, :], wavenumber, n, kind)
-    idx = vswf_modes(n).index((n, m))
-    field = m_f[idx, 0] if family == "M" else n_f[idx, 0]
-    return VswfValue(field=field, kind=kind, family=family, degree=n, order=m)

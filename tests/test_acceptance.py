@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from nfem import specialfun as sf
 from nfem.forward import (
     LayeredCavityConfig,
     Shell,
@@ -29,7 +28,6 @@ from nfem.lsm import (
     rhs_vector,
     run_imaging,
     svd_factorize,
-    tikhonov_solve,
 )
 from nfem.measurement import (
     NoiseSpec,
@@ -39,7 +37,9 @@ from nfem.measurement import (
     read_nearfield,
     write_nearfield,
 )
-from nfem.output import read_vtk_scalars, write_imaging_csv, write_imaging_vtk
+from nfem.output import write_imaging_csv, write_imaging_vtk
+from test_cli import read_vtk_scalars
+from test_specialfun import legendre, radial, wavefunction
 
 K = 0.75
 CAVITY_RADIUS = 1.5
@@ -144,22 +144,22 @@ def test_regularization_contracts(svd, sphere):
     for z in points:
         b = rhs_vector(z, POL, sphere, K)
         for alpha in (1e-2, 1e-5, 1e-8):
-            sol = tikhonov_solve(svd, b, alpha)
-            resid = a.conj().T @ (a @ sol.g - b) + alpha * sol.g
+            g = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True).g[:, 0]
+            resid = a.conj().T @ (a @ g - b) + alpha * g
             worst_ne = max(
                 worst_ne,
                 np.linalg.norm(resid) / np.linalg.norm(a.conj().T @ b),
             )
         alpha_star, flagged = morozov_alpha(svd, b, NOISE)
         assert not flagged
-        sol = tikhonov_solve(svd, b, alpha_star)
+        sol = regularized_solve(svd, b[:, None], alpha=alpha_star, want_g=True)
         target = NOISE * svd.norm2 * np.linalg.norm(sol.g)
         worst_root = max(
-            worst_root, abs(sol.discrepancy - target) / np.linalg.norm(b)
+            worst_root, abs(sol.discrepancy[0] - target) / np.linalg.norm(b)
         )
     b = rhs_vector(points[0], POL, sphere, K)
     sweep = np.logspace(-12, 2, 10) * svd.norm2**2
-    disc = [tikhonov_solve(svd, b, al).discrepancy for al in sweep]
+    disc = [regularized_solve(svd, b[:, None], alpha=al).discrepancy[0] for al in sweep]
     monotone = all(y > x for x, y in zip(disc, disc[1:]))
     print(f"normal-equations residual {worst_ne:.3e} (limit 1e-10), "
           f"discrepancy-root defect {worst_root:.3e} (limit 1e-06), "
@@ -278,17 +278,17 @@ def test_special_function_identities():
     # Wronskian j_n y_n' - j_n' y_n = 1/t^2.
     worst_w = 0.0
     for t in (0.4, 1.9, 7.3):
-        tab = sf.sph_bessel_table(10, t)
-        w = tab.j_values * tab.y_derivs - tab.j_derivs * tab.y_values
+        (j, jp), (h, hp) = radial(10, 1, t), radial(10, 3, t)
+        w = j * hp.imag - jp * h.imag  # y_n = Im h_n
         worst_w = max(worst_w, float(np.max(np.abs(w * t**2 - 1.0))))
     assert worst_w <= 1e-10
 
     # Three-term recurrence (2n+1) z_n = t (z_{n-1} + z_{n+1}).
     t = 2.4
-    tab = sf.sph_bessel_table(12, t)
+    j = radial(12, 1, t)[0]
     n = np.arange(1, 12)
-    rec = (2 * n + 1) * tab.j_values[n] - t * (tab.j_values[n - 1] + tab.j_values[n + 1])
-    worst_r = float(np.max(np.abs(rec)) / np.max(np.abs(tab.j_values)))
+    rec = (2 * n + 1) * j[n] - t * (j[n - 1] + j[n + 1])
+    worst_r = float(np.max(np.abs(rec)) / np.max(np.abs(j)))
     assert worst_r <= 1e-10
 
     # Legendre values against an independent upward recurrence.
@@ -306,9 +306,9 @@ def test_special_function_identities():
         return p_cur
 
     worst_p = 0.0
+    xs = np.linspace(-0.95, 0.95, 20)
     for n_deg, m_ord in [(2, 0), (5, 1), (9, 3), (12, 7)]:
-        for x in np.linspace(-0.95, 0.95, 20):
-            got = sf.assoc_legendre(n_deg, m_ord, x)[0]
+        for x, got in zip(xs, legendre(n_deg, xs)[n_deg, m_ord]):
             want = oracle(n_deg, m_ord, x)
             worst_p = max(worst_p, abs(got - want) / max(abs(want), 1e-300))
     assert worst_p <= 1e-11
@@ -329,8 +329,8 @@ def test_special_function_identities():
 
     worst_c = 0.0
     for n_deg, m_ord in [(1, 1), (3, -2)]:
-        fm = lambda x: sf.vswf_eval("M", 1, n_deg, m_ord, k, x).field
-        fn = lambda x: sf.vswf_eval("N", 1, n_deg, m_ord, k, x).field
+        fm = wavefunction("M", 1, n_deg, m_ord, k)
+        fn = wavefunction("N", 1, n_deg, m_ord, k)
         scale = max(np.max(np.abs(fm(x0))), np.max(np.abs(fn(x0))))
         worst_c = max(
             worst_c,

@@ -9,7 +9,7 @@ import pytest
 
 from nfem.cli import main
 from nfem.config import default_config_text, load_config
-from nfem.errors import ConfigError
+from nfem.errors import ConfigError, InvalidArgumentError
 from nfem.lsm import build_sampling_grid, run_imaging
 from nfem.measurement import (
     NoiseSpec,
@@ -20,12 +20,7 @@ from nfem.measurement import (
     read_nearfield,
 )
 from nfem.forward import LayeredCavityConfig, Shell
-from nfem.output import (
-    read_vtk_scalars,
-    write_cross_sections,
-    write_imaging_csv,
-    write_imaging_vtk,
-)
+from nfem.output import write_cross_sections, write_imaging_csv, write_imaging_vtk
 
 FAST_CONFIG = """\
 [forward]
@@ -51,6 +46,19 @@ alpha_mode = morozov
 prefix = fast
 formats = csv,vtk
 """
+
+
+def read_vtk_scalars(path) -> np.ndarray:
+    """Parse the scalar list back out of a file written by write_imaging_vtk."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    try:
+        start = lines.index("LOOKUP_TABLE default") + 1
+        dims_line = next(l for l in lines if l.startswith("DIMENSIONS"))
+    except (ValueError, StopIteration) as exc:
+        raise InvalidArgumentError(f"{path}: not a structured-points file") from exc
+    n = int(np.prod([int(v) for v in dims_line.split()[1:4]]))
+    return np.array([float(v) for v in lines[start : start + n]])
 
 
 @pytest.fixture()

@@ -1,5 +1,5 @@
-"""Helmholtz kernel and dipole-field layer, checked against finite
-differences and closed-form limits."""
+"""Green's-tensor and dipole-field layer, checked against the dense tensor
+oracle, finite differences and closed-form limits."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ import pytest
 from nfem.errors import InvalidArgumentError, SingularPointError
 from nfem.green import (
     Dipole,
+    _separation,
+    check_wavenumber,
     curl_incident_field,
-    grad_phi,
     green_apply,
-    green_tensor,
     incident_field,
-    phi,
 )
 
 K = 1.3
@@ -41,6 +40,38 @@ def fd_curl(f, x, eps=1e-5):
     )
 
 
+def phi(x: np.ndarray, y: np.ndarray, k: float) -> complex | np.ndarray:
+    """Outgoing Helmholtz fundamental solution e^{ikr}/(4 pi r)."""
+    k = check_wavenumber(k)
+    _, r = _separation(x, y)
+    out = np.exp(1j * k * r) / (4 * np.pi * r)
+    return out if out.ndim else complex(out)
+
+
+def green_tensor(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
+    """Dyadic kernel G with G p = (i/k)(k^2 Phi p + grad(grad Phi . p)).
+
+    Hessian of Phi in closed form: H = f2 rhat rhat^T + f1/r (I - rhat rhat^T)
+    with f1 = Phi'(r), f2 = Phi''(r).
+    """
+    k = check_wavenumber(k)
+    d, r = _separation(x, y)
+    r = r[..., None, None] if np.ndim(r) else r
+    p = np.exp(1j * k * r) / (4 * np.pi * r)
+    f1 = (1j * k - 1.0 / r) * p
+    f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
+    rhat = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    outer = rhat[..., :, None] * rhat[..., None, :]
+    eye = np.eye(3)
+    hess = f2 * outer + (f1 / r) * (eye - outer)
+    return (1j / k) * (k**2 * p * eye + hess)
+
+
+def green_matrix(x, y, k):
+    """G(x, y) as a 3 x 3 matrix, one column G e_j per call of green_apply."""
+    return green_apply(x, y, np.eye(3), k).T
+
+
 class TestPhi:
     def test_closed_form(self):
         r = np.linalg.norm(X - Y)
@@ -49,7 +80,11 @@ class TestPhi:
         )
 
     def test_gradient_matches_finite_difference(self):
-        got = grad_phi(X, Y, K)
+        # grad Phi read off curl E = i k grad Phi x p with p = e_j:
+        # sum_j e_j x (grad Phi x e_j) = 2 grad Phi.
+        eye = np.eye(3)
+        curls = [curl_incident_field(X, Dipole(Y, e), K) for e in eye]
+        got = sum(np.cross(e, c) for e, c in zip(eye, curls)) / (2j * K)
         want = fd_grad(lambda x: phi(x, Y, K), X)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(got))
 
@@ -65,21 +100,23 @@ class TestPhi:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(SingularPointError):
-            phi(X, X, K)
+            green_apply(X, X, P, K)
         with pytest.raises(SingularPointError):
-            green_tensor(X, X + 1e-12, K)
+            curl_incident_field(X, Dipole(X + 1e-12, P), K)
 
     def test_bad_wavenumber_rejected(self):
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(InvalidArgumentError):
-                phi(X, Y, bad)
+                green_apply(X, Y, P, bad)
+            with pytest.raises(InvalidArgumentError):
+                curl_incident_field(X, Dipole(Y, P), bad)
 
 
 class TestGreenTensor:
     def test_symmetry_in_arguments(self):
         # G(x, y) = G(y, x)^T, and here G is itself complex-symmetric.
-        gxy = green_tensor(X, Y, K)
-        gyx = green_tensor(Y, X, K)
+        gxy = green_matrix(X, Y, K)
+        gyx = green_matrix(Y, X, K)
         assert np.allclose(gxy, gyx.T, rtol=0, atol=1e-16)
         assert np.allclose(gxy, gxy.T, rtol=0, atol=1e-16)
 
@@ -90,14 +127,13 @@ class TestGreenTensor:
 
         cc = fd_curl(lambda z: fd_curl(field, z, eps=1e-4), X, eps=1e-4)
         want = (1j / K) * cc
-        got = green_tensor(X, Y, K) @ P
+        got = green_apply(X, Y, P, K)
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(got))
 
     def test_linearity_in_polarization(self):
-        g = green_tensor(X, Y, K)
         p2 = np.array([0.1, 0.2, -0.5])
-        lhs = g @ (2.0 * P - 3.0 * p2)
-        rhs = 2.0 * (g @ P) - 3.0 * (g @ p2)
+        lhs = green_apply(X, Y, 2.0 * P - 3.0 * p2, K)
+        rhs = 2.0 * green_apply(X, Y, P, K) - 3.0 * green_apply(X, Y, p2, K)
         assert np.allclose(lhs, rhs, rtol=1e-14)
 
     def test_far_field_decay(self):

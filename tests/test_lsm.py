@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from nfem.errors import InvalidArgumentError
 from nfem.forward import LayeredCavityConfig, Shell
-from nfem.green import green_tensor
 from nfem.lsm import (
     ALPHA_LO_FACTOR,
     SvdFactorization,
     build_sampling_grid,
-    indicator_at,
     morozov_alpha,
     regularized_solve,
     rhs_matrix,
@@ -23,9 +21,9 @@ from nfem.lsm import (
     run_imaging,
     single_layer_eval,
     svd_factorize,
-    tikhonov_solve,
 )
 from nfem.measurement import NoiseSpec, add_noise, assemble_nearfield, build_sphere_grid
+from test_green import green_tensor
 
 K = 0.75
 POL = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
@@ -68,49 +66,51 @@ class TestTikhonov:
         b = rhs_vector(np.array([1.8, 0.3, -0.4]), POL, sphere, K)
         a = (svd.u * svd.s) @ svd.vh
         for alpha in (1e-2, 1e-5, 1e-8):
-            sol = tikhonov_solve(svd, b, alpha)
+            g = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True).g[:, 0]
             n = a.shape[1]
             g_oracle = np.linalg.solve(
                 a.conj().T @ a + alpha * np.eye(n), a.conj().T @ b
             )
-            assert np.linalg.norm(sol.g - g_oracle) < 1e-6 * np.linalg.norm(g_oracle)
+            assert np.linalg.norm(g - g_oracle) < 1e-6 * np.linalg.norm(g_oracle)
 
     def test_normal_equations_residual(self, svd, sphere):
         b = rhs_vector(np.array([2.0, 0.0, 0.5]), POL, sphere, K)
         a = (svd.u * svd.s) @ svd.vh
         for alpha in (1e-3, 1e-7):
-            sol = tikhonov_solve(svd, b, alpha)
-            resid = a.conj().T @ (a @ sol.g - b) + alpha * sol.g
+            g = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True).g[:, 0]
+            resid = a.conj().T @ (a @ g - b) + alpha * g
             scale = np.linalg.norm(a.conj().T @ b)
             assert np.linalg.norm(resid) < 1e-10 * scale
 
     def test_discrepancy_field_consistent(self, svd, sphere):
         b = rhs_vector(np.array([1.6, -0.9, 0.2]), POL, sphere, K)
         a = (svd.u * svd.s) @ svd.vh
-        sol = tikhonov_solve(svd, b, 1e-4)
-        direct = np.linalg.norm(a @ sol.g - b)
-        assert sol.discrepancy == pytest.approx(direct, rel=1e-12)
+        sol = regularized_solve(svd, b[:, None], alpha=1e-4, want_g=True)
+        direct = np.linalg.norm(a @ sol.g[:, 0] - b)
+        assert sol.discrepancy[0] == pytest.approx(direct, rel=1e-12)
 
     def test_limits(self, svd, sphere):
         # alpha -> large shrinks g to 0; alpha -> small drives the residual
         # toward the least-squares floor.
         b = rhs_vector(np.array([1.5, 1.0, 0.3]), POL, sphere, K)
-        big = tikhonov_solve(svd, b, 1e6 * svd.norm2**2)
-        small = tikhonov_solve(svd, b, 1e-14 * svd.norm2**2)
+        big, small = (
+            regularized_solve(svd, b[:, None], alpha=a * svd.norm2**2, want_g=True)
+            for a in (1e6, 1e-14)
+        )
         assert np.linalg.norm(big.g) < 1e-5 * np.linalg.norm(small.g)
-        assert small.discrepancy < 0.01 * np.linalg.norm(b)
+        assert small.discrepancy[0] < 0.01 * np.linalg.norm(b)
 
     def test_alpha_positive_required(self, svd, sphere):
         b = rhs_vector(np.array([1.5, 1.0, 0.3]), POL, sphere, K)
         with pytest.raises(InvalidArgumentError):
-            tikhonov_solve(svd, b, 0.0)
+            regularized_solve(svd, b[:, None], alpha=0.0)
 
 
 class TestMorozov:
     def test_discrepancy_monotone_in_alpha(self, svd, sphere):
         b = rhs_vector(np.array([1.7, 0.4, 0.8]), POL, sphere, K)
         alphas = np.logspace(-12, 2, 10) * svd.norm2**2
-        disc = [tikhonov_solve(svd, b, a).discrepancy for a in alphas]
+        disc = [regularized_solve(svd, b[:, None], alpha=a).discrepancy[0] for a in alphas]
         assert all(y > x for x, y in zip(disc, disc[1:]))
 
     def test_root_satisfies_discrepancy_equation(self, svd, sphere):
@@ -118,9 +118,9 @@ class TestMorozov:
             b = rhs_vector(np.array(z), POL, sphere, K)
             alpha, flagged = morozov_alpha(svd, b, 0.02)
             assert not flagged
-            sol = tikhonov_solve(svd, b, alpha)
+            sol = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True)
             target = 0.02 * svd.norm2 * np.linalg.norm(sol.g)
-            assert abs(sol.discrepancy - target) < 1e-6 * np.linalg.norm(b)
+            assert abs(sol.discrepancy[0] - target) < 1e-6 * np.linalg.norm(b)
 
     def test_zero_noise_flagged_at_bracket_floor(self, svd, sphere):
         b = rhs_vector(np.array([1.8, 0.3, -0.4]), POL, sphere, K)
@@ -206,9 +206,9 @@ class TestRegularizedSolve:
         batch = regularized_solve(svd, b, alpha=1e-4, want_g=True)
         assert not np.any(batch.flagged)
         for j in range(3):
-            sol = tikhonov_solve(svd, b[:, j], 1e-4)
-            assert np.allclose(batch.g[:, j], sol.g, rtol=1e-12, atol=0)
-            assert batch.discrepancy[j] == pytest.approx(sol.discrepancy, rel=1e-12)
+            sol = regularized_solve(svd, b[:, [j]], alpha=1e-4, want_g=True)
+            assert np.allclose(batch.g[:, j], sol.g[:, 0], rtol=1e-12, atol=0)
+            assert batch.discrepancy[j] == pytest.approx(sol.discrepancy[0], rel=1e-12)
 
     def test_clamped_at_both_bracket_ends(self, svd, chunk_rhs):
         b = chunk_rhs[:, :16]
@@ -293,8 +293,8 @@ class TestRhs:
 
 class TestIndicator:
     def test_inside_point_smaller_than_outside(self, noisy, svd, sphere):
-        v_in, _ = indicator_at(np.array([1.2, 0.0, 0.0]), POL, svd, sphere, K, 0.02)
-        v_out, _ = indicator_at(np.array([2.0, 0.0, 0.0]), POL, svd, sphere, K, 0.02)
+        b = rhs_matrix(np.array([[1.2, 0.0, 0.0], [2.0, 0.0, 0.0]]), POL, sphere, K)
+        v_in, v_out = 1.0 / regularized_solve(svd, b, 0.02).g_norm
         assert np.log10(v_out) - np.log10(v_in) > 0.5
 
     def test_scaling_invariance_of_ranking(self, noisy, sphere):
@@ -305,9 +305,9 @@ class TestIndicator:
         scaled = replace(noisy, entries=noisy.entries * 7.5)
         svd1 = svd_factorize(noisy, k=K)
         svd2 = svd_factorize(scaled, k=K)
-        zs = [np.array([1.3, 0.4, 0.0]), np.array([2.1, 0.0, 0.3])]
-        vals1 = [indicator_at(z, POL, svd1, sphere, K, 0.02)[0] for z in zs]
-        vals2 = [indicator_at(z, POL, svd2, sphere, K, 0.02)[0] for z in zs]
+        b = rhs_matrix(np.array([[1.3, 0.4, 0.0], [2.1, 0.0, 0.3]]), POL, sphere, K)
+        vals1 = 1.0 / regularized_solve(svd1, b, 0.02).g_norm
+        vals2 = 1.0 / regularized_solve(svd2, b, 0.02).g_norm
         assert vals2[0] / vals2[1] == pytest.approx(vals1[0] / vals1[1], rel=1e-8)
 
 
@@ -373,7 +373,8 @@ class TestSingleLayer:
         # The potential is a superposition of outgoing kernels, so each
         # Cartesian component satisfies (Laplacian + k^2) u = 0 off the sphere.
         z = np.array([1.8, 0.3, -0.4])
-        _, sol = indicator_at(z, POL, svd, sphere, K, 0.02)
+        b = rhs_vector(z, POL, sphere, K)[:, None]
+        g = regularized_solve(svd, b, 0.02, want_g=True).g[:, 0]
         x = np.array([1.6, 0.9, 0.8])
         eps = 1e-4
         lap = np.zeros(3, dtype=complex)
@@ -381,11 +382,11 @@ class TestSingleLayer:
             step = np.zeros(3)
             step[j] = eps
             lap += (
-                single_layer_eval(sol.g, x + step, sphere, K)
-                - 2 * single_layer_eval(sol.g, x, sphere, K)
-                + single_layer_eval(sol.g, x - step, sphere, K)
+                single_layer_eval(g, x + step, sphere, K)
+                - 2 * single_layer_eval(g, x, sphere, K)
+                + single_layer_eval(g, x - step, sphere, K)
             ) / eps**2
-        val = single_layer_eval(sol.g, x, sphere, K)
+        val = single_layer_eval(g, x, sphere, K)
         resid = np.linalg.norm(lap + K**2 * val)
         assert resid < 1e-3 * max(np.linalg.norm(val), 1e-30) * K**2
 

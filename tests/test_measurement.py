@@ -1,11 +1,16 @@
 """Sphere quadrature, near-field matrix assembly, noise model, and the
 binary data format."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nfem.cli import main
+from nfem.config import default_config_text
 from nfem.errors import (
     ChecksumError,
     DataFormatError,
@@ -277,3 +282,66 @@ class TestFileFormat:
     def test_entries_shape_validated(self, grid):
         with pytest.raises(DimensionMismatchError):
             NearFieldMatrix(grid=grid, entries=np.zeros((4, 4), dtype=complex))
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """A valid NFEM1 file of a 2 x 4 grid (8 nodes, 16 x 16 entries), its
+    bytes, and a config whose wavenumber matches it."""
+    root = tmp_path_factory.mktemp("corrupt")
+    rng = np.random.default_rng(11)
+    entries = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    write_nearfield(NearFieldMatrix(build_sphere_grid(2, 4, 1.0), entries),
+                    root / "small.nfem", 0.75)
+    (root / "run.ini").write_text(default_config_text())
+    return root, (root / "small.nfem").read_bytes()
+
+
+# Byte ranges of an NFEM1 file: magic, header ("<ddIBdQ"), payload, trailer.
+_REGIONS = ("magic", "header", "payload", "trailer")
+
+
+def _region_bounds(size):
+    return {"magic": (0, 6), "header": (6, 43), "payload": (43, size - 8),
+            "trailer": (size - 8, size)}
+
+
+def assert_rejected(root, blob):
+    """read_nearfield raises a DataFormatError subclass on the bytes, and
+    nfem reconstruct exits 3 with one error line and no traceback."""
+    path = root / "bad.nfem"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError):
+        read_nearfield(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["reconstruct", "--data", str(path), "--config",
+                     str(root / "run.ini"), "--out", str(root / "out")])
+    assert code == 3
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestCorruption:
+    def test_small_file_is_valid(self, small_file):
+        root, blob = small_file
+        assert len(blob) == 43 + 8 * 3 * 8 + 16 * 16 * 16 + 8
+        (root / "ok.nfem").write_bytes(blob)
+        matrix, k = read_nearfield(root / "ok.nfem")
+        assert k == 0.75 and matrix.entries.shape == (16, 16)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_REGIONS), st.data())
+    def test_truncation_at_any_length_rejected(self, small_file, region, data):
+        root, blob = small_file
+        lo, hi = _region_bounds(len(blob))[region]
+        assert_rejected(root, blob[: data.draw(st.integers(lo, hi - 1))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_REGIONS), st.data())
+    def test_any_single_bit_flip_rejected(self, small_file, region, data):
+        root, blob = small_file
+        lo, hi = _region_bounds(len(blob))[region]
+        flipped = bytearray(blob)
+        flipped[data.draw(st.integers(lo, hi - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        assert_rejected(root, bytes(flipped))

@@ -24,52 +24,69 @@ def series_spherical_jn(n: int, t: float, terms: int = 60) -> float:
     return t**n * total
 
 
+def radial(n_max: int, kind: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """z_n(t) and z_n'(t) for n = 0..n_max read off the kernel's table of
+    z_n, z_n/t and psi_n'/t (n >= 1), with z_0 = psi_1'/t + z_1/t, z_0' = -z_1
+    and z_n' = psi_n'/t - z_n/t."""
+    z, z_t, psip_t = sf._radial_table(n_max, kind, np.array([float(t)]))[..., 0]
+    return np.r_[psip_t[0] + z_t[0], z], np.r_[-z[0], psip_t - z_t]
+
+
 class TestRadial:
     def test_bessel_matches_taylor_series(self):
-        table = sf.sph_bessel_table(8, 2.0)
+        j, _ = radial(8, 1, 2.0)
         for n in range(9):
-            assert table.j_values[n] == pytest.approx(
-                series_spherical_jn(n, 2.0), rel=1e-12
-            )
+            assert j[n] == pytest.approx(series_spherical_jn(n, 2.0), rel=1e-12)
 
     def test_hankel_low_order_closed_forms(self):
         t = 1.7
-        h, hp = sf.sph_hankel1(1, t)
+        h, hp = radial(1, 3, t)
         # h_0(t) = -i e^{it}/t, h_1(t) = -(1 + i/t) e^{it}/t
         assert h[0] == pytest.approx(-1j * np.exp(1j * t) / t, rel=1e-14)
         assert h[1] == pytest.approx(
             -(1 + 1j / t) * np.exp(1j * t) / t, rel=1e-14
         )
-        # d/dt h_0 = -h_1
-        assert hp[0] == pytest.approx(-h[1], rel=1e-14)
+        # d/dt h_1 = -(i/t - 2/t^2 - 2i/t^3) e^{it}
+        assert hp[1] == pytest.approx(
+            -(1j / t - 2 / t**2 - 2j / t**3) * np.exp(1j * t), rel=1e-14
+        )
 
     def test_wronskian_identity(self):
-        # j_n(t) y_n'(t) - j_n'(t) y_n(t) = 1/t^2
+        # j_n(t) y_n'(t) - j_n'(t) y_n(t) = 1/t^2, with y_n = Im h_n.
         for t in (0.3, 1.0, 4.7, 21.0):
-            tab = sf.sph_bessel_table(12, t)
-            w = tab.j_values * tab.y_derivs - tab.j_derivs * tab.y_values
+            j, jp = radial(12, 1, t)
+            h, hp = radial(12, 3, t)
+            w = j * hp.imag - jp * h.imag
             assert np.max(np.abs(w - 1.0 / t**2)) < 1e-10 / t**2
 
     def test_recurrence_residual(self):
         # (2n+1) z_n(t) = t (z_{n-1}(t) + z_{n+1}(t))
         t = 3.1
-        j = sf.sph_bessel_table(15, t)
         n = np.arange(1, 15)
-        lhs = (2 * n + 1) * j.j_values[n]
-        rhs = t * (j.j_values[n - 1] + j.j_values[n + 1])
-        assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
+        for kind in (1, 3):
+            z, _ = radial(15, kind, t)
+            lhs = (2 * n + 1) * z[n]
+            rhs = t * (z[n - 1] + z[n + 1])
+            assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
     def test_riccati_consistency(self):
-        # psi_n(t) = t j_n(t), psi_n'(t) = j_n(t) + t j_n'(t)
+        # psi_n(t) = t z_n(t) and psi_n'(t) = z_n(t) + t z_n'(t), against
+        # scipy's functions and derivatives.
         t = 2.6
-        j = sf.sph_bessel_table(6, t)
-        vals, derivs = sf.riccati(6, t, kind=1)
-        assert np.allclose(vals, t * j.j_values, rtol=1e-14)
-        assert np.allclose(derivs, j.j_values + t * j.j_derivs, rtol=1e-13)
+        n = np.arange(1, 7)
+        for kind in (1, 3):
+            z, z_t, psip_t = sf._radial_table(6, kind, np.array([t]))[..., 0]
+            i_y = 1j if kind == 3 else 0.0
+            want = spherical_jn(n, t) + i_y * spherical_yn(n, t)
+            want_p = (spherical_jn(n, t, derivative=True)
+                      + i_y * spherical_yn(n, t, derivative=True))
+            assert np.allclose(t * z, t * want, rtol=1e-14)
+            assert np.allclose(t * z_t, z, rtol=1e-14)
+            assert np.allclose(t * psip_t, want + t * want_p, rtol=1e-13)
 
     def test_order_cap(self):
         with pytest.raises(InvalidArgumentError):
-            sf.sph_bessel_table(sf.ORDER_CAP + 1, 1.0)
+            sf.vswf_fields(np.ones((1, 3)), 1.0, sf.ORDER_CAP + 1, 1)
 
 
 def legendre_recurrence(n_max: int, m: int, x: float) -> list[float]:
@@ -95,12 +112,36 @@ def norm_factor(n: int, m: int) -> float:
     )
 
 
+def legendre(n_max: int, x) -> np.ndarray:
+    """Unnormalized P_n^m(x) for 0 <= m <= n <= n_max, shape (n_max+1, n_max+1,
+    len(x)), from the kernel's table of lambda_nm P_n^m (over sin theta, m >= 1)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sin_t = np.sqrt((1.0 - x) * (1.0 + x))
+    lam = np.array([[norm_factor(n, m) if m <= n else 1.0 for m in range(n_max + 1)]
+                    for n in range(n_max + 1)])
+    scale = np.where(np.arange(n_max + 1)[:, None] >= 1, sin_t, 1.0)
+    return sf._legendre_table(x, sin_t, n_max) * scale / lam[:, :, None]
+
+
+def tau_pi(n: int, m: int, theta: np.ndarray, k: float = 0.9, r: float = 0.8):
+    """tau = lambda_nm dP_n^m/dtheta and pi = lambda_nm m P_n^m / sin theta
+    (m >= 0) at polar angles theta, read off M_nm = z s (i pi that - tau phat)
+    e^{i m phi} at phi = 0, where phat = (0, 1, 0)."""
+    q = sf.vswf_modes(n).index((n, m))
+    zs = spherical_jn(n, k * r) / math.sqrt(n * (n + 1))
+    pts = r * np.stack([np.sin(theta), 0 * theta, np.cos(theta)], axis=1)
+    m_f = sf.vswf_fields(pts, k, n, 1)[0][q]
+    that = np.stack([np.cos(theta), 0 * theta, -np.sin(theta)], axis=1)
+    return -m_f[:, 1] / zs, np.sum(m_f * that, axis=1) / (1j * zs)
+
+
 class TestLegendre:
     @pytest.mark.parametrize("m", [0, 1, 2, 5])
     def test_matches_recurrence_oracle(self, m):
         xs = np.linspace(-0.999, 0.999, 100)
+        table = legendre(12, xs)
         for n in range(max(m, 1), 13):
-            got = np.array([sf.assoc_legendre(n, m, x)[0] for x in xs])
+            got = table[n, m]
             want = np.array(
                 [legendre_recurrence(n, m, x)[n - m] for x in xs]
             )
@@ -108,49 +149,45 @@ class TestLegendre:
             assert np.max(np.abs(got - want)) < 1e-11 * scale
 
     def test_theta_derivative_finite_difference(self):
+        # tau / lambda from the wavefunctions against a central difference
+        # of the table's P_n^m.
         eps = 1e-6
+        thetas = np.array([0.4, 1.1, 2.3])
         for n, m in [(1, 0), (3, 1), (5, 2), (8, 4)]:
-            for theta in (0.4, 1.1, 2.3):
-                _, dp = sf.assoc_legendre(n, m, math.cos(theta))
-                p_hi = sf.assoc_legendre(n, m, math.cos(theta + eps))[0]
-                p_lo = sf.assoc_legendre(n, m, math.cos(theta - eps))[0]
-                fd = (p_hi - p_lo) / (2 * eps)
-                assert dp == pytest.approx(fd, rel=1e-7, abs=1e-9)
+            dp = tau_pi(n, m, thetas)[0] / norm_factor(n, m)
+            fd = (legendre(n, np.cos(thetas + eps))[n, m]
+                  - legendre(n, np.cos(thetas - eps))[n, m]) / (2 * eps)
+            for got, want in zip(dp, fd):
+                assert got.real == pytest.approx(want, rel=1e-7, abs=1e-9)
+                assert got.imag == 0.0
 
     def test_pole_values(self):
         # m = 0 is regular at the poles; m >= 2 vanishes together with its
-        # theta-derivative, handled through the tangential-function path.
-        p, dp = sf.assoc_legendre(3, 0, 1.0)
-        assert p == pytest.approx(1.0, rel=1e-14)  # P_n(1) = 1
-        assert dp == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(InvalidArgumentError):
-            sf.assoc_legendre(3, 2, 1.0)
+        # theta-derivative, so tau and pi vanish on the axis.
+        assert legendre(3, 1.0)[3, 0, 0] == pytest.approx(1.0, rel=1e-14)  # P_n(1) = 1
+        assert tau_pi(3, 0, np.zeros(1))[0][0] == pytest.approx(0.0, abs=1e-14)
+        for f in tau_pi(3, 2, np.zeros(1)):
+            assert f[0] == pytest.approx(0.0, abs=1e-14)
         # m = 1 at either pole: the central difference just inside it.
         eps = 1e-6
         for n in (1, 2, 3, 6):
             for theta in (0.0, math.pi):
-                x = math.cos(theta)
                 inner = theta - eps if theta else theta + eps
-                fd = (sf.assoc_legendre(n, 1, math.cos(inner + eps))[0]
-                      - sf.assoc_legendre(n, 1, math.cos(inner - eps))[0]) / (2 * eps)
-                assert sf.assoc_legendre(n, 1, x)[1] == pytest.approx(fd, rel=1e-4)
+                fd = (legendre(n, math.cos(inner + eps))[n, 1, 0]
+                      - legendre(n, math.cos(inner - eps))[n, 1, 0]) / (2 * eps)
+                dp = tau_pi(n, 1, np.array([theta]))[0][0] / norm_factor(n, 1)
+                assert dp == pytest.approx(fd, rel=1e-4)
 
     def test_tangential_functions_pole_limits(self):
         # For m = 1 both tau and pi tend to -lambda n(n+1)/2 at the north pole
         # (and to -/+ (-1)^n times that at the south pole); read them off M_{n,1}
-        # = z s (i pi that - tau phat) e^{i phi} on the axis and 1e-4 off it.
-        k, r, eps = 0.9, 0.8, 1e-4
+        # on the axis and 1e-4 off it.
+        eps = 1e-4
         for n in (3, 10):
             lam = math.sqrt((2 * n + 1) / (4 * math.pi * n * (n + 1)))
-            q = sf.vswf_modes(n).index((n, 1))
-            zs = spherical_jn(n, k * r) / math.sqrt(n * (n + 1))
             for pole in (1.0, -1.0):
                 theta = np.array([0.0, eps]) if pole > 0 else np.array([np.pi, np.pi - eps])
-                pts = r * np.stack([np.sin(theta), 0 * theta, np.cos(theta)], axis=1)
-                m_f = sf.vswf_fields(pts, k, n, 1)[0][q]
-                that = np.stack([np.cos(theta), 0 * theta, -np.sin(theta)], axis=1)
-                tau = -m_f[:, 1] / zs  # phat = (0, 1, 0) at phi = 0
-                pi_f = np.sum(m_f * that, axis=1) / (1j * zs)
+                tau, pi_f = tau_pi(n, 1, theta)
                 assert tau[0] == pytest.approx(tau[1], rel=1e-6)
                 assert pi_f[0] == pytest.approx(pi_f[1], rel=1e-6)
                 base = -lam * n * (n + 1) / 2.0
@@ -180,15 +217,18 @@ def fd_div(f, x, eps=1e-5):
     return out
 
 
+def wavefunction(which: str, kind: int, n: int, m: int, k: float):
+    """x -> M_nm(x) or N_nm(x) (which = "M" or "N") at one point, by vswf_fields."""
+    q, family = sf.vswf_modes(n).index((n, m)), "MN".index(which)
+    return lambda x: sf.vswf_fields(np.asarray(x)[None, :], k, n, kind)[family][q, 0]
+
+
 class TestVswf:
     K = 0.9
     POINTS = [np.array(p) for p in [(0.7, -0.4, 0.9), (1.3, 0.2, -0.5)]]
 
     def field(self, which, n, m, kind):
-        def f(x):
-            return sf.vswf_eval(which, kind, n, m, self.K, x).field
-
-        return f
+        return wavefunction(which, kind, n, m, self.K)
 
     @pytest.mark.parametrize("kind", [1, 3])
     @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (3, -2), (4, 4)])
@@ -223,8 +263,8 @@ class TestVswf:
     def test_m_field_tangential(self):
         for x in self.POINTS:
             for n, m in [(1, 0), (3, 2)]:
-                val = sf.vswf_eval("M", 1, n, m, self.K, x)
-                assert abs(val.field @ x) < 1e-13 * np.linalg.norm(x)
+                val = self.field("M", n, m, 1)(x)
+                assert abs(val @ x) < 1e-13 * np.linalg.norm(x)
 
     def test_conjugation_symmetry(self):
         # Regular VSWFs obey conj(F_{n,m}) = (-1)^m F_{n,-m}.
@@ -232,9 +272,9 @@ class TestVswf:
         for n, m in [(2, 1), (3, 3), (4, 2)]:
             sign = (-1.0) ** m
             for fam in ("M", "N"):
-                a = sf.vswf_eval(fam, 1, n, m, self.K, x)
-                b = sf.vswf_eval(fam, 1, n, -m, self.K, x)
-                assert np.allclose(np.conj(a.field), sign * b.field, atol=1e-14)
+                a = self.field(fam, n, m, 1)(x)
+                b = self.field(fam, n, -m, 1)(x)
+                assert np.allclose(np.conj(a), sign * b, atol=1e-14)
 
     def test_batch_matches_single(self):
         pts = np.array(self.POINTS)
@@ -242,10 +282,8 @@ class TestVswf:
         modes = sf.vswf_modes(3)
         for q, (n, m) in enumerate(modes):
             for i, x in enumerate(self.POINTS):
-                vm = sf.vswf_eval("M", 1, n, m, self.K, x)
-                vn = sf.vswf_eval("N", 1, n, m, self.K, x)
-                assert np.allclose(m_all[q, i], vm.field, atol=1e-15)
-                assert np.allclose(n_all[q, i], vn.field, atol=1e-15)
+                assert np.allclose(m_all[q, i], self.field("M", n, m, 1)(x), atol=1e-15)
+                assert np.allclose(n_all[q, i], self.field("N", n, m, 1)(x), atol=1e-15)
 
     def test_mode_ordering(self):
         modes = sf.vswf_modes(2)
@@ -253,7 +291,7 @@ class TestVswf:
 
     def test_origin_rejected_for_radiating(self):
         with pytest.raises(SingularPointError):
-            sf.vswf_eval("M", 3, 1, 0, self.K, np.zeros(3))
+            sf.vswf_fields(np.zeros((1, 3)), self.K, 1, 3)
 
 
 def _norm_factor(n, m):
@@ -397,7 +435,7 @@ class TestVswfKernel:
     FAR = [np.array(p) for p in [(80.0, -60.0, 90.0), (-100.0, 70.0, -55.0)]]
 
     def field(self, which, n, m, kind):
-        return lambda x: sf.vswf_eval(which, kind, n, m, self.K, x).field
+        return wavefunction(which, kind, n, m, self.K)
 
     @pytest.mark.parametrize("kind", [1, 3])
     @pytest.mark.parametrize("n,m", [(120, 0), (121, -7), (125, 125)])
