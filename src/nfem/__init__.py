@@ -6,6 +6,8 @@ machinery in this package turns such measurements back into an image of the
 cavity boundary.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ChecksumError,
     ConfigError,
@@ -61,56 +63,6 @@ from .output import write_cross_sections, write_imaging_csv, write_imaging_vtk
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChecksumError",
-    "ConfigError",
-    "DataFormatError",
-    "DegenerateConfigError",
-    "DimensionMismatchError",
-    "InvalidArgumentError",
-    "MalformedHeaderError",
-    "NfemError",
-    "SingularPointError",
-    "Dipole",
-    "curl_incident_field",
-    "green_apply",
-    "incident_field",
-    "LayeredCavityConfig",
-    "ModeCoefficients",
-    "Shell",
-    "data_truncation_order",
-    "effective_wavenumber",
-    "interface_residual",
-    "maxwell_eigenvalue_margin",
-    "scattered_field",
-    "solve_modes",
-    "source_expansion",
-    "truncation_order",
-    "NearFieldMatrix",
-    "NoiseSpec",
-    "SphereGrid",
-    "add_noise",
-    "assemble_nearfield",
-    "build_sphere_grid",
-    "read_nearfield",
-    "write_manifest",
-    "write_nearfield",
-    "ImagingField",
-    "RegularizedBatch",
-    "SamplingGrid",
-    "SvdFactorization",
-    "build_sampling_grid",
-    "morozov_alpha",
-    "regularized_solve",
-    "rhs_matrix",
-    "rhs_vector",
-    "run_imaging",
-    "single_layer_eval",
-    "svd_factorize",
-    "RunConfig",
-    "default_config_text",
-    "load_config",
-    "write_cross_sections",
-    "write_imaging_csv",
-    "write_imaging_vtk",
-]
+# Every imported name that is not a submodule is public.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

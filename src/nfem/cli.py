@@ -7,8 +7,8 @@ Subcommands
     probe        inspect the regularized solve at a single sampling point
 
 Exit codes: 0 success, 2 configuration error (including arguments the
-numerics reject and degenerate transmission systems), 3 data-format error,
-4 selfcheck failure.
+numerics reject, degenerate transmission systems, and files or directories
+that cannot be read or written), 3 data-format error, 4 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidArgumentError, DegenerateConfigError) as exc:
+    except (ConfigError, InvalidArgumentError, DegenerateConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataFormatError as exc:

@@ -1,7 +1,8 @@
 """Run configuration: INI-style sectioned key = value files, strictly parsed.
 
-Unknown sections or keys are rejected so experiment files stay
-diff-auditable.  Defaults reproduce the reference ball experiment:
+Each key is declared once, on its RunConfig field, with its INI section
+and the parser of its value.  Unknown sections or keys, non-finite numbers
+and negative counts are rejected.  Defaults reproduce the reference ball:
 cavity radius 1.5 with one shell to 2.5 (A = 1, N = 2), k = 0.75,
 unit measurement sphere, 2% noise, polarization (1, -1, 1)/sqrt(3),
 sampling box [-3, 3]^3 at spacing 0.1.
@@ -10,7 +11,8 @@ sampling box [-3, 3]^3 at spacing 0.1.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,30 +20,80 @@ from .errors import ConfigError
 from .forward import LayeredCavityConfig, Shell, data_truncation_order
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _count(text)
+    if value >= 2**64:  # NFEM1 stores the seed as <Q
+        raise ValueError("must be below 2**64")
+    return value
+
+
+def _finites(count: int):
+    def parse(text: str) -> tuple[float, ...]:
+        vals = tuple(_finite(v) for v in text.replace(",", " ").split())
+        if len(vals) != count:
+            raise ValueError(f"expected {count} numbers, got {len(vals)}")
+        return vals
+
+    return parse
+
+
+def _shells(text: str) -> tuple[Shell, ...]:
+    shells = tuple(
+        Shell(*_finites(3)(part)) for part in text.split(";") if part.strip()
+    )
+    radii = [s.outer_radius for s in shells]
+    if radii != sorted(radii) or len(set(radii)) != len(radii):
+        raise ValueError("outer radii must be strictly increasing")
+    return shells
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(w.strip() for w in text.split(",") if w.strip())
+
+
+def _key(section: str, parse, default):
+    """A config key: its INI section, the parser of its value and its default."""
+    return field(default=default, metadata={"section": section, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    cavity_radius: float = 1.5
-    shells: tuple[Shell, ...] = (Shell(2.5, 1.0, 2.0),)
-    k: float = 0.75
-    n_max: int | None = None
+    cavity_radius: float = _key("forward", _finite, 1.5)
+    shells: tuple[Shell, ...] = _key("forward", _shells, (Shell(2.5, 1.0, 2.0),))
+    k: float = _key("forward", _finite, 0.75)
+    n_max: int | None = _key("forward", _count, None)
 
-    rho: float = 1.0
-    n_theta: int = 12
-    n_phi: int = 24
-    noise_level: float = 0.02
-    seed: int = 7
+    rho: float = _key("measurement", _finite, 1.0)
+    n_theta: int = _key("measurement", _count, 12)
+    n_phi: int = _key("measurement", _count, 24)
+    noise_level: float = _key("measurement", _finite, 0.02)
+    seed: int = _key("measurement", _seed, 7)
 
-    polarization: tuple[float, float, float] = field(
-        default_factory=lambda: tuple(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
+    polarization: tuple[float, float, float] = _key(
+        "lsm", _finites(3), tuple(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
     )
-    box: tuple[float, ...] = (-3.0, 3.0, -3.0, 3.0, -3.0, 3.0)
-    spacing: float = 0.1
-    mask_radius: float = 1.0
-    alpha_mode: str = "morozov"
-    alpha_fixed: float = 1e-8
+    box: tuple[float, ...] = _key("lsm", _finites(6), (-3.0, 3.0, -3.0, 3.0, -3.0, 3.0))
+    spacing: float = _key("lsm", _finite, 0.1)
+    mask_radius: float = _key("lsm", _finite, 1.0)
+    alpha_mode: str = _key("lsm", str.strip, "morozov")
+    alpha_fixed: float = _key("lsm", _finite, 1e-8)
 
-    prefix: str = "nfem"
-    formats: tuple[str, ...] = ("csv", "vtk")
+    prefix: str = _key("output", str.strip, "nfem")
+    formats: tuple[str, ...] = _key("output", _words, ("csv", "vtk"))
 
     def validate(self) -> "RunConfig":
         if self.rho >= self.cavity_radius:
@@ -65,9 +117,7 @@ class RunConfig:
             raise ConfigError("lsm.alpha_mode must be 'morozov' or 'fixed'")
         if self.alpha_mode == "fixed" and self.alpha_fixed <= 0:
             raise ConfigError("lsm.alpha_fixed must be positive")
-        if len(self.box) != 6 or any(
-            self.box[2 * i] >= self.box[2 * i + 1] for i in range(3)
-        ):
+        if any(self.box[2 * i] >= self.box[2 * i + 1] for i in range(3)):
             raise ConfigError("lsm.box must be six numbers lo hi per axis, lo < hi")
         if any(sep in self.prefix for sep in ("/", "\\")):
             raise ConfigError("output.prefix must not contain a path separator")
@@ -97,42 +147,7 @@ class RunConfig:
         )
 
 
-_SCHEMA = {
-    "forward": {"cavity_radius", "shells", "k", "n_max"},
-    "measurement": {"rho", "n_theta", "n_phi", "noise_level", "seed"},
-    "lsm": {
-        "polarization",
-        "box",
-        "spacing",
-        "mask_radius",
-        "alpha_mode",
-        "alpha_fixed",
-    },
-    "output": {"prefix", "formats"},
-}
-
-
-def _parse_shells(text: str) -> tuple[Shell, ...]:
-    shells = []
-    for part in filter(None, (p.strip() for p in text.split(";"))):
-        fields = part.split()
-        if len(fields) != 3:
-            raise ConfigError(
-                f"forward.shells: each shell needs 'outer_radius A N', got {part!r}"
-            )
-        r, a, n = (float(v) for v in fields)
-        shells.append(Shell(r, a, n))
-    radii = [s.outer_radius for s in shells]
-    if radii != sorted(radii) or len(set(radii)) != len(radii):
-        raise ConfigError("forward.shells: outer radii must be strictly increasing")
-    return tuple(shells)
-
-
-def _floats(text: str, count: int, where: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in text.replace(",", " ").split())
-    if len(vals) != count:
-        raise ConfigError(f"{where}: expected {count} numbers, got {len(vals)}")
-    return vals
+_KEYS = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
@@ -145,55 +160,21 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-
     kwargs = {}
-
-    def grab(section, key, conv, name=None):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+    for section in parser.sections():
+        if section not in {key["section"] for key in _KEYS.values()}:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for name, raw in parser[section].items():
+            key = _KEYS.get(name)
+            if key is None or key["section"] != section:
+                raise ConfigError(f"{path}: unknown key {name!r} in [{section}]")
             try:
-                kwargs[name or key] = conv(raw)
-            except ConfigError:
-                raise
-            except Exception as exc:
+                kwargs[name] = key["parse"](raw)
+            except ValueError as exc:
                 raise ConfigError(
-                    f"{path}: bad value for {section}.{key}: {raw!r} ({exc})"
+                    f"{path}: bad value for {section}.{name}: {raw!r} ({exc})"
                 ) from exc
-
-    grab("forward", "cavity_radius", float)
-    grab("forward", "shells", _parse_shells)
-    grab("forward", "k", float)
-    grab("forward", "n_max", int)
-    grab("measurement", "rho", float)
-    grab("measurement", "n_theta", int)
-    grab("measurement", "n_phi", int)
-    grab("measurement", "noise_level", float)
-    grab("measurement", "seed", int)
-    grab("lsm", "polarization", lambda s: _floats(s, 3, "lsm.polarization"))
-    grab("lsm", "box", lambda s: _floats(s, 6, "lsm.box"))
-    grab("lsm", "spacing", float)
-    grab("lsm", "mask_radius", float)
-    grab("lsm", "alpha_mode", str.strip)
-    grab("lsm", "alpha_fixed", float)
-    grab("output", "prefix", str.strip)
-    grab(
-        "output",
-        "formats",
-        lambda s: tuple(f.strip() for f in s.split(",") if f.strip()),
-    )
-
-    try:
-        return RunConfig(**kwargs).validate()
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return RunConfig(**kwargs).validate()
 
 
 def default_config_text() -> str:

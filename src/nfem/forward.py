@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DegenerateConfigError, InvalidArgumentError
@@ -74,10 +73,6 @@ class LayeredCavityConfig:
     @property
     def interface_radii(self) -> np.ndarray:
         return np.array([self.cavity_radius] + [s.outer_radius for s in self.shells])
-
-    @property
-    def outer_radius(self) -> float:
-        return self.shells[-1].outer_radius if self.shells else self.cavity_radius
 
     def media(self) -> list[tuple[float, float]]:
         """(effective wavenumber, A) per region: interior, shells, exterior."""
@@ -273,10 +268,6 @@ def source_expansion(
     return c_te, c_tm
 
 
-def _mode_degrees(n_max: int) -> np.ndarray:
-    return np.array([n for n, _ in sf.vswf_modes(n_max)])
-
-
 def scattered_field(
     x: np.ndarray,
     y: np.ndarray,
@@ -292,7 +283,7 @@ def scattered_field(
     if np.any(np.linalg.norm(pts, axis=1) >= config.cavity_radius):
         raise InvalidArgumentError("evaluation points must lie inside the cavity")
     c_te, c_tm = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
-    deg = _mode_degrees(config.n_max)
+    deg = sf.mode_degrees(config.n_max)
     m1, n1 = sf.vswf_fields(pts, config.k, config.n_max, 1)
     # Overflowed degrees make the field NaN; the warnings say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -312,7 +303,7 @@ def _region_field(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E, curl E) of the region's modal field, excluding the closed-form
     incident field in the interior region."""
-    deg = _mode_degrees(config.n_max)
+    deg = sf.mode_degrees(config.n_max)
     media = config.media()
     k_med = media[region][0]
     n_shells = len(config.shells)
@@ -396,8 +387,9 @@ def maxwell_eigenvalue_margin(k: float, ball_radius: float, n_scan: int = 20) ->
     measurement ball of radius rho.
 
     TE eigenvalues satisfy j_n(k rho) = 0, TM eigenvalues psi_n'(k rho) = 0
-    (n >= 1).  Zeros are located by sign-change scan plus root polishing on
-    [0, k rho + 2 pi]; if none fall in that window the window half-width is
+    (n >= 1).  Zeros are located by sign-change scan of j_n and psi_n'/t for
+    every degree on [0, k rho + 2 pi], and all brackets are polished together
+    by bisection; if none fall in that window the window half-width is
     returned, so the margin is a continuous, 1-Lipschitz function of k rho.
     """
     check_wavenumber(k)
@@ -406,22 +398,14 @@ def maxwell_eigenvalue_margin(k: float, ball_radius: float, n_scan: int = 20) ->
     t0 = k * ball_radius
     t_cap = t0 + 2 * np.pi
     grid = np.linspace(1e-6, t_cap, max(64, int(t_cap / 0.02)))
-    margin = 2 * np.pi
-
-    def nearest_zero(f):
-        nonlocal margin
-        vals = f(grid)
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in idx:
-            root = brentq(f, grid[i], grid[i + 1], xtol=1e-12)
-            margin = min(margin, abs(t0 - root))
-
-    for n in range(1, n_scan + 1):
-        if n > t_cap + 2:  # first zero of j_n, psi_n' lies above n
-            break
-        nearest_zero(lambda t, n=n: spherical_jn(n, t))
-        nearest_zero(
-            lambda t, n=n: spherical_jn(n, t)
-            + t * spherical_jn(n, t, derivative=True)
-        )
-    return float(margin)
+    # Rows 0 and 2 of the radial table: j_n and psi_n'/t, (2, n_scan, points).
+    sign = np.sign(sf._radial_table(n_scan, 1, grid)[::2])
+    fam, deg, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+    lo, hi, sign_lo = grid[i], grid[i + 1], sign[fam, deg, i]
+    bracket = np.arange(i.size)
+    for _ in range(64):  # halves every bracket down to adjacent doubles
+        mid = 0.5 * (lo + hi)
+        sign_mid = np.sign(sf._radial_table(n_scan, 1, mid)[2 * fam, deg, bracket])
+        left = sign_mid != sign_lo
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return float(np.min(np.abs(t0 - lo), initial=2 * np.pi))

@@ -27,10 +27,12 @@ from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
 )
-from .forward import LayeredCavityConfig, ModeCoefficients, solve_modes, _mode_degrees
+from .forward import LayeredCavityConfig, ModeCoefficients, solve_modes
 from .green import check_wavenumber
 
 MAGIC = b"NFEM1\x00"
+# k, measurement radius, node count, noisy flag, noise level, noise seed.
+HEADER = struct.Struct("<ddIBdQ")
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ def assemble_nearfield(
         )
     if coeffs is None:
         coeffs = solve_modes(config)
-    deg = _mode_degrees(config.n_max)
+    deg = sf.mode_degrees(config.n_max)
     p_te, p_tm = tangential_projections(grid, config.k, config.n_max)
     r_te = coeffs.reflection["TE"][deg - 1]
     r_tm = coeffs.reflection["TM"][deg - 1]
@@ -251,15 +253,14 @@ def write_nearfield(matrix: NearFieldMatrix, path, k: float) -> None:
         raise DataFormatError(f"{path}: refusing to write non-finite matrix entries")
     grid = matrix.grid
     n = grid.n_nodes
-    header = struct.pack(
-        "<dIBdQ",
+    header = HEADER.pack(
+        float(k),
         float(grid.radius),
         n,
         1 if matrix.noisy else 0,
         float(matrix.noise_level),
         matrix.seed if matrix.seed is not None else 0,
     )
-    header = struct.pack("<d", float(k)) + header
     nodes = np.stack([grid.theta, grid.phi, grid.weights], axis=1)
     payload = (
         header
@@ -278,26 +279,24 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
         blob = f.read()
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
         raise MalformedHeaderError(f"{path}: bad magic, not an NFEM1 file")
-    head_fmt = "<ddIBdQ"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < len(MAGIC) + head_size + 8:
+    if len(blob) < len(MAGIC) + HEADER.size + 8:
         raise MalformedHeaderError(f"{path}: file shorter than header")
     payload, trailer = memoryview(blob)[len(MAGIC) : -8], blob[-8:]
     (stored_crc,) = struct.unpack("<Q", trailer)
     if crc64(payload) != stored_crc:
         raise ChecksumError(f"{path}: CRC-64 mismatch, file truncated or corrupted")
-    k, radius, n, noisy, level, seed = struct.unpack_from(head_fmt, payload)
+    k, radius, n, noisy, level, seed = HEADER.unpack_from(payload)
     if not (np.isfinite(k) and k > 0 and np.isfinite(radius) and radius > 0 and n > 0):
         raise MalformedHeaderError(f"{path}: invalid header values k={k}, rho={radius}")
-    expected = head_size + n * 3 * 8 + (2 * n) * (2 * n) * 16
+    expected = HEADER.size + n * 3 * 8 + (2 * n) * (2 * n) * 16
     if len(payload) != expected:
         raise DimensionMismatchError(
             f"{path}: payload has {len(payload)} bytes, expected {expected} for n={n}"
         )
-    nodes = np.frombuffer(payload, dtype="<f8", count=3 * n, offset=head_size)
+    nodes = np.frombuffer(payload, dtype="<f8", count=3 * n, offset=HEADER.size)
     nodes = nodes.reshape(n, 3)
     entries = np.frombuffer(
-        payload, dtype="<c16", count=4 * n * n, offset=head_size + n * 3 * 8
+        payload, dtype="<c16", count=4 * n * n, offset=HEADER.size + n * 3 * 8
     ).reshape(2 * n, 2 * n)
     if not np.all(np.isfinite(entries)):
         raise DataFormatError(f"{path}: non-finite matrix entries")

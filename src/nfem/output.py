@@ -7,8 +7,6 @@ CSV and VTK outputs agree to rounding and reruns diff cleanly.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .lsm import ImagingField
@@ -23,22 +21,13 @@ def _g(value: float) -> str:
 def write_imaging_csv(field: ImagingField, path) -> None:
     """One row per lattice point: position, indicator, log indicator, mask."""
     grid = field.grid
+    rows = np.column_stack(
+        [grid.points, field.indicator, field.log_indicator, ~grid.active]
+    )
+    # CRLF row ends, as RFC 4180 asks.
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["z_x", "z_y", "z_z", "indicator", "log10_indicator", "masked"])
-        for pt, ind, log_ind, active in zip(
-            grid.points, field.indicator, field.log_indicator, grid.active
-        ):
-            writer.writerow(
-                [
-                    _g(pt[0]),
-                    _g(pt[1]),
-                    _g(pt[2]),
-                    _g(ind),
-                    _g(log_ind),
-                    "0" if active else "1",
-                ]
-            )
+        np.savetxt(f, rows, fmt=[_FMT] * 5 + ["%d"], delimiter=",", newline="\r\n",
+                   header="z_x,z_y,z_z,indicator,log10_indicator,masked", comments="")
 
 
 def write_imaging_vtk(field: ImagingField, path) -> None:
@@ -99,7 +88,7 @@ def write_cross_sections(field: ImagingField, out_dir, prefix: str) -> list[str]
             ~np.take(active_cube, level, axis=2 - fixed).ravel(),
         ])
         path = f"{out_dir}/{prefix}_slice_{name}.csv"
-        # "\r\n" ends rows as csv.writer does in write_imaging_csv (RFC 4180).
+        # CRLF rows, as in write_imaging_csv.
         with open(path, "w", newline="") as f:
             np.savetxt(f, rows, fmt=[_FMT] * 3 + ["%d"], delimiter=",", newline="\r\n",
                        header=f"z_{'xyz'[ax1]},z_{'xyz'[ax2]},log10_indicator,masked",

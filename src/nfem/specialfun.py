@@ -59,6 +59,12 @@ def vswf_modes(n_max: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1)]
 
 
+def mode_degrees(n_max: int) -> np.ndarray:
+    """The degree n of every mode, in ``vswf_modes(n_max)`` order."""
+    n = np.arange(1, n_max + 1)
+    return np.repeat(n, 2 * n + 1)
+
+
 def _legendre_table(cos_t: np.ndarray, sin_t: np.ndarray, n_max: int) -> np.ndarray:
     """Fully normalized Legendre functions for 0 <= m <= n <= n_max at every point.
 
@@ -132,7 +138,7 @@ def vswf_fields(
     table = _legendre_table(cos_t, sin_t, n_max)
 
     # Mode q = (n, m) in vswf_modes order is row n^2 + n + m - 1.
-    deg = np.repeat(np.arange(1, n_max + 1), 2 * np.arange(1, n_max + 1) + 1)
+    deg = mode_degrees(n_max)
     order = np.arange(deg.size) - deg * deg - deg + 1
     col, zero, rows = np.abs(order), order == 0, deg - 1
     n, m = deg[:, None].astype(float), order[:, None].astype(float)

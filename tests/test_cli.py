@@ -1,14 +1,20 @@
 """Configuration parsing, output writers, and the command-line workflow."""
 
 import csv
+import dataclasses
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfem
 from nfem.cli import main
-from nfem.config import default_config_text, load_config
+from nfem.config import RunConfig, default_config_text, load_config
 from nfem.errors import ConfigError, InvalidArgumentError
 from nfem.lsm import build_sampling_grid, run_imaging
 from nfem.measurement import (
@@ -68,6 +74,38 @@ def cfg_path(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def fast_data(tmp_path_factory):
+    """A noisy NFEM1 file simulated from FAST_CONFIG."""
+    out = tmp_path_factory.mktemp("fast")
+    cfg = out / "fast.ini"
+    cfg.write_text(FAST_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "fast_noisy.nfem"
+
+
+# Every RunConfig value the template parses to.
+TEMPLATE_VALUES = {
+    "cavity_radius": 1.5,
+    "shells": (Shell(2.5, 1.0, 2.0),),
+    "k": 0.75,
+    "n_max": None,
+    "rho": 1.0,
+    "n_theta": 12,
+    "n_phi": 24,
+    "noise_level": 0.02,
+    "seed": 7,
+    "polarization": (0.5773502691896258, -0.5773502691896258, 0.5773502691896258),
+    "box": (-3.0, 3.0, -3.0, 3.0, -3.0, 3.0),
+    "spacing": 0.1,
+    "mask_radius": 1.0,
+    "alpha_mode": "morozov",
+    "alpha_fixed": 1e-8,
+    "prefix": "ball",
+    "formats": ("csv", "vtk"),
+}
+
+
 class TestConfigParsing:
     def test_defaults_roundtrip(self, tmp_path):
         path = tmp_path / "ball.ini"
@@ -114,6 +152,30 @@ class TestConfigParsing:
         path.write_text("[forward]\nshells = 2.5 1 1 ; 2.0 1 1\n")
         with pytest.raises(ConfigError, match="increasing"):
             load_config(path)
+
+    def test_every_field_declares_section_and_parser(self):
+        sections = ("forward", "measurement", "lsm", "output")
+        for f in dataclasses.fields(RunConfig):
+            assert f.metadata["section"] in sections, f.name
+            assert callable(f.metadata["parse"]), f.name
+
+    @pytest.mark.parametrize("text, changes", [
+        (default_config_text(), {}),
+        (FAST_CONFIG, {"n_theta": 6, "n_phi": 12, "box": (-2.0, 2.0) * 3,
+                       "spacing": 0.5, "prefix": "fast"}),
+        ("[forward]\nshells = 2.0 1.0 2.0 ; 2.5 0.5 3.0\n",
+         {"shells": (Shell(2.0, 1.0, 2.0), Shell(2.5, 0.5, 3.0)), "prefix": "nfem"}),
+    ], ids=["template", "fast", "two_shells"])
+    def test_parsed_values(self, tmp_path, text, changes):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        cfg = load_config(path)
+        expected = {**TEMPLATE_VALUES, **changes}
+        got = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        assert got == expected
+        assert {n: type(v) for n, v in got.items()} == {
+            n: type(v) for n, v in expected.items()
+        }
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +406,56 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, where, value", [
+        ("simulate", "measurement.seed", "-1"),
+        ("simulate", "measurement.seed", "18446744073709551616"),
+        ("reconstruct", "lsm.box", "-inf 3 -3 3 -3 3"),
+        ("simulate", "measurement.rho", "nan"),
+        ("reconstruct", "lsm.spacing", "inf"),
+        ("simulate", "forward.shells", "2.5 1.0 nan"),
+        ("reconstruct", "lsm.polarization", "nan 0 0"),
+        ("simulate", "measurement.noise_level", "inf"),
+        ("simulate", "forward.k", "nan"),
+    ], ids=["seed_negative", "seed_2_64", "box_inf", "rho_nan", "spacing_inf",
+            "shell_nan", "polarization_nan", "noise_inf", "k_nan"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_value_exit_code(self, fast_data, tmp_path, capsys,
+                                          command, where, value):
+        # Each value is refused while the config is parsed: one error line
+        # naming the key, exit code 2, no numpy warning and no output file.
+        key = where.split(".")[1]
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", FAST_CONFIG,
+                              flags=re.M)
+        assert count == 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        args = [command, "--config", str(bad), "--out", str(out)]
+        if command == "reconstruct":
+            args += ["--data", str(fast_data)]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "probe", "simulate"])
+    def test_unusable_path_exit_code(self, cfg_path, tmp_path, capsys, command):
+        # A missing data file, or an output directory under a regular file,
+        # ends in one error line and exit code 2, not an OSError traceback.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        missing = str(tmp_path / "missing.nfem")
+        extra = {
+            "reconstruct": ["--data", missing, "--out", str(tmp_path / "out")],
+            "probe": ["--data", missing, "--z", "1.6,0,0"],
+            "simulate": ["--out", str(blocker / "out")],
+        }[command]
+        assert main([command, "--config", str(cfg_path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_probe_masked_point(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
@@ -357,3 +469,12 @@ class TestCliWorkflow:
     def test_init_prints_template(self, capsys):
         assert main(["init"]) == 0
         assert "[forward]" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Every CLI run pays for what nfem.cli imports; nothing needs a root finder.
+    paths = [str(Path(nfem.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, nfem.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
