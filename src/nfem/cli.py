@@ -8,7 +8,8 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error (including arguments the
 numerics reject, degenerate transmission systems, and files or directories
-that cannot be read or written), 3 data-format error, 4 selfcheck failure.
+that cannot be read or written), 3 data-format error (including all-zero
+data), 4 selfcheck failure.  A failed run creates no output directory.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def _probe_source(cfg: RunConfig) -> np.ndarray:
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
@@ -140,9 +140,7 @@ def _load_data(args) -> tuple[RunConfig, NearFieldMatrix]:
 def _reconstruct(args) -> int:
     cfg, matrix = _load_data(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    bounds = np.asarray(cfg.box).reshape(3, 2)
-    grid = build_sampling_grid(bounds, cfg.spacing, cfg.mask_radius)
+    grid = build_sampling_grid(cfg.box, cfg.spacing, cfg.mask_radius)
     t0 = time.perf_counter()
     field = run_imaging(
         matrix, grid, np.asarray(cfg.polarization), matrix.noise_level, k=cfg.k,
@@ -158,6 +156,7 @@ def _reconstruct(args) -> int:
     print(f"alpha ({cfg.alpha_mode}): {int(np.sum(field.flagged))} of "
           f"{alphas.size} active points flagged; min/median/max "
           f"{np.min(alphas):.3e} / {np.median(alphas):.3e} / {np.max(alphas):.3e}")
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     if "csv" in cfg.formats:
         csv_path = out / f"{cfg.prefix}_imaging.csv"
@@ -240,9 +239,9 @@ def _probe(args) -> int:
     print(f"sampling point: {z.tolist()}")
     print(f"regularization alpha: {sol.alpha[0]:.6e}"
           + ("  (flagged: bracket endpoint or unconverged)" if sol.flagged[0] else ""))
-    print(f"discrepancy ||A g - b||: {sol.discrepancy[0]:.6e}")
-    print(f"density norm ||g||: {sol.g_norm[0]:.6e}")
-    print(f"indicator 1/||g||: {1.0 / sol.g_norm[0]:.6e}")
+    print(f"discrepancy ||A g - b||_w: {sol.discrepancy[0]:.6e}")
+    print(f"density norm ||g||_w: {sol.g_norm[0]:.6e}")
+    print(f"indicator 1/||g||_w: {1.0 / sol.g_norm[0]:.6e}")
     # Herglotz-style sanity readout: the reconstructed single layer potential
     # along a short outward ray from the sampling point.
     direction = z / np.linalg.norm(z)

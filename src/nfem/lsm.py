@@ -6,10 +6,11 @@ For each sampling point z the discretized near-field equation
     sum_m sum_j w_j g_m(y_j) e_m(y_j) . E_s(x_i, y_j, e_l(x_i))
         = e_l(x_i) . G(x_i, z) h
 
-is solved in regularized form; the imaging function is the normalized
-reciprocal of the weighted density norm, large outside the cavity and small
-inside, plotted in log scale with points inside the measurement ball masked
-to 0.
+is solved in regularized form in L^2 of the measurement sphere, as
+A~ g~ = b~ with A~ = W^1/2 S W^1/2, g~ = W^1/2 g, b~ = W^1/2 b and W the
+quadrature weights.  The imaging function is the normalized reciprocal of
+||g~||, large outside the cavity and small inside, plotted in log scale with
+points inside the measurement ball masked to 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DataFormatError, InvalidArgumentError
 from .green import green_apply
 from .measurement import NearFieldMatrix, SphereGrid
 
@@ -36,8 +37,8 @@ _CHUNK = 2048
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD of the quadrature-weighted near-field matrix, with U^H and
-    C = diag(sqrt(w2)) V, so that ||C x|| is the weighted norm of g = V x."""
+    """Full SVD A~ = U diag(s) V^H of the weighted operator W^1/2 S W^1/2,
+    with uhw = U^H W^1/2, which maps a right-hand side b to beta = U^H b~."""
 
     u: np.ndarray
     s: np.ndarray
@@ -45,12 +46,10 @@ class SvdFactorization:
     weights2: np.ndarray  # per-column quadrature weight (w_j repeated per tangent)
     grid: SphereGrid
     k: float | None = None
-    uh: np.ndarray = field(init=False, repr=False, compare=False)
-    c: np.ndarray = field(init=False, repr=False, compare=False)
+    uhw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "uh", self.u.conj().T)
-        object.__setattr__(self, "c", np.sqrt(self.weights2)[:, None] * self.vh.conj().T)
+        object.__setattr__(self, "uhw", self.u.conj().T * np.sqrt(self.weights2))
 
     @property
     def norm2(self) -> float:
@@ -58,12 +57,14 @@ class SvdFactorization:
 
 
 def svd_factorize(matrix: NearFieldMatrix, k: float | None = None) -> SvdFactorization:
-    """SVD of A[(i,l),(j,m)] = w_j S[(i,l),(j,m)]."""
+    """SVD of A~[(i,l),(j,m)] = sqrt(w_i) S[(i,l),(j,m)] sqrt(w_j)."""
     if not np.all(np.isfinite(matrix.entries)):
         raise InvalidArgumentError("near-field matrix has non-finite entries")
+    if not np.any(matrix.entries):
+        raise DataFormatError("near-field data are all zero: no scattered field")
     w2 = np.repeat(matrix.grid.weights, 2)
-    a = matrix.entries * w2[None, :]
-    u, s, vh = np.linalg.svd(a)
+    root = np.sqrt(w2)
+    u, s, vh = np.linalg.svd(root[:, None] * matrix.entries * root)
     return SvdFactorization(u=u, s=s, vh=vh, weights2=w2, grid=matrix.grid, k=k)
 
 
@@ -92,38 +93,45 @@ class RegularizedBatch:
 
     alpha: np.ndarray
     flagged: np.ndarray  # Morozov root clamped to a bracket end or unconverged
-    discrepancy: np.ndarray  # ||A g - b||
-    g_norm: np.ndarray  # weighted density norm ||g||
+    discrepancy: np.ndarray  # weighted residual ||A~ g~ - b~||
+    g_norm: np.ndarray  # weighted density norm ||g~||
     g: np.ndarray | None = None  # densities, shape (2n, n_z), on request
 
 
+def _filter_sums(alpha, s2, beta2):
+    """Per row of beta2 = |beta|^2, with q = beta2 / (s2 + alpha)^2: r = sum q
+    (the discrepancy is alpha sqrt(r)), gn2 = sum s2 q = ||g~||^2 and
+    p = sum s2 q / (s2 + alpha) = -(1/2) d gn2 / d alpha."""
+    inv = np.reciprocal(np.add.outer(alpha, s2))
+    q = beta2 * inv * inv
+    r = np.sum(q, axis=1)
+    gn2 = np.sum(np.multiply(q, s2, out=q), axis=1)
+    return r, gn2, np.sum(np.multiply(q, inv, out=q), axis=1)
+
+
 def _morozov_root(s2, beta2, h):
-    """Morozov alpha and flag per row of beta2 = |U^H b|^2: safeguarded
-    Newton in x = ln alpha on the increasing phi(x) = ln res^2 - ln(h^2
-    sigma_1^2 ||g||^2), from the regula falsi point of [1e-14 sigma_1^2,
-    sigma_1^2], bisecting when a step leaves the bracket.  A row stops when
-    its step or bracket is below ALPHA_LOG10_TOL decades.  Rows with no sign
-    change are clamped to the end it points at and flagged, as are rows
-    still running after ALPHA_MAX_STEPS."""
+    """Morozov alpha and flag per row of beta2 = |U^H b~|^2: safeguarded Newton
+    in x = ln alpha on the increasing phi(x) = ln res^2 - ln(h^2 sigma_1^2
+    ||g~||^2) from the regula falsi point of [1e-14 sigma_1^2, sigma_1^2],
+    bisecting when an unconverged step leaves the bracket, until the step or
+    bracket is below ALPHA_LOG10_TOL decades.  Rows with no sign change or a
+    non-finite phi at a bracket end are clamped to the end they point at (else
+    the floor) and flagged, as are rows still running after ALPHA_MAX_STEPS."""
     n = beta2.shape[0]
     alpha = np.full(n, ALPHA_LO_FACTOR * s2[0])
     if h == 0:
         return alpha, np.ones(n, dtype=bool)
 
-    def phi(x, b2):  # phi and dphi/dx from the fused filter sums, in place
+    def phi(x, b2):  # phi and dphi/dx
         a = np.exp(x)
-        inv = np.reciprocal(np.add.outer(a, s2))
-        q = b2 * inv
-        q *= inv  # |beta|^2 / (s^2 + a)^2
-        res2 = a * a * np.sum(q, axis=1)
-        gn2 = np.sum(np.multiply(q, s2, out=q), axis=1)
-        p = np.sum(np.multiply(q, inv, out=q), axis=1)
+        r, gn2, p = _filter_sums(a, s2, b2)
+        res2 = a * a * r
         return np.log(res2 / (h * h * s2[0] * gn2)), 2 * a * p * (a / res2 + 1 / gn2)
 
     x_lo, x_hi = np.log(alpha[0]), np.log(s2[0])
     f_lo, f_hi = phi(np.full(n, x_lo), beta2)[0], phi(np.full(n, x_hi), beta2)[0]
     alpha[f_hi <= 0] = s2[0]
-    flagged = (f_lo >= 0) | (f_hi <= 0)
+    flagged = ~((f_lo < 0) & (f_hi > 0))
     rows = np.nonzero(~flagged)[0]
     lo, hi, work = np.full(rows.size, x_lo), np.full(rows.size, x_hi), beta2[rows]
     x = x_lo - f_lo[rows] * (x_hi - x_lo) / (f_hi[rows] - f_lo[rows])
@@ -133,8 +141,8 @@ def _morozov_root(s2, beta2, h):
             break
         f, df = phi(x, work)
         hi, lo = np.where(f >= 0, x, hi), np.where(f >= 0, lo, x)
-        new = x - f / df
-        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        new = x - f / df  # a converged step stays, even where x is a bracket end
+        new = np.where((abs(new - x) < tol) | ((lo < new) & (new < hi)), new, (lo + hi) / 2)
         alpha[rows] = np.exp(new)
         keep = (np.abs(new - x) >= tol) & (hi - lo >= tol)
         rows, lo, hi, x = rows[keep], lo[keep], hi[keep], new[keep]
@@ -148,11 +156,11 @@ def regularized_solve(
     svd: SvdFactorization, b: np.ndarray, h_noise: float = 0.0,
     alpha: float | None = None, want_g: bool = False,
 ) -> RegularizedBatch:
-    """Tikhonov solves g = sum_i s_i/(s_i^2 + alpha) (u_i* b) v_i for the
-    columns of b (2n, n_z): alpha as given, or else per column the root of
-    Morozov's equation ||A g - b|| = h ||A|| ||g|| with h = h_noise.  Each
-    column's results depend on that column alone, so a batch of one gives
-    the same bits as the same column inside any batch.
+    """Tikhonov solves g~ = sum_i s_i/(s_i^2 + alpha) (u_i^H b~) v_i, g = W^-1/2 g~,
+    for the columns of b (2n, n_z): alpha as given, or else per column the
+    root of Morozov's ||A~ g~ - b~|| = h ||A~|| ||g~|| with h = h_noise.  A
+    column's results depend on it alone, so a batch of one gives the same
+    bits as that column in any batch.  A zero or non-finite ||g~|| raises.
     """
     if alpha is not None and not 0 < alpha < np.inf:
         raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
@@ -160,20 +168,23 @@ def regularized_solve(
         raise InvalidArgumentError("noise level must be nonnegative")
     if not np.all(np.any(b, axis=0)):
         raise InvalidArgumentError("right-hand side is zero")
-    beta = _matmul_rows(b.T, svd.uh.T)  # rows are right-hand sides
+    beta = _matmul_rows(b.T, svd.uhw.T)  # rows are right-hand sides
     beta2 = beta.real**2 + beta.imag**2
     s2 = svd.s**2
     if alpha is None:
-        alpha, flagged = _morozov_root(s2, beta2, h_noise)
+        a, flagged = _morozov_root(s2, beta2, h_noise)
     else:
-        alpha, flagged = np.full(len(beta), float(alpha)), np.zeros(len(beta), bool)
-    inv = 1.0 / (s2 + alpha[:, None])
-    x = beta * (svd.s * inv)
-    y = _matmul_rows(x, svd.c.T)
-    disc = alpha * np.sqrt(np.sum(beta2 * inv * inv, axis=1))
-    g_norm = np.sqrt(np.sum(y.real**2 + y.imag**2, axis=1))
-    g = _matmul_rows(x, svd.vh.conj()).T if want_g else None
-    return RegularizedBatch(alpha, flagged, disc, g_norm, g)
+        a, flagged = np.full(len(beta), float(alpha)), np.zeros(len(beta), bool)
+    r, gn2, _ = _filter_sums(a, s2, beta2)
+    g_norm = np.sqrt(gn2)
+    if not np.all(np.isfinite(g_norm) & (g_norm > 0)):
+        cause = "the Morozov root" if alpha is None else f"lsm.alpha_fixed = {alpha:g}"
+        raise InvalidArgumentError(f"{cause} leaves a density norm zero or not finite")
+    g = None
+    if want_g:
+        x = beta * (svd.s / (s2 + a[:, None]))
+        g = (_matmul_rows(x, svd.vh.conj()) / np.sqrt(svd.weights2)).T
+    return RegularizedBatch(a, flagged, a * np.sqrt(r), g_norm, g)
 
 
 def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -183,7 +194,7 @@ def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def morozov_alpha(svd: SvdFactorization, b: np.ndarray, h: float) -> tuple[float, bool]:
-    """Root of ||A g - b|| = h ||A|| ||g||; returns (alpha, flagged)."""
+    """Root of ||A~ g~ - b~|| = h ||A~|| ||g~||; returns (alpha, flagged)."""
     sol = regularized_solve(svd, b[:, None], h_noise=h)
     return float(sol.alpha[0]), bool(sol.flagged[0])
 
@@ -255,13 +266,8 @@ def _worker_count() -> int:
 
 
 def run_imaging(
-    data: NearFieldMatrix,
-    grid: SamplingGrid,
-    h_pol: np.ndarray,
-    h_noise: float,
-    svd: SvdFactorization | None = None,
-    k: float | None = None,
-    alpha: float | None = None,
+    data: NearFieldMatrix, grid: SamplingGrid, h_pol: np.ndarray, h_noise: float,
+    k: float, alpha: float | None = None,
 ) -> ImagingField:
     """Full indicator sweep: I = 1/||g_z|| normalized to max 1 over active
     points, log10(I) with masked points set to 0.  alpha is the Morozov root
@@ -271,32 +277,23 @@ def run_imaging(
     points are independent, so the result is bitwise identical for any
     worker count.
     """
-    if svd is None:
-        svd = svd_factorize(data, k=k)
-    if k is None:
-        k = svd.k
-    if k is None:
-        raise InvalidArgumentError("wavenumber required (pass k or a tagged SVD)")
     active_idx = np.nonzero(grid.active)[0]
     if active_idx.size == 0:
         raise InvalidArgumentError("sampling grid has no active points")
+    svd = svd_factorize(data, k=k)
     raw = np.zeros(grid.n_points)
     alphas = np.zeros(grid.n_points)
     flagged = np.zeros(grid.n_points, dtype=bool)
-    chunks = [
-        active_idx[i : i + _CHUNK] for i in range(0, active_idx.size, _CHUNK)
-    ]
+    chunks = [active_idx[i : i + _CHUNK] for i in range(0, active_idx.size, _CHUNK)]
 
     def work(idx):
         b = rhs_matrix(grid.points[idx], h_pol, svd.grid, k)
         return idx, regularized_solve(svd, b, h_noise, alpha)
 
-    n_workers = _worker_count()
-    with ThreadPoolExecutor(max_workers=max(1, min(n_workers, len(chunks)))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(_worker_count(), len(chunks)))) as pool:
         for idx, sol in pool.map(work, chunks):
             raw[idx], alphas[idx], flagged[idx] = 1.0 / sol.g_norm, sol.alpha, sol.flagged
-    peak = np.max(raw[active_idx])
-    indicator = raw / peak
+    indicator = raw / np.max(raw)  # masked points hold 0, active ones > 0
     log_ind = np.zeros(grid.n_points)
     log_ind[active_idx] = np.log10(indicator[active_idx])
     return ImagingField(grid, indicator, log_ind, alphas, flagged)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -247,7 +248,8 @@ def crc64(data: bytes | memoryview) -> int:
 
 
 def write_nearfield(matrix: NearFieldMatrix, path, k: float) -> None:
-    """Write the NFEM1 binary format (little-endian, CRC-64 trailer)."""
+    """Write the NFEM1 binary format (little-endian, CRC-64 trailer) once the
+    matrix passes its checks, creating the parent directory."""
     check_wavenumber(k)
     if not np.all(np.isfinite(matrix.entries)):
         raise DataFormatError(f"{path}: refusing to write non-finite matrix entries")
@@ -267,6 +269,7 @@ def write_nearfield(matrix: NearFieldMatrix, path, k: float) -> None:
         + nodes.astype("<f8").tobytes()
         + matrix.entries.astype("<c16").tobytes()
     )
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(payload)

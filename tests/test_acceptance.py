@@ -39,6 +39,7 @@ from nfem.measurement import (
 )
 from nfem.output import write_imaging_csv, write_imaging_vtk
 from test_cli import read_vtk_scalars
+from test_lsm import weighted_operator
 from test_specialfun import legendre, radial, wavefunction
 
 K = 0.75
@@ -129,11 +130,12 @@ def test_wavenumber_eigenvalue_guard():
     assert resonant < 1e-6
 
 
-def test_regularization_contracts(svd, sphere):
-    """Spectral Tikhonov solves satisfy the normal equations; the
+def test_regularization_contracts(noisy, svd, sphere):
+    """Spectral Tikhonov solves satisfy the normal equations of the L^2
+    operator A~ = W^1/2 S W^1/2 in g~ = W^1/2 g and b~ = W^1/2 b; the
     discrepancy-principle root solves its defining equation; the
     discrepancy is monotone in the regularization parameter."""
-    a = (svd.u * svd.s) @ svd.vh
+    a, root = weighted_operator(noisy)
     points = [
         np.array([1.8, 0.3, -0.4]),
         np.array([0.0, -1.3, 0.8]),
@@ -145,17 +147,17 @@ def test_regularization_contracts(svd, sphere):
         b = rhs_vector(z, POL, sphere, K)
         for alpha in (1e-2, 1e-5, 1e-8):
             g = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True).g[:, 0]
-            resid = a.conj().T @ (a @ g - b) + alpha * g
+            resid = a.conj().T @ (a @ (root * g) - root * b) + alpha * root * g
             worst_ne = max(
                 worst_ne,
-                np.linalg.norm(resid) / np.linalg.norm(a.conj().T @ b),
+                np.linalg.norm(resid) / np.linalg.norm(a.conj().T @ (root * b)),
             )
         alpha_star, flagged = morozov_alpha(svd, b, NOISE)
         assert not flagged
         sol = regularized_solve(svd, b[:, None], alpha=alpha_star, want_g=True)
-        target = NOISE * svd.norm2 * np.linalg.norm(sol.g)
+        target = NOISE * svd.norm2 * np.linalg.norm(root * sol.g[:, 0])
         worst_root = max(
-            worst_root, abs(sol.discrepancy[0] - target) / np.linalg.norm(b)
+            worst_root, abs(sol.discrepancy[0] - target) / np.linalg.norm(root * b)
         )
     b = rhs_vector(points[0], POL, sphere, K)
     sweep = np.logspace(-12, 2, 10) * svd.norm2**2

@@ -440,6 +440,52 @@ class TestCliWorkflow:
         assert where in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, edit, code", [
+        ("simulate", ("k = 0.75", "k = 0.75\nn_max = 1000"), 2),
+        ("simulate", ("k = 0.75", "k = 0.75\nn_max = 90"), 3),
+        ("reconstruct", ("polarization = 0.5773502691896258 -0.5773502691896258 "
+                         "0.5773502691896258", "polarization = 0 0 0"), 2),
+    ], ids=["singular_system", "non_finite_data", "zero_rhs"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_run_leaves_no_output_dir(self, fast_data, tmp_path, capsys,
+                                             command, edit, code):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CONFIG.replace(*edit))
+        out = tmp_path / "out"
+        args = [command, "--config", str(bad), "--out", str(out)]
+        if command == "reconstruct":
+            args += ["--data", str(fast_data)]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "probe"])
+    @pytest.mark.parametrize("edit, code, where", [
+        (("shells = 2.5 1.0 2.0", "shells ="), 3, "zero"),
+        (("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = 1e308"), 2,
+         "lsm.alpha_fixed"),
+    ], ids=["vacuum_cavity", "huge_fixed_alpha"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_nan_image(self, tmp_path, capsys, command, edit, code, where):
+        # A vacuum cavity gives all-zero data, and a huge fixed alpha gives
+        # ||g|| = 0 everywhere: either would image as NaN.  Both end in one
+        # error line and no output, with no numpy warning on the way.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_CONFIG.replace(*edit))
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        extra = {"reconstruct": ["--out", str(out)], "probe": ["--z", "1.6,0,0"]}
+        assert main([command, "--config", str(cfg), "--data",
+                     str(data / "fast_noisy.nfem"), *extra[command]]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert where in captured.err
+        assert "nan" not in captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["reconstruct", "probe", "simulate"])
     def test_unusable_path_exit_code(self, cfg_path, tmp_path, capsys, command):
         # A missing data file, or an output directory under a regular file,

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfem.errors import InvalidArgumentError
+from nfem.errors import DataFormatError, InvalidArgumentError
 from nfem.forward import LayeredCavityConfig, Shell
 from nfem.lsm import (
     ALPHA_LO_FACTOR,
     SvdFactorization,
+    _morozov_root,
     build_sampling_grid,
     morozov_alpha,
     regularized_solve,
@@ -46,48 +47,69 @@ def svd(noisy):
     return svd_factorize(noisy, k=K)
 
 
+def weighted_operator(matrix):
+    """The oracle's own L^2 operator A~ = W^1/2 S W^1/2 and the diagonal of
+    W^1/2, built from the entries and the quadrature weights: densities and
+    right-hand sides map to g~ = W^1/2 g and b~ = W^1/2 b."""
+    root = np.sqrt(np.repeat(matrix.grid.weights, 2))
+    return root[:, None] * matrix.entries * root[None, :], root
+
+
 class TestSvd:
     def test_reconstruction(self, noisy, svd):
-        a = noisy.entries * svd.weights2[None, :]
+        a, _ = weighted_operator(noisy)
         back = (svd.u * svd.s) @ svd.vh
         assert np.max(np.abs(back - a)) < 1e-10 * svd.s[0]
 
     def test_operator_norm_hermitian_oracle(self, noisy, svd):
-        # ||A||_2^2 is the top eigenvalue of A^H A, computed by an
+        # ||A~||_2^2 is the top eigenvalue of A~^H A~, computed by an
         # independent Hermitian eigensolver.
-        a = noisy.entries * svd.weights2[None, :]
+        a, _ = weighted_operator(noisy)
         top = np.linalg.eigvalsh(a.conj().T @ a)[-1]
         assert svd.norm2 == pytest.approx(np.sqrt(top), rel=1e-8)
 
+    def test_zero_data_rejected(self, noisy):
+        from dataclasses import replace
+
+        with pytest.raises(DataFormatError, match="zero"):
+            svd_factorize(replace(noisy, entries=np.zeros_like(noisy.entries)), k=K)
+
 
 class TestTikhonov:
-    def test_matches_normal_equations_oracle(self, svd, sphere):
-        # Dense oracle: (A^H A + alpha I) g = A^H b solved directly.
+    def test_matches_normal_equations_oracle(self, noisy, svd, sphere):
+        # Dense oracle: (A~^H A~ + alpha I) g~ = A~^H b~ solved directly.
+        a, root = weighted_operator(noisy)
         b = rhs_vector(np.array([1.8, 0.3, -0.4]), POL, sphere, K)
-        a = (svd.u * svd.s) @ svd.vh
         for alpha in (1e-2, 1e-5, 1e-8):
             g = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True).g[:, 0]
             n = a.shape[1]
             g_oracle = np.linalg.solve(
-                a.conj().T @ a + alpha * np.eye(n), a.conj().T @ b
+                a.conj().T @ a + alpha * np.eye(n), a.conj().T @ (root * b)
             )
-            assert np.linalg.norm(g - g_oracle) < 1e-6 * np.linalg.norm(g_oracle)
+            assert np.linalg.norm(root * g - g_oracle) < 1e-6 * np.linalg.norm(g_oracle)
 
-    def test_normal_equations_residual(self, svd, sphere):
+    def test_normal_equations_residual(self, noisy, svd, sphere):
+        a, root = weighted_operator(noisy)
         b = rhs_vector(np.array([2.0, 0.0, 0.5]), POL, sphere, K)
-        a = (svd.u * svd.s) @ svd.vh
         for alpha in (1e-3, 1e-7):
             g = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True).g[:, 0]
-            resid = a.conj().T @ (a @ g - b) + alpha * g
-            scale = np.linalg.norm(a.conj().T @ b)
+            resid = a.conj().T @ (a @ (root * g) - root * b) + alpha * root * g
+            scale = np.linalg.norm(a.conj().T @ (root * b))
             assert np.linalg.norm(resid) < 1e-10 * scale
 
-    def test_discrepancy_field_consistent(self, svd, sphere):
+    def test_discrepancy_field_consistent(self, noisy, svd, sphere):
+        a, root = weighted_operator(noisy)
         b = rhs_vector(np.array([1.6, -0.9, 0.2]), POL, sphere, K)
-        a = (svd.u * svd.s) @ svd.vh
         sol = regularized_solve(svd, b[:, None], alpha=1e-4, want_g=True)
-        direct = np.linalg.norm(a @ sol.g[:, 0] - b)
+        direct = np.linalg.norm(a @ (root * sol.g[:, 0]) - root * b)
         assert sol.discrepancy[0] == pytest.approx(direct, rel=1e-12)
+
+    def test_density_norm_unusable_raises(self, svd, sphere):
+        # An alpha so large that every filter factor underflows leaves
+        # ||g|| = 0; the solve refuses rather than return it.
+        b = rhs_vector(np.array([1.5, 1.0, 0.3]), POL, sphere, K)
+        with pytest.raises(InvalidArgumentError, match="alpha_fixed"):
+            regularized_solve(svd, b[:, None], alpha=1e308)
 
     def test_limits(self, svd, sphere):
         # alpha -> large shrinks g to 0; alpha -> small drives the residual
@@ -113,14 +135,15 @@ class TestMorozov:
         disc = [regularized_solve(svd, b[:, None], alpha=a).discrepancy[0] for a in alphas]
         assert all(y > x for x, y in zip(disc, disc[1:]))
 
-    def test_root_satisfies_discrepancy_equation(self, svd, sphere):
+    def test_root_satisfies_discrepancy_equation(self, noisy, svd, sphere):
+        _, root = weighted_operator(noisy)
         for z in ([1.8, 0.3, -0.4], [2.4, -1.0, 0.9], [0.0, 0.0, 1.2]):
             b = rhs_vector(np.array(z), POL, sphere, K)
             alpha, flagged = morozov_alpha(svd, b, 0.02)
             assert not flagged
             sol = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True)
-            target = 0.02 * svd.norm2 * np.linalg.norm(sol.g)
-            assert abs(sol.discrepancy[0] - target) < 1e-6 * np.linalg.norm(b)
+            target = 0.02 * svd.norm2 * np.linalg.norm(root * sol.g[:, 0])
+            assert abs(sol.discrepancy[0] - target) < 1e-6 * np.linalg.norm(root * b)
 
     def test_zero_noise_flagged_at_bracket_floor(self, svd, sphere):
         b = rhs_vector(np.array([1.8, 0.3, -0.4]), POL, sphere, K)
@@ -132,11 +155,20 @@ class TestMorozov:
         with pytest.raises(InvalidArgumentError):
             morozov_alpha(svd, np.zeros(svd.u.shape[0], dtype=complex), 0.02)
 
+    def test_non_finite_phi_flagged(self):
+        # beta = 0 makes phi = ln(0/0) at both bracket ends: no root can be
+        # trusted there, so the row is flagged, never returned as a root.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha, flagged = _morozov_root(np.array([1.0, 0.25]), np.zeros((1, 2)), 0.02)
+        assert flagged[0]
+        assert alpha[0] == ALPHA_LO_FACTOR
 
-def morozov_bisect_oracle(s, beta_abs2, h):
-    """The fixed 31-step bisection in log10 alpha that the Morozov root
-    finder replaced: columns of beta_abs2 = |U^H b|^2 are right-hand sides.
-    Returns (alpha, flagged)."""
+
+def morozov_bisect_oracle(s, beta_abs2, h, width=1e-8):
+    """The fixed bisection in log10 alpha that the Morozov root finder
+    replaced, run until the bracket is narrower than width decades (31
+    steps at the default): columns of beta_abs2 = |U^H b~|^2 are
+    right-hand sides.  Returns (alpha, flagged)."""
     n_z = beta_abs2.shape[1]
     sigma1 = s[0]
     lo = np.full(n_z, np.log10(ALPHA_LO_FACTOR * sigma1**2))
@@ -153,7 +185,7 @@ def morozov_bisect_oracle(s, beta_abs2, h):
     clamp_lo = d(lo) >= 0
     clamp_hi = d(hi) <= 0
     for _ in range(200):
-        if np.all((hi - lo) < 1e-8):
+        if np.all((hi - lo) < width):
             break
         mid = 0.5 * (lo + hi)
         pos = d(mid) >= 0
@@ -166,7 +198,7 @@ def morozov_bisect_oracle(s, beta_abs2, h):
 
 
 def spectral_sums(s, beta_abs2, alpha):
-    """||A g - b|| and ||g||_2 of the Tikhonov solution, per column."""
+    """||A~ g~ - b~|| and ||g~|| of the Tikhonov solution, per column."""
     denom = (s * s)[:, None] + alpha[None, :]
     res = np.sqrt(np.sum((alpha[None, :] / denom) ** 2 * beta_abs2, axis=0))
     gn = np.sqrt(np.sum((s[:, None] / denom) ** 2 * beta_abs2, axis=0))
@@ -185,13 +217,25 @@ def chunk_rhs(sphere):
 
 
 class TestRegularizedSolve:
-    def test_alpha_matches_bisection_oracle(self, svd, chunk_rhs):
-        beta_abs2 = np.abs(svd.u.conj().T @ chunk_rhs) ** 2
+    def test_alpha_matches_bisection_oracle(self, noisy, svd, chunk_rhs):
+        _, root = weighted_operator(noisy)
+        beta_abs2 = np.abs(svd.u.conj().T @ (root[:, None] * chunk_rhs)) ** 2
         want, want_flagged = morozov_bisect_oracle(svd.s, beta_abs2, 0.02)
         got = regularized_solve(svd, chunk_rhs, 0.02)
         assert not np.any(want_flagged)
         assert np.array_equal(got.flagged, want_flagged)
         assert np.max(np.abs(got.alpha / want - 1)) < 1e-7
+
+    def test_converged_newton_step_kept(self, noisy, svd, chunk_rhs):
+        # A Newton iterate that lands on the root makes itself a bracket
+        # end; its converged step must be kept, not bisected away.  Every
+        # root then agrees with a 1e-13-decade bisection to 1e-10.
+        _, root = weighted_operator(noisy)
+        beta_abs2 = np.abs(svd.u.conj().T @ (root[:, None] * chunk_rhs)) ** 2
+        want, _ = morozov_bisect_oracle(svd.s, beta_abs2, 0.02, width=1e-13)
+        got = regularized_solve(svd, chunk_rhs, 0.02)
+        ok = ~got.flagged
+        assert np.max(np.abs(got.alpha[ok] / want[ok] - 1)) < 1e-10
 
     def test_batch_of_one_is_bitwise_its_column(self, svd, chunk_rhs):
         for alpha in (None, 1e-5):
@@ -360,12 +404,6 @@ class TestImagingSweep:
         grid = build_sampling_grid(np.array([[-0.2, 0.2]] * 3), 0.1, 1.0)
         with pytest.raises(InvalidArgumentError):
             run_imaging(noisy, grid, POL, 0.02, k=K)
-
-    def test_wavenumber_required(self, noisy):
-        grid = build_sampling_grid(self.BOUNDS, 0.5, 1.0)
-        svd = svd_factorize(noisy)  # untagged
-        with pytest.raises(InvalidArgumentError):
-            run_imaging(noisy, grid, POL, 0.02, svd=svd)
 
 
 class TestSingleLayer:
