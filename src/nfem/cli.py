@@ -78,20 +78,28 @@ def _probe_source(cfg: RunConfig) -> np.ndarray:
     return y if r <= 0.5 * cfg.rho else y * (0.5 * cfg.rho / r)
 
 
-def _simulate(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
+def _synthesize(cfg: RunConfig) -> tuple:
+    """Clean data for the run's config and the checks made on it: (forward
+    config, grid, clean matrix, largest entry magnitude, seconds spent in the
+    mode solve and the assembly, reciprocity defect relative to that
+    magnitude, interface residual at the probe source)."""
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
     coeffs = solve_modes(config)
     clean = assemble_nearfield(config, grid, coeffs)
     elapsed = time.perf_counter() - t0
-
-    defect = np.max(np.abs(clean.entries - clean.entries.T))
     scale = max(np.max(np.abs(clean.entries)), 1e-300)
+    defect = np.max(np.abs(clean.entries - clean.entries.T)) / scale
     residual = interface_residual(config, _probe_source(cfg),
                                   np.asarray(cfg.polarization), coeffs=coeffs)
+    return config, grid, clean, scale, elapsed, defect, residual
+
+
+def _simulate(args) -> int:
+    cfg = load_config(args.config)
+    out = Path(args.out)
+    config, _, clean, _, elapsed, defect, residual = _synthesize(cfg)
 
     clean_path = out / f"{cfg.prefix}_clean.nfem"
     write_nearfield(clean, clean_path, cfg.k)
@@ -119,7 +127,7 @@ def _simulate(args) -> int:
     )
     print(f"assembled {clean.entries.shape[0]}x{clean.entries.shape[1]} "
           f"near-field matrix in {elapsed:.2f} s (n_max={config.n_max})")
-    print(f"reciprocity defect (relative): {defect / scale:.3e}")
+    print(f"reciprocity defect (relative): {defect:.3e}")
     print(f"interface residual at probe source: {residual:.3e}")
     for p in paths:
         print(f"wrote {p}")
@@ -183,20 +191,13 @@ def _selfcheck(args) -> int:
     if not ok:
         failures.append("wavenumber sits on a Maxwell eigenvalue")
 
-    config = cfg.cavity_config()
-    grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
-    coeffs = solve_modes(config)
-    matrix = assemble_nearfield(config, grid, coeffs)
-    defect = np.max(np.abs(matrix.entries - matrix.entries.T))
-    scale = max(np.max(np.abs(matrix.entries)), 1e-300)
-    ok = defect / scale < 1e-8
-    print(f"[{'PASS' if ok else 'FAIL'}] reciprocity defect: {defect / scale:.3e} "
+    config, grid, matrix, scale, _, defect, residual = _synthesize(cfg)
+    ok = defect < 1e-8
+    print(f"[{'PASS' if ok else 'FAIL'}] reciprocity defect: {defect:.3e} "
           "(limit 1e-08)")
     if not ok:
         failures.append("near-field matrix is not reciprocity-symmetric")
 
-    residual = interface_residual(config, _probe_source(cfg),
-                                  np.asarray(cfg.polarization), coeffs=coeffs)
     ok = residual < 1e-6
     print(f"[{'PASS' if ok else 'FAIL'}] interface residual: {residual:.3e} "
           "(limit 1e-06)")

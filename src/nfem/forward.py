@@ -121,18 +121,22 @@ def data_truncation_order(
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Per-degree reflection/transmission coefficients for both families.
+    """Per-degree modal coefficients of every region, for both families.
 
-    ``reflection[fam][n-1]`` is the interior regular coefficient relative to a
-    unit radiating incident coefficient; ``shell_coeffs[fam][n-1, s]`` holds
-    the (regular, radiating) pair of shell s; ``exterior[fam][n-1]`` the
-    radiating exterior coefficient.
+    ``table[region, family, kind, n-1]`` is the coefficient of the regular
+    (kind index 0) or radiating (kind index 1) wavefunction of degree n in
+    the region, relative to a unit radiating incident coefficient.  Regions
+    run from the cavity, which holds (R_n, 0), through the shells from inner
+    to outer, to the exterior, which holds (0, gamma_n); families follow
+    ``FAMILIES``.  ``reflection[family, n-1]`` is R_n.
     """
 
     config: LayeredCavityConfig
-    reflection: dict = field(repr=False)
-    shell_coeffs: dict = field(repr=False)
-    exterior: dict = field(repr=False)
+    table: np.ndarray = field(repr=False)
+
+    @property
+    def reflection(self) -> np.ndarray:
+        return self.table[0, :, 0]
 
 
 def _trace_pair(family: str, n, kind: int, k_med: float, A: float, r: float):
@@ -172,18 +176,23 @@ def _inv2_apply(t1: np.ndarray, t3: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     """Solve the transmission problem for every degree and family.
 
-    Per family the tangential trace pairs (E, A curl E) of all degrees are
-    propagated across the shells by 2x2 transfer steps; this keeps each step
-    well-conditioned (the per-shell basis determinant is a Wronskian) and
-    makes the zero-contrast case an exact cancellation, so vacuum
-    configurations return R_n = 0 to machine precision.
+    Per family the exterior's radiating trace (E, A curl E) at the outermost
+    radius, with gamma_n = 1, is carried inward by one 2x2 transfer step per
+    shell, keeping each shell's (regular, radiating) pair.  Inward is the
+    direction in which the radiating solution dominates, and each step's
+    basis determinant is a Wronskian, so no step cancels digits.  The wall
+    system R_n t1 + t3 = gamma_n vec at the cavity radius then gives
+    (R_n, gamma_n), and the shell pairs are scaled by gamma_n.  Zero contrast
+    makes every step an exact cancellation, so vacuum configurations return
+    R_n = 0 exactly.
     """
     media = config.media()
     radii = config.interface_radii
     n_shells = len(config.shells)
     degrees = np.arange(1, config.n_max + 1)
-    reflection, shell_coeffs, exterior, singular = {}, {}, {}, []
-    for fam in FAMILIES:
+    table = np.zeros((n_shells + 2, len(FAMILIES), 2, config.n_max), dtype=complex)
+    singular = []
+    for f, fam in enumerate(FAMILIES):
 
         def trace(kind, region, r):
             return _trace_pair(fam, degrees, kind, *media[region], r)
@@ -191,53 +200,34 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
         # y_n overflows at high degree, and the inf and NaN it makes spread
         # through the transfer steps into R_n, where the callers report them.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t1_cav, t3_cav = trace(1, 0, radii[0]), trace(3, 0, radii[0])
-            shells = [
-                (trace(1, s, radii[s - 1]), trace(3, s, radii[s - 1]),
-                 trace(1, s, radii[s]), trace(3, s, radii[s]))
-                for s in range(1, n_shells + 1)
-            ]
-            # Propagate the two interior basis traces (regular, radiating)
-            # from the cavity boundary to the outermost interface.
-            vec_reg, vec_rad = t1_cav, t3_cav
-            for t1_in, t3_in, t1_out, t3_out in shells:
-                ab = _inv2_apply(t1_in, t3_in, vec_reg)
-                vec_reg = ab[0] * t1_out + ab[1] * t3_out
-                ab = _inv2_apply(t1_in, t3_in, vec_rad)
-                vec_rad = ab[0] * t1_out + ab[1] * t3_out
-            # Exterior carries only the radiating basis: match
-            # R vec_reg + vec_rad = gamma t3_ext at the outermost radius.
-            t3_ext = trace(3, -1, radii[-1])
-            det = vec_reg[0] * (-t3_ext[1]) - (-t3_ext[0]) * vec_reg[1]
-            scale = np.maximum(np.abs(vec_reg).max(axis=0), 1e-300) * np.maximum(
-                np.abs(t3_ext).max(axis=0), 1e-300
+            vec = trace(3, -1, radii[-1])
+            for s in range(n_shells, 0, -1):
+                r_out, r_in = radii[s], radii[s - 1]
+                ab = _inv2_apply(trace(1, s, r_out), trace(3, s, r_out), vec)
+                table[s, f] = ab
+                vec = ab[0] * trace(1, s, r_in) + ab[1] * trace(3, s, r_in)
+            # With vec = x0 t1 + x1 t3, R_n = x0 / x1 and gamma_n = 1 / x1.
+            # x1 is det over the Wronskian of (t1, t3), so the wall system is
+            # singular where det vanishes.
+            t1 = trace(1, 0, radii[0])
+            det = t1[0] * vec[1] - vec[0] * t1[1]
+            scale = np.maximum(np.abs(t1).max(axis=0), 1e-300) * np.maximum(
+                np.abs(vec).max(axis=0), 1e-300
             )
             bad = degrees[np.abs(det) < scale / COND_LIMIT]
             if bad.size:
-                singular.append((bad[0], FAMILIES.index(fam), fam))
-            rhs = -vec_rad
-            reflection[fam] = (rhs[0] * (-t3_ext[1]) - (-t3_ext[0]) * rhs[1]) / det
-            exterior[fam] = (vec_reg[0] * rhs[1] - rhs[0] * vec_reg[1]) / det
-            # Recover per-shell (regular, radiating) coefficients by forward
-            # substitution of the combined interior trace.
-            vec = t3_cav + reflection[fam] * t1_cav
-            shell_coeffs[fam] = np.zeros((config.n_max, n_shells, 2), dtype=complex)
-            for s, (t1_in, t3_in, t1_out, t3_out) in enumerate(shells):
-                ab = _inv2_apply(t1_in, t3_in, vec)
-                shell_coeffs[fam][:, s] = ab.T
-                vec = ab[0] * t1_out + ab[1] * t3_out
+                singular.append((bad[0], f, fam))
+            x = _inv2_apply(t1, trace(3, 0, radii[0]), vec)
+            table[0, f, 0] = x[0] / x[1]
+            table[-1, f, 1] = 1 / x[1]
+            table[1:-1, f] *= table[-1, f, 1]
     if singular:
         # The lowest failing degree, TE before TM within one degree.
         n, _, fam = min(singular)
         raise DegenerateConfigError(
             f"singular transmission system at degree n={n}, family {fam}"
         )
-    return ModeCoefficients(
-        config=config,
-        reflection=reflection,
-        shell_coeffs=shell_coeffs,
-        exterior=exterior,
-    )
+    return ModeCoefficients(config=config, table=table)
 
 
 def source_expansion(
@@ -246,10 +236,11 @@ def source_expansion(
     k: float,
     n_max: int,
     cavity_radius: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Radiating-expansion coefficients of the dipole field, valid for |x| > |y|.
 
-    Returns (c_TE, c_TM) over the modes of ``specialfun.vswf_modes(n_max)``:
+    Returns c[family] over the modes of ``specialfun.vswf_modes(n_max)``, an
+    array of shape (2, n_modes) with families in ``FAMILIES`` order:
     c_nm = -k^2 conj(regular VSWF at y) . p.
     """
     y = np.asarray(y, dtype=float)
@@ -263,9 +254,7 @@ def source_expansion(
     if cavity_radius is not None and r >= cavity_radius:
         raise InvalidArgumentError("source must lie strictly inside the cavity")
     m1, n1 = sf.vswf_fields(y[None, :], k, n_max, 1)
-    c_te = -(k**2) * (np.conj(m1[:, 0, :]) @ p)
-    c_tm = -(k**2) * (np.conj(n1[:, 0, :]) @ p)
-    return c_te, c_tm
+    return -(k**2) * np.array([np.conj(m1[:, 0, :]) @ p, np.conj(n1[:, 0, :]) @ p])
 
 
 def scattered_field(
@@ -279,17 +268,11 @@ def scattered_field(
     if coeffs is None:
         coeffs = solve_modes(config)
     x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
+    pts = x.reshape(-1, 3)
     if np.any(np.linalg.norm(pts, axis=1) >= config.cavity_radius):
         raise InvalidArgumentError("evaluation points must lie inside the cavity")
-    c_te, c_tm = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
-    deg = sf.mode_degrees(config.n_max)
-    m1, n1 = sf.vswf_fields(pts, config.k, config.n_max, 1)
-    # Overflowed degrees make the field NaN; the warnings say nothing more.
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_te = coeffs.reflection["TE"][deg - 1] * c_te
-        w_tm = coeffs.reflection["TM"][deg - 1] * c_tm
-        out = np.einsum("q,qij->ij", w_te, m1) + np.einsum("q,qij->ij", w_tm, n1)
+    c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
+    out = _region_field(pts, 0, config, coeffs, c)[0]
     return out.reshape(x.shape) if x.ndim > 1 else out[0]
 
 
@@ -298,46 +281,29 @@ def _region_field(
     region: int,
     config: LayeredCavityConfig,
     coeffs: ModeCoefficients,
-    c_te: np.ndarray,
-    c_tm: np.ndarray,
+    c: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(E, curl E) of the region's modal field, excluding the closed-form
-    incident field in the interior region."""
+    """(E, curl E) of the region's modal field for source coefficients c,
+    excluding the closed-form incident field in the cavity."""
     deg = sf.mode_degrees(config.n_max)
-    media = config.media()
-    k_med = media[region][0]
-    n_shells = len(config.shells)
-
-    def accum(kind, r_te, r_tm):
-        """Fields of the modes with per-degree coefficients r_te, r_tm."""
+    k_med = config.media()[region][0]
+    e = np.zeros((points.shape[0], 3), dtype=complex)
+    curl = np.zeros_like(e)
+    for col, kind in enumerate((1, 3)):
+        coef = coeffs.table[region, :, col]
+        if not np.any(coef):
+            continue
         m_f, n_f = sf.vswf_fields(points, k_med, config.n_max, kind)
         # Degrees whose coefficients overflowed make the fields NaN, which
-        # the residual reports; the warnings on the way say nothing more.
+        # the callers report; the warnings on the way say nothing more.
         with np.errstate(over="ignore", invalid="ignore"):
-            w_te, w_tm = r_te[deg - 1] * c_te, r_tm[deg - 1] * c_tm
-            e = np.einsum("q,qij->ij", w_te, m_f) + np.einsum("q,qij->ij", w_tm, n_f)
+            w = coef[:, deg - 1] * c
+            e += np.einsum("q,qij->ij", w[0], m_f) + np.einsum("q,qij->ij", w[1], n_f)
             # curl M = k N, curl N = k M
-            c = k_med * (
-                np.einsum("q,qij->ij", w_te, n_f) + np.einsum("q,qij->ij", w_tm, m_f)
+            curl += k_med * (
+                np.einsum("q,qij->ij", w[0], n_f) + np.einsum("q,qij->ij", w[1], m_f)
             )
-        return e, c
-
-    if region == 0:
-        return accum(1, coeffs.reflection["TE"], coeffs.reflection["TM"])
-    if region == n_shells + 1:
-        return accum(3, coeffs.exterior["TE"], coeffs.exterior["TM"])
-    s = region - 1
-    e = np.zeros((points.shape[0], 3), dtype=complex)
-    c = np.zeros_like(e)
-    for kind, col in ((1, 0), (3, 1)):
-        ek, ck = accum(
-            kind,
-            coeffs.shell_coeffs["TE"][:, s, col],
-            coeffs.shell_coeffs["TM"][:, s, col],
-        )
-        e += ek
-        c += ck
-    return e, c
+    return e, curl
 
 
 def interface_residual(
@@ -352,7 +318,7 @@ def interface_residual(
     every interface, at `samples` random points per interface."""
     if coeffs is None:
         coeffs = solve_modes(config)
-    c_te, c_tm = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
+    c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
     rng = np.random.default_rng(seed)
     media = config.media()
     dip = Dipole(np.asarray(y, dtype=float), np.asarray(p, dtype=float))
@@ -361,11 +327,11 @@ def interface_residual(
         dirs = rng.normal(size=(samples, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = r * dirs
-        e_in, curl_in = _region_field(pts, q, config, coeffs, c_te, c_tm)
+        e_in, curl_in = _region_field(pts, q, config, coeffs, c)
         if q == 0:
             e_in = e_in + incident_field(pts, dip, config.k)
             curl_in = curl_in + curl_incident_field(pts, dip, config.k)
-        e_out, curl_out = _region_field(pts, q + 1, config, coeffs, c_te, c_tm)
+        e_out, curl_out = _region_field(pts, q + 1, config, coeffs, c)
         a_in, a_out = media[q][1], media[q + 1][1]
         for f_in, f_out in ((e_in, e_out), (a_in * curl_in, a_out * curl_out)):
             t_in = np.cross(dirs, f_in)

@@ -158,8 +158,7 @@ def assemble_nearfield(
         coeffs = solve_modes(config)
     deg = sf.mode_degrees(config.n_max)
     p_te, p_tm = tangential_projections(grid, config.k, config.n_max)
-    r_te = coeffs.reflection["TE"][deg - 1]
-    r_tm = coeffs.reflection["TM"][deg - 1]
+    r_te, r_tm = coeffs.reflection[:, deg - 1]
     # Degrees whose R_n overflowed make the entries NaN, which the NFEM1
     # writer and selfcheck report; the warnings on the way say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,7 +310,7 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
         entries=entries.copy(),
         noisy=bool(noisy),
         noise_level=level,
-        seed=int(seed),
+        seed=seed if noisy else None,
     )
     return matrix, float(k)
 

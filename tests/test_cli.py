@@ -383,7 +383,8 @@ class TestCliWorkflow:
         ("simulate", [("prefix = fast", "prefix = out/fast")]),
         ("reconstruct", [("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = nan")]),
         ("reconstruct", [("box = -2 2 -2 2 -2 2", "box = -0.5 0.5 -0.5 0.5 -0.5 0.5")]),
-        # The data series order for rho = 1.45 reaches a singular TE system.
+        # The data series order for rho = 1.45 is 283, past the wavefunction
+        # order cap of 200, so the run stops naming n_max.
         ("simulate", [("rho = 1.0", "rho = 1.45"), ("mask_radius = 1.0", "mask_radius = 1.45")]),
     ], ids=["n_theta", "mask_radius", "prefix", "alpha_fixed", "no_active_points",
             "degenerate"])
@@ -441,6 +442,8 @@ class TestCliWorkflow:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, edit, code", [
+        # An order past the wavefunction order cap of 200 is refused, naming
+        # n_max, before anything is written.
         ("simulate", ("k = 0.75", "k = 0.75\nn_max = 1000"), 2),
         ("simulate", ("k = 0.75", "k = 0.75\nn_max = 90"), 3),
         ("reconstruct", ("polarization = 0.5773502691896258 -0.5773502691896258 "

@@ -1,11 +1,13 @@
 """Layered-sphere forward solver: transmission conditions, reciprocity,
 vacuum nulls, truncation rules, and the eigenvalue margin."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_yn
 
+from nfem import forward
 from nfem.errors import DegenerateConfigError, InvalidArgumentError
 from nfem.forward import (
     COND_LIMIT,
@@ -28,6 +30,9 @@ BALL = LayeredCavityConfig(
 )
 Y_SRC = np.array([0.2, 0.1, 0.2])
 P_SRC = np.array([1.0, -1.0, 1.0])
+# The reference shell and a two-shell contrast, each with its wavenumber.
+REFERENCE_SHELLS = ((Shell(2.5, 1.0, 2.0),), 0.75)
+TWO_SHELLS = ((Shell(2.0, 2.0, 3.0), Shell(2.8, 0.7, 4.0)), 1.5)
 
 
 class TestConfig:
@@ -68,9 +73,7 @@ class TestVacuumNull:
     )
     def test_reflection_exactly_zero(self, shells):
         cfg = LayeredCavityConfig(1.5, shells, 0.75, 12)
-        coeffs = solve_modes(cfg)
-        for fam in ("TE", "TM"):
-            assert np.all(coeffs.reflection[fam] == 0.0)
+        assert np.all(solve_modes(cfg).reflection == 0.0)
 
     def test_merged_shells_match_single(self):
         # Splitting one shell into two identical halves must not change R_n.
@@ -80,19 +83,14 @@ class TestVacuumNull:
                 1.5, (Shell(2.0, 1.0, 2.0), Shell(2.5, 1.0, 2.0)), 0.75, 12
             )
         )
-        for fam in ("TE", "TM"):
-            a, b = one.reflection[fam], two.reflection[fam]
-            assert np.max(np.abs(a - b)) < 1e-12 * max(np.max(np.abs(a)), 1e-300)
+        a, b = one.reflection, two.reflection
+        assert np.max(np.abs(a - b)) < 1e-12 * max(np.max(np.abs(a)), 1e-300)
 
 
 class TestReciprocity:
     @pytest.mark.parametrize(
         "shells,k",
-        [
-            ((Shell(2.5, 1.0, 2.0),), 0.75),
-            ((Shell(2.5, 1.0, 0.5),), 0.3),
-            ((Shell(2.0, 2.0, 3.0), Shell(2.8, 0.7, 4.0)), 1.5),
-        ],
+        [REFERENCE_SHELLS, ((Shell(2.5, 1.0, 0.5),), 0.3), TWO_SHELLS],
     )
     def test_source_receiver_exchange(self, shells, k):
         # p . E_s(x, y, q) = q . E_s(y, x, p)
@@ -124,9 +122,17 @@ class TestTransmission:
     def test_residual_both_families_excited(self):
         # An off-axis tilted dipole excites TE and TM; both must match.
         cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, 16)
-        c_te, c_tm = source_expansion(Y_SRC, P_SRC, 0.75, 16)
-        assert np.max(np.abs(c_te)) > 1e-6
-        assert np.max(np.abs(c_tm)) > 1e-6
+        c = source_expansion(Y_SRC, P_SRC, 0.75, 16)
+        assert np.all(np.max(np.abs(c), axis=1) > 1e-6)
+
+    @pytest.mark.parametrize("shells,k", [REFERENCE_SHELLS, TWO_SHELLS])
+    def test_residual_small_at_high_order(self, shells, k):
+        # Every region's coefficients keep their digits up to degree 80, so
+        # the transmission conditions hold to near round-off there.
+        cfg = LayeredCavityConfig(1.5, shells, k, 80)
+        y = 1.0 * np.array([0.6, 0.0, 0.8])
+        p = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+        assert interface_residual(cfg, y, p) < 1e-11
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_residual_reports_nan(self):
@@ -145,10 +151,10 @@ class TestSourceExpansion:
         k, n_max = 0.75, 15
         y = np.array([0.2, -0.1, 0.15])
         p = np.array([1.0, 0.4, -0.7])
-        c_te, c_tm = source_expansion(y, p, k, n_max)
+        c = source_expansion(y, p, k, n_max)
         x = np.array([0.9, 0.3, -0.4])
         m3, n3 = sf.vswf_fields(x[None, :], k, n_max, 3)
-        series = c_te @ m3[:, 0, :] + c_tm @ n3[:, 0, :]
+        series = c[0] @ m3[:, 0, :] + c[1] @ n3[:, 0, :]
         closed = incident_field(x, Dipole(y, p), k)
         assert np.max(np.abs(series - closed)) < 1e-6 * np.max(np.abs(closed))
 
@@ -163,6 +169,15 @@ class TestSourceExpansion:
         e2 = scattered_field(x, Y_SRC, np.array([0, 1.0, 0]), BALL, coeffs)
         e12 = scattered_field(x, Y_SRC, np.array([2.0, -3.0, 0]), BALL, coeffs)
         assert np.allclose(e12, 2 * e1 - 3 * e2, rtol=1e-12)
+
+    def test_scattered_field_keeps_point_array_shape(self):
+        coeffs = solve_modes(BALL)
+        x = np.array([[0.5, 0.5, 0.5], [-0.3, 0.2, 0.6]] * 2).reshape(2, 2, 3)
+        e = scattered_field(x, Y_SRC, P_SRC, BALL, coeffs)
+        assert e.shape == x.shape
+        for idx in np.ndindex(2, 2):
+            point = scattered_field(x[idx], Y_SRC, P_SRC, BALL, coeffs)
+            assert np.allclose(e[idx], point, rtol=1e-13, atol=0)
 
 
 class TestEigenvalueMargin:
@@ -212,41 +227,34 @@ def _inv2_apply_scalar(t1, t3, vec):
 
 
 def solve_modes_oracle(config):
-    """(reflection, exterior, shell_coeffs) one degree and family at a time:
-    the scalar loop that the degree-vectorized solve_modes replaced."""
+    """ModeCoefficients.table one degree and family at a time: the inward
+    sweep of solve_modes in scalar steps."""
     media = config.media()
     radii = config.interface_radii
     n_shells = len(config.shells)
-    reflection = {f: np.zeros(config.n_max, dtype=complex) for f in FAMILIES}
-    exterior = {f: np.zeros(config.n_max, dtype=complex) for f in FAMILIES}
-    shell = {f: np.zeros((config.n_max, n_shells, 2), dtype=complex) for f in FAMILIES}
+    table = np.zeros((n_shells + 2, len(FAMILIES), 2, config.n_max), dtype=complex)
     for n in range(1, config.n_max + 1):
-        for fam in FAMILIES:
+        for f, fam in enumerate(FAMILIES):
             def tr(kind, region, r):
                 return _trace_vec_scalar(fam, n, kind, *media[region], r)
 
-            def step(s, v):
-                ab = _inv2_apply_scalar(tr(1, s, radii[s - 1]), tr(3, s, radii[s - 1]), v)
-                return ab, ab[0] * tr(1, s, radii[s]) + ab[1] * tr(3, s, radii[s])
-
-            vec_reg, vec_rad = tr(1, 0, radii[0]), tr(3, 0, radii[0])
-            for s in range(1, n_shells + 1):
-                vec_reg, vec_rad = step(s, vec_reg)[1], step(s, vec_rad)[1]
-            t3_ext = tr(3, -1, radii[-1])
-            det = vec_reg[0] * (-t3_ext[1]) - (-t3_ext[0]) * vec_reg[1]
-            scale = max(np.abs(vec_reg).max(), 1e-300) * max(np.abs(t3_ext).max(), 1e-300)
+            vec = tr(3, -1, radii[-1])
+            for s in range(n_shells, 0, -1):
+                ab = _inv2_apply_scalar(tr(1, s, radii[s]), tr(3, s, radii[s]), vec)
+                table[s, f, :, n - 1] = ab
+                vec = ab[0] * tr(1, s, radii[s - 1]) + ab[1] * tr(3, s, radii[s - 1])
+            t1 = tr(1, 0, radii[0])
+            det = t1[0] * vec[1] - vec[0] * t1[1]
+            scale = max(np.abs(t1).max(), 1e-300) * max(np.abs(vec).max(), 1e-300)
             if abs(det) < scale / COND_LIMIT:
                 raise DegenerateConfigError(
                     f"singular transmission system at degree n={n}, family {fam}"
                 )
-            rhs = -vec_rad
-            r_coef = (rhs[0] * (-t3_ext[1]) - (-t3_ext[0]) * rhs[1]) / det
-            reflection[fam][n - 1] = r_coef
-            exterior[fam][n - 1] = (vec_reg[0] * rhs[1] - rhs[0] * vec_reg[1]) / det
-            vec = tr(3, 0, radii[0]) + r_coef * tr(1, 0, radii[0])
-            for s in range(1, n_shells + 1):
-                shell[fam][n - 1, s - 1], vec = step(s, vec)
-    return reflection, exterior, shell
+            x = _inv2_apply_scalar(t1, tr(3, 0, radii[0]), vec)
+            table[0, f, 0, n - 1] = x[0] / x[1]
+            table[-1, f, 1, n - 1] = 1 / x[1]
+            table[1:-1, f, :, n - 1] *= table[-1, f, 1, n - 1]
+    return table
 
 
 def _rel_per_degree(got, want):
@@ -260,9 +268,9 @@ class TestVectorizedSolve:
     @pytest.mark.parametrize(
         "shells,k",
         [
-            ((Shell(2.5, 1.0, 2.0),), 0.75),
+            REFERENCE_SHELLS,
             ((Shell(2.5, 1.0, 0.5),), 0.3),
-            ((Shell(2.0, 2.0, 3.0), Shell(2.8, 0.7, 4.0)), 1.5),
+            TWO_SHELLS,
             ((), 0.75),
             ((Shell(2.0, 1.0, 1.0), Shell(2.5, 1.0, 1.0)), 0.75),
         ],
@@ -270,27 +278,94 @@ class TestVectorizedSolve:
     def test_matches_scalar_oracle(self, shells, k):
         cfg = LayeredCavityConfig(1.5, shells, k, 60)
         got = solve_modes(cfg)
-        want_r, want_e, want_s = solve_modes_oracle(cfg)
-        for fam in FAMILIES:
-            assert np.all(_rel_per_degree(got.reflection[fam], want_r[fam]) <= 1e-13)
-            # The exterior and shell coefficients come from a forward
-            # substitution that loses every digit past about degree 45 at
-            # these radii, in the oracle as much as here.
-            assert np.all(_rel_per_degree(got.exterior[fam][:40], want_e[fam][:40]) <= 1e-13)
-            assert np.all(
-                _rel_per_degree(got.shell_coeffs[fam][:40], want_s[fam][:40]) <= 1e-13
-            )
-            if all(s.A == 1.0 and s.N == 1.0 for s in shells):
-                assert np.array_equal(got.reflection[fam], want_r[fam])
+        want = solve_modes_oracle(cfg)
+        # R_n, gamma_n and every shell pair, region by region at every degree.
+        for region in range(len(shells) + 2):
+            for f in range(len(FAMILIES)):
+                rel = _rel_per_degree(got.table[region, f].T, want[region, f].T)
+                assert np.all(rel <= 1e-13)
+        if all(s.A == 1.0 and s.N == 1.0 for s in shells):
+            assert np.array_equal(got.reflection, want[0, :, 0])
 
-    # The oracle's scalar steps overflow, with warnings, past degree 88.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_singular_degree_matches_oracle(self):
-        # The data order for rho = 1.45 runs past a singular TE system; both
-        # name the same first failing degree.
-        n_max = data_truncation_order(1.5, BALL.shells, 0.75, 1.45)
-        cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, n_max)
-        with pytest.raises(DegenerateConfigError) as want:
-            solve_modes_oracle(cfg)
-        with pytest.raises(DegenerateConfigError, match=str(want.value)):
-            solve_modes(cfg)
+    def test_singular_wall_system_names_lowest_degree(self, monkeypatch):
+        # In a vacuum cavity the inward sweep reaches the wall with the
+        # cavity's radiating trace, so a regular trace stubbed to twice that
+        # trace makes the wall system singular at exactly the chosen degrees.
+        real = forward._trace_pair
+        cfg = LayeredCavityConfig(1.5, (), 0.75, 12)
+        for singular, message in [
+            ({"TE": [9], "TM": [5, 9]}, "degree n=5, family TM"),
+            ({"TE": [7, 11], "TM": [7]}, "degree n=7, family TE"),
+        ]:
+            def stub(family, n, kind, k_med, A, r, singular=singular):
+                out = real(family, n, kind, k_med, A, r)
+                if kind == 1:
+                    hit = np.isin(n, singular[family])
+                    out[:, hit] = 2 * real(family, n, 3, k_med, A, r)[:, hit]
+                return out
+
+            monkeypatch.setattr(forward, "_trace_pair", stub)
+            with pytest.raises(DegenerateConfigError, match=message):
+                solve_modes(cfg)
+        monkeypatch.undo()
+        assert np.all(solve_modes(cfg).reflection == 0.0)
+
+
+def _mp_trace(family, n, kind, k_med, A, r):
+    """(tangential E, tangential A curl E) radial factors, as _trace_pair
+    forms them, from mpmath Bessel functions of half-integer order."""
+    t = k_med * r
+
+    def z(order):
+        pre = mp.sqrt(mp.pi / (2 * t))
+        value = pre * mp.besselj(order + mp.mpf(1) / 2, t)
+        if kind == 3:
+            value += 1j * pre * mp.bessely(order + mp.mpf(1) / 2, t)
+        return value
+
+    z_n = z(n)
+    psip = t * z(n - 1) - n * z_n  # (t z_n)' = t z_{n-1} - n z_n
+    return (z_n, A * psip) if family == "TE" else (psip / k_med, A * k_med * z_n)
+
+
+def mp_mode_coefficients(config, n, family):
+    """(R_n, a_1, b_1, ..., a_S, b_S, gamma_n) from the full interface system
+    of degree n, two equations per interface, solved directly in mpmath."""
+    n_shells = len(config.shells)
+    k = mp.mpf(config.k)
+    media = [(k, mp.mpf(1))]
+    media += [(k * mp.sqrt(mp.mpf(s.N) / s.A), mp.mpf(s.A)) for s in config.shells]
+    media.append((k, mp.mpf(1)))
+    # Unknown columns and wavefunction kinds of each region.
+    unknowns = [[(0, 1)]]
+    unknowns += [[(2 * s - 1, 1), (2 * s, 3)] for s in range(1, n_shells + 1)]
+    unknowns.append([(2 * n_shells + 1, 3)])
+    size = 2 * n_shells + 2
+    lhs, rhs = mp.matrix(size, size), mp.matrix(size, 1)
+    for q, r in enumerate(config.interface_radii):
+        r = mp.mpf(r)
+        for region, sign in ((q, 1), (q + 1, -1)):
+            for col, kind in unknowns[region]:
+                trace = _mp_trace(family, n, kind, *media[region], r)
+                lhs[2 * q, col] += sign * trace[0]
+                lhs[2 * q + 1, col] += sign * trace[1]
+    # The unit radiating incident wave sits inside the cavity wall.
+    incident = _mp_trace(family, n, 3, *media[0], mp.mpf(config.cavity_radius))
+    rhs[0], rhs[1] = -incident[0], -incident[1]
+    return np.array([complex(v) for v in mp.lu_solve(lhs, rhs)])
+
+
+class TestMpmathReference:
+    @pytest.mark.parametrize("shells,k", [REFERENCE_SHELLS, TWO_SHELLS])
+    def test_coefficients_match_direct_solve(self, shells, k):
+        cfg = LayeredCavityConfig(1.5, shells, k, 60)
+        got = solve_modes(cfg)
+        for f, fam in enumerate(FAMILIES):
+            for n in (1, 10, 20, 30, 45, 60):
+                with mp.workdps(300):
+                    want = mp_mode_coefficients(cfg, n, fam)
+                r_n, pairs, gamma = want[0], want[1:-1], want[-1]
+                assert abs(got.reflection[f, n - 1] - r_n) <= 1e-11 * abs(r_n)
+                assert abs(got.table[-1, f, 1, n - 1] - gamma) <= 1e-12 * abs(gamma)
+                shell = got.table[1:-1, f, :, n - 1].reshape(-1)
+                assert np.all(np.abs(shell - pairs) <= 1e-12 * np.abs(pairs))

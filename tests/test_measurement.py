@@ -230,6 +230,17 @@ class TestFileFormat:
         write_nearfield(back, path2, k)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_roundtrip_clean(self, matrix, tmp_path):
+        # A clean matrix reads back as written: not noisy, level 0, no seed.
+        path = tmp_path / "clean.nfem"
+        write_nearfield(matrix, path, BALL.k)
+        back, _ = read_nearfield(path)
+        assert np.array_equal(back.entries, matrix.entries)
+        assert (back.noisy, back.noise_level, back.seed) == (False, 0.0, None)
+        path2 = tmp_path / "clean2.nfem"
+        write_nearfield(back, path2, BALL.k)
+        assert path.read_bytes() == path2.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nfem"
         path.write_bytes(b"GARBAGE" + b"\x00" * 64)
