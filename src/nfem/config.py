@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .forward import LayeredCavityConfig, Shell, data_truncation_order
+from .specialfun import ORDER_CAP
 
 
 def _finite(text: str) -> float:
@@ -126,6 +127,8 @@ class RunConfig:
             raise ConfigError(f"output.formats entries must be csv/vtk, got {bad}")
         try:
             self.cavity_config()
+        except ConfigError:
+            raise
         except Exception as exc:
             raise ConfigError(f"invalid forward section: {exc}") from exc
         return self
@@ -139,6 +142,12 @@ class RunConfig:
             n_max = data_truncation_order(
                 self.cavity_radius, self.shells, self.k, self.rho
             )
+            if n_max > ORDER_CAP:
+                raise ConfigError(
+                    f"measurement.rho = {self.rho} needs series order {n_max} "
+                    f"to converge, above the cap of {ORDER_CAP}; move the "
+                    "measurement sphere away from the cavity wall"
+                )
         return LayeredCavityConfig(
             cavity_radius=self.cavity_radius,
             shells=self.shells,

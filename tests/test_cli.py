@@ -322,6 +322,22 @@ class TestCliWorkflow:
         assert list(out.glob("*.nfem")) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_derived_order_past_cap_names_rho(self, tmp_path, capsys):
+        # With no n_max, rho = 1.45 derives the series order 283, past the cap
+        # of 200: the one error line blames measurement.rho, which the user
+        # set, and gives the derived order and the cap.
+        bad = tmp_path / "near_wall.ini"
+        bad.write_text(FAST_CONFIG.replace("rho = 1.0", "rho = 1.45")
+                       .replace("mask_radius = 1.0", "mask_radius = 1.45"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "measurement.rho" in err and "283" in err and "200" in err
+        assert "n_max" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_selfcheck_overflow_fails(self, tmp_path):
         bad = tmp_path / "nan.ini"
         bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 90"))
@@ -384,7 +400,7 @@ class TestCliWorkflow:
         ("reconstruct", [("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = nan")]),
         ("reconstruct", [("box = -2 2 -2 2 -2 2", "box = -0.5 0.5 -0.5 0.5 -0.5 0.5")]),
         # The data series order for rho = 1.45 is 283, past the wavefunction
-        # order cap of 200, so the run stops naming n_max.
+        # order cap of 200, so the config is refused naming measurement.rho.
         ("simulate", [("rho = 1.0", "rho = 1.45"), ("mask_radius = 1.0", "mask_radius = 1.45")]),
     ], ids=["n_theta", "mask_radius", "prefix", "alpha_fixed", "no_active_points",
             "degenerate"])

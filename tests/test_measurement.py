@@ -2,6 +2,7 @@
 binary data format."""
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -18,21 +19,70 @@ from nfem.errors import (
     InvalidArgumentError,
     MalformedHeaderError,
 )
+from nfem import measurement
+from nfem import specialfun as sf
 from nfem.forward import LayeredCavityConfig, Shell, scattered_field, solve_modes
 from nfem.measurement import (
     NearFieldMatrix,
     NoiseSpec,
+    SphereGrid,
     add_noise,
     assemble_nearfield,
     build_sphere_grid,
     crc64,
     read_nearfield,
+    ring_size,
     write_nearfield,
 )
 
 BALL = LayeredCavityConfig(
     cavity_radius=1.5, shells=(Shell(2.5, 1.0, 2.0),), k=0.75, n_max=16
 )
+
+
+def assemble_nearfield_oracle(config, grid, coeffs=None):
+    """The dense assembly that the block-column kernel replaced: project every
+    wavefunction on every node's frame and contract both families,
+    S = -k^2 (P_TE^T R_TE conj(P_TE) + P_TM^T R_TM conj(P_TM))."""
+    if coeffs is None:
+        coeffs = solve_modes(config)
+    deg = sf.mode_degrees(config.n_max)
+    m1, n1 = sf.vswf_fields(grid.nodes, config.k, config.n_max, 1)
+    frames = np.stack([grid.e1, grid.e2], axis=1)  # (n, 2, 3)
+    p_te = np.einsum("qij,ilj->qil", m1, frames).reshape(m1.shape[0], -1)
+    p_tm = np.einsum("qij,ilj->qil", n1, frames).reshape(n1.shape[0], -1)
+    r_te, r_tm = coeffs.reflection[:, deg - 1]
+    return -(config.k**2) * (
+        p_te.T @ (r_te[:, None] * np.conj(p_te))
+        + p_tm.T @ (r_tm[:, None] * np.conj(p_tm))
+    )
+
+
+def assert_matches_oracle(config, grid):
+    """Block-column entries within 1e-13 of the oracle's largest entry, and
+    reciprocity-symmetric to 1e-8 of it."""
+    coeffs = solve_modes(config)
+    got = assemble_nearfield(config, grid, coeffs).entries
+    want = assemble_nearfield_oracle(config, grid, coeffs)
+    scale = np.max(np.abs(want))
+    if scale == 0:  # vacuum shells: both are exact zeros
+        assert not np.any(got)
+        return
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    assert np.max(np.abs(got - got.T)) < 1e-8 * scale
+
+
+def grid_at(theta, phi):
+    """A unit-sphere grid at the given node angles, in their order."""
+    return measurement._grid_from_angles(theta, phi, np.full(theta.size, 1.0), 1.0)
+
+
+def permuted(grid, order):
+    """The same nodes, weights and frames, listed in another order."""
+    return SphereGrid(
+        grid.radius, *(getattr(grid, f)[order] for f in
+                       ("theta", "phi", "weights", "nodes", "e1", "e2", "normal"))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +172,87 @@ class TestAssembly:
         g = build_sphere_grid(4, 8, 2.0)
         with pytest.raises(InvalidArgumentError):
             assemble_nearfield(BALL, g)
+
+
+# The reference run's series order at rho = 1 (data_truncation_order), and
+# two vacuum shells at that order, whose data are exact zeros.
+REFERENCE = dataclasses.replace(BALL, n_max=34)
+VACUUM = LayeredCavityConfig(1.5, (Shell(2.5, 1.0, 1.0), Shell(3.0, 1.0, 1.0)), 0.75, 34)
+
+
+class TestBlockCirculant:
+    @pytest.mark.parametrize("config", [REFERENCE, VACUUM], ids=["reference", "vacuum"])
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (5, 7), (8, 16), (12, 24)])
+    def test_matches_dense_oracle(self, config, n_theta, n_phi):
+        assert_matches_oracle(config, build_sphere_grid(n_theta, n_phi, 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_theta=st.integers(2, 8),
+        n_phi=st.integers(4, 16),
+        k=st.floats(0.1, 2.0),
+        log_n=st.floats(-2.0, 2.0),
+        log_a=st.floats(-1.0, 1.0),
+        n_max=st.integers(1, 24),
+    )
+    def test_matches_dense_oracle_everywhere(self, n_theta, n_phi, k, log_n, log_a,
+                                             n_max):
+        config = LayeredCavityConfig(
+            1.5, (Shell(2.5, 10.0**log_a, 10.0**log_n),), k, n_max)
+        assert_matches_oracle(config, build_sphere_grid(n_theta, n_phi, 1.0))
+
+    def test_file_grid_keeps_the_layout(self, matrix, tmp_path):
+        path = tmp_path / "ring.nfem"
+        write_nearfield(matrix, path, BALL.k)
+        back, _ = read_nearfield(path)
+        assert ring_size(back.grid) == 16
+        assert np.array_equal(assemble_nearfield(BALL, back.grid).entries,
+                              matrix.entries)
+
+
+class TestRingLayoutGuard:
+    """A grid whose node a*n_phi + p is not at (theta_a, 2 pi p / n_phi) is
+    refused: the cyclic fill would assemble a wrong matrix for it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(32)))
+    def test_permuted_nodes_rejected(self, order):
+        grid = build_sphere_grid(4, 8, 1.0)
+        order = np.array(order)
+        if np.array_equal(order, np.arange(32)):
+            assert ring_size(permuted(grid, order)) == 8
+            return
+        with pytest.raises(InvalidArgumentError, match="ring layout"):
+            assemble_nearfield(BALL, permuted(grid, order))
+
+    def test_phi_major_order_rejected(self, grid):
+        order = np.arange(grid.n_nodes).reshape(8, 16).T.ravel()
+        with pytest.raises(InvalidArgumentError, match="ring layout"):
+            assemble_nearfield(BALL, permuted(grid, order))
+
+    @pytest.mark.parametrize("phi_1d", [
+        2 * np.pi * np.arange(8) / 8 + 0.1,  # uniform, but not from 0
+        2 * np.pi * (np.arange(8) / 8) ** 1.2,  # from 0, not uniform
+        2 * np.pi * np.arange(8) / 9,  # uniform from 0, one gap left over
+        np.r_[2 * np.pi * np.arange(7) / 8, 2 * np.pi * 7 / 8 + 1e-12],
+    ], ids=["rotated", "stretched", "short_ring", "one_node_off"])
+    def test_non_uniform_phi_rejected(self, phi_1d):
+        theta_1d = np.arccos(np.polynomial.legendre.leggauss(4)[0])
+        grid = grid_at(np.repeat(theta_1d, 8), np.tile(phi_1d, 4))
+        with pytest.raises(InvalidArgumentError, match="ring layout"):
+            assemble_nearfield(BALL, grid)
+
+    def test_uneven_rings_rejected(self):
+        theta_1d = np.arccos(np.polynomial.legendre.leggauss(3)[0])
+        theta = np.r_[np.repeat(theta_1d[:2], 8), np.full(4, theta_1d[2])]
+        phi = np.r_[np.tile(2 * np.pi * np.arange(8) / 8, 2), 2 * np.pi * np.arange(4) / 4]
+        with pytest.raises(InvalidArgumentError, match="ring layout"):
+            assemble_nearfield(BALL, grid_at(theta, phi))
+
+    def test_rebuilt_ring_grid_accepted(self, grid, matrix):
+        # grid_at itself keeps a ring grid in the layout.
+        same = grid_at(grid.theta, grid.phi)
+        assert np.array_equal(assemble_nearfield(BALL, same).entries, matrix.entries)
 
 
 class TestNoise:
