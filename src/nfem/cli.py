@@ -32,6 +32,7 @@ from .errors import (
 )
 from .forward import interface_residual, maxwell_eigenvalue_margin, solve_modes
 from .lsm import (
+    MAX_COORDINATE,
     build_sampling_grid,
     regularized_solve,
     rhs_vector,
@@ -227,6 +228,9 @@ def _probe(args) -> int:
             raise ValueError("need exactly three components")
     except ValueError as exc:
         raise ConfigError(f"--z must be X,Y,Z: {exc}") from exc
+    if not np.all(np.abs(z) < MAX_COORDINATE):
+        raise ConfigError(f"--z must be finite and below {MAX_COORDINATE:g} in magnitude, "
+                          f"got {args.z}")
 
     if np.linalg.norm(z) <= cfg.mask_radius + 1e-9:
         print(f"point {z.tolist()} lies inside the measurement ball "

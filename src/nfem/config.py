@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .forward import LayeredCavityConfig, Shell, data_truncation_order
+from .lsm import MAX_COORDINATE, lattice_shape
 from .specialfun import ORDER_CAP
 
 
@@ -120,6 +121,12 @@ class RunConfig:
             raise ConfigError("lsm.alpha_fixed must be positive")
         if any(self.box[2 * i] >= self.box[2 * i + 1] for i in range(3)):
             raise ConfigError("lsm.box must be six numbers lo hi per axis, lo < hi")
+        try:
+            lattice_shape(self.box, self.spacing)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"lsm.box and lsm.spacing: {exc}") from exc
+        if any(abs(v) >= MAX_COORDINATE for v in self.box):
+            raise ConfigError(f"lsm.box entries must be below {MAX_COORDINATE:g} in magnitude")
         if any(sep in self.prefix for sep in ("/", "\\")):
             raise ConfigError("output.prefix must not contain a path separator")
         bad = [f for f in self.formats if f not in ("csv", "vtk")]

@@ -131,7 +131,6 @@ class ModeCoefficients:
     ``FAMILIES``.  ``reflection[family, n-1]`` is R_n.
     """
 
-    config: LayeredCavityConfig
     table: np.ndarray = field(repr=False)
 
     @property
@@ -227,7 +226,7 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
         raise DegenerateConfigError(
             f"singular transmission system at degree n={n}, family {fam}"
         )
-    return ModeCoefficients(config=config, table=table)
+    return ModeCoefficients(table=table)
 
 
 def source_expansion(

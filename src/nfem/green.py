@@ -53,22 +53,27 @@ def _separation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, r
 
 
+def _green_scalars(r: np.ndarray, k: float):
+    """(Phi'/r, a, b) at separations r, with G(x, z) h = a h + b (d.h) d for
+    d = x - z and r = |d|: a = (i/k)(k^2 Phi + Phi'/r) and
+    b = (i/k)(Phi'' - Phi'/r) / r^2.  The one place Phi and its radial
+    derivatives are formed."""
+    k = check_wavenumber(k)
+    p = np.exp(1j * k * r) / (4 * np.pi * r)
+    f1_r = (1j * k - 1.0 / r) * p / r
+    f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
+    return f1_r, (1j / k) * (k**2 * p + f1_r), (1j / k) * (f2 - f1_r) / r**2
+
+
 def green_apply(x: np.ndarray, z: np.ndarray, h_pol: np.ndarray, k: float) -> np.ndarray:
     """G(x, z) h for broadcast batches of x, z and h, each of shape (..., 3).
 
     G h = (i/k)(k^2 Phi h + grad(grad Phi . h)) in the two-scalar form
-    G h = a h + c d with d = x - z, a = (i/k)(k^2 Phi + Phi'/r) and
-    c = (i/k)(Phi'' - Phi'/r)(d.h)/r^2.
+    G h = a h + b (d.h) d of ``_green_scalars``.
     """
-    k = check_wavenumber(k)
     d, r = _separation(x, z)
-    h = np.asarray(h_pol)
-    p = np.exp(1j * k * r) / (4 * np.pi * r)
-    f1_r = (1j * k - 1.0 / r) * p / r
-    f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
-    a = (1j / k) * (k**2 * p + f1_r)
-    c = (1j / k) * (f2 - f1_r) * np.einsum("...c,...c->...", d, h) / r**2
-    return a[..., None] * h + c[..., None] * d
+    _, a, b = _green_scalars(r, k)
+    return a[..., None] * h_pol + (b * np.einsum("...c,...c->...", d, h_pol))[..., None] * d
 
 
 def incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
@@ -78,8 +83,6 @@ def incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
 
 def curl_incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
     """curl_x of the dipole field, i k grad Phi x p, at x of shape (..., 3)."""
-    k = check_wavenumber(k)
     diff, r = _separation(x, d.location)
-    p = np.exp(1j * k * r) / (4 * np.pi * r)
-    grad = ((1j * k - 1.0 / r) * p / r)[..., None] * diff
-    return 1j * k * np.cross(grad, d.polarization)
+    f1_r, _, _ = _green_scalars(r, k)
+    return 1j * k * np.cross(f1_r[..., None] * diff, d.polarization)

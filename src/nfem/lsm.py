@@ -15,6 +15,7 @@ points inside the measurement ball masked to 0.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, InvalidArgumentError
-from .green import green_apply
+from .green import _green_scalars, _separation, green_apply
 from .measurement import NearFieldMatrix, SphereGrid
 
 # Morozov root bracket relative to sigma_1^2, and the stopping step (or
@@ -34,6 +35,16 @@ ALPHA_MAX_STEPS = 200
 
 _CHUNK = 2048
 
+# Largest sampling lattice a run accepts.  Each point holds about 150 bytes
+# of lattice, image and writer arrays, and the sweep images a few thousand
+# points per second, so the cap means about 1.5 GB and an hour; the
+# reference lattice (226,981 points) is 2% of it.
+MAX_SAMPLING_POINTS = 10_000_000
+
+# Sampling coordinates must stay below this magnitude: from about 1.3e154 on
+# |x - z|^2 leaves the double range and the Green kernel turns to NaN.
+MAX_COORDINATE = 1e150
+
 
 @dataclass(frozen=True)
 class SvdFactorization:
@@ -44,7 +55,6 @@ class SvdFactorization:
     s: np.ndarray
     vh: np.ndarray
     weights2: np.ndarray  # per-column quadrature weight (w_j repeated per tangent)
-    grid: SphereGrid
     k: float | None = None
     uhw: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -65,7 +75,7 @@ def svd_factorize(matrix: NearFieldMatrix, k: float | None = None) -> SvdFactori
     w2 = np.repeat(matrix.grid.weights, 2)
     root = np.sqrt(w2)
     u, s, vh = np.linalg.svd(root[:, None] * matrix.entries * root)
-    return SvdFactorization(u=u, s=s, vh=vh, weights2=w2, grid=matrix.grid, k=k)
+    return SvdFactorization(u=u, s=s, vh=vh, weights2=w2, k=k)
 
 
 def rhs_vector(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> np.ndarray:
@@ -80,11 +90,15 @@ def rhs_matrix(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> 
         raise InvalidArgumentError(
             "sampling point lies on the measurement sphere; rhs is singular"
         )
-    # gz[i, t, :] = G(x_i, z_t) h
-    gz = green_apply(grid.nodes[:, None, :], z[None, :, :], h_pol, k)
+    # b[(i, l), t] = a (e_l.h) + b (d.h)(e_l.d) with d = x_i - z_t: complex
+    # scalars per (i, t) times real projections, no complex 3-vector field.
+    d, r = _separation(grid.nodes[:, None, :], z[None, :, :])
+    _, a, b = _green_scalars(r, k)
     frames = np.stack([grid.e1, grid.e2], axis=1)  # (n, 2, 3)
-    b = np.einsum("ilc,itc->ilt", frames, gz)
-    return b.reshape(-1, z.shape[0])
+    b *= np.einsum("itc,c->it", d, h_pol)
+    out = a[:, None, :] * (frames @ h_pol)[:, :, None]
+    out += b[:, None, :] * np.einsum("ilc,itc->ilt", frames, d)
+    return out.reshape(-1, z.shape[0])
 
 
 @dataclass(frozen=True)
@@ -215,6 +229,23 @@ class SamplingGrid:
         return self.points.shape[0]
 
 
+def lattice_shape(bounds, spacing: float) -> tuple[int, int, int]:
+    """Points per axis of the lattice lo, lo + spacing, ... over each (lo, hi)
+    row of bounds (3, 2), its last point nearest hi.  Raises
+    InvalidArgumentError when the lattice has more than MAX_SAMPLING_POINTS
+    points, before anything that size is allocated."""
+    # Python floats, so a span past the double range is inf without a
+    # warning; an axis past the cap on its own stays a float (floor(inf) raises).
+    steps = [(hi - lo) / float(spacing)
+             for lo, hi in np.reshape(bounds, (3, 2)).tolist()]
+    shape = [math.floor(s + 0.5) + 1 if s < MAX_SAMPLING_POINTS else s + 1 for s in steps]
+    size = math.prod(shape)
+    if not size <= MAX_SAMPLING_POINTS:
+        raise InvalidArgumentError(f"the sampling lattice would have {size:.3g} points, "
+                                   f"above the cap of {MAX_SAMPLING_POINTS:,}")
+    return tuple(shape)
+
+
 def build_sampling_grid(
     bounds, spacing: float, mask_radius: float
 ) -> SamplingGrid:
@@ -227,11 +258,8 @@ def build_sampling_grid(
     if spacing <= 0:
         raise InvalidArgumentError("spacing must be positive")
     bounds = np.asarray(bounds, dtype=float).reshape(3, 2)
-    axes = [
-        lo + spacing * np.arange(int(np.floor((hi - lo) / spacing + 0.5)) + 1)
-        for lo, hi in bounds
-    ]
-    nx, ny, nz = (len(a) for a in axes)
+    shape = lattice_shape(bounds, spacing)
+    axes = [lo + spacing * np.arange(n) for (lo, _), n in zip(bounds, shape)]
     zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     points = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
     active = np.linalg.norm(points, axis=1) > mask_radius + 1e-9
@@ -240,7 +268,7 @@ def build_sampling_grid(
         spacing=float(spacing),
         mask_radius=float(mask_radius),
         points=points,
-        shape=(nx, ny, nz),
+        shape=shape,
         active=active,
     )
 
@@ -287,7 +315,7 @@ def run_imaging(
     chunks = [active_idx[i : i + _CHUNK] for i in range(0, active_idx.size, _CHUNK)]
 
     def work(idx):
-        b = rhs_matrix(grid.points[idx], h_pol, svd.grid, k)
+        b = rhs_matrix(grid.points[idx], h_pol, data.grid, k)
         return idx, regularized_solve(svd, b, h_noise, alpha)
 
     with ThreadPoolExecutor(max_workers=max(1, min(_worker_count(), len(chunks)))) as pool:

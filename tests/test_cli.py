@@ -521,6 +521,38 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("z", ["1.6,0,nan", "inf,0,0", "1e200,0,0"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_probe_refuses_point_out_of_range(self, cfg_path, fast_data, capsys, z):
+        # A non-finite point, or one so far out that |z|^2 overflows, is
+        # refused naming --z, before the Green kernel turns it into NaN.
+        assert main(["probe", "--config", str(cfg_path), "--data", str(fast_data),
+                     "--z", z]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --z ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("box, spacing, message", [
+        ("-1e200 1e200 -3 3 -3 3", "0.5",
+         "lsm.box and lsm.spacing: the sampling lattice would have 6.76e+202 points"),
+        ("-1e6 1e6 -3 3 -3 3", "0.5",
+         "lsm.box and lsm.spacing: the sampling lattice would have 6.76e+08 points"),
+        ("1e200 2e200 1e200 2e200 1e200 2e200", "2e199",
+         "lsm.box entries must be below 1e+150 in magnitude"),
+    ], ids=["huge_span", "large_span", "far_box"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sampling_lattice_refused(self, fast_data, tmp_path, capsys, box, spacing,
+                                      message):
+        # Counted before anything is allocated: no traceback, no MemoryError.
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CONFIG.replace("box = -2 2 -2 2 -2 2", f"box = {box}")
+                       .replace("spacing = 0.5", f"spacing = {spacing}"))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(bad), "--data", str(fast_data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_probe_masked_point(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
@@ -536,10 +568,33 @@ class TestCliWorkflow:
         assert "[forward]" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # Every CLI run pays for what nfem.cli imports; nothing needs a root finder.
+def _package_env(**extra):
+    """The environment, with this package importable in a child interpreter."""
     paths = [str(Path(nfem.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Every CLI run pays for what nfem.cli imports; nothing needs a root finder.
     code = "import sys, nfem.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_package_env()).returncode == 0
+
+
+def test_image_agrees_across_blas_thread_counts(tmp_path):
+    # LAPACK's SVD rounds differently with one and two OpenBLAS threads, so
+    # the image moves in the last bits; it must stay within 1e-12 decades.
+    cfg = tmp_path / "ref.ini"
+    cfg.write_text(FAST_CONFIG.replace("n_theta = 6", "n_theta = 12")
+                   .replace("n_phi = 12", "n_phi = 24"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    logs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-m", "nfem.cli", "reconstruct", "--config", str(cfg),
+                        "--data", str(tmp_path / "fast_noisy.nfem"), "--out", str(out)],
+                       env=_package_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True)
+        logs.append(np.loadtxt(out / "fast_imaging.csv", delimiter=",", skiprows=1,
+                               usecols=4))
+    assert np.max(np.abs(logs[0] - logs[1])) <= 1e-12

@@ -12,9 +12,11 @@ from nfem.errors import DataFormatError, InvalidArgumentError
 from nfem.forward import LayeredCavityConfig, Shell
 from nfem.lsm import (
     ALPHA_LO_FACTOR,
+    MAX_SAMPLING_POINTS,
     SvdFactorization,
     _morozov_root,
     build_sampling_grid,
+    lattice_shape,
     morozov_alpha,
     regularized_solve,
     rhs_matrix,
@@ -289,8 +291,7 @@ class TestRegularizedSolve:
         u = unitary(rank)
         beta = (rng.standard_normal((rank, n_z)) + 1j * rng.standard_normal((rank, n_z)))
         beta *= 10.0 ** rng.uniform(-6, 0, size=(rank, 1))
-        svd = SvdFactorization(u=u, s=s, vh=unitary(rank), weights2=np.ones(rank),
-                               grid=None)
+        svd = SvdFactorization(u=u, s=s, vh=unitary(rank), weights2=np.ones(rank))
         b = u @ beta
         sol = regularized_solve(svd, b, h)
         res, gn = spectral_sums(s, np.abs(beta) ** 2, sol.alpha)
@@ -300,13 +301,15 @@ class TestRegularizedSolve:
 
 class TestRhs:
     def test_matches_green_tensor(self, sphere):
-        z = np.array([1.9, -0.2, 0.6])
-        b = rhs_vector(z, POL, sphere, K)
-        i = 13
-        want1 = sphere.e1[i] @ (green_tensor(sphere.nodes[i], z, K) @ POL)
-        want2 = sphere.e2[i] @ (green_tensor(sphere.nodes[i], z, K) @ POL)
-        assert b[2 * i] == pytest.approx(want1, rel=1e-13)
-        assert b[2 * i + 1] == pytest.approx(want2, rel=1e-13)
+        # Every node against the dense tensor oracle, at z 1e-6 outside node 13
+        # (|z| = rho + 1e-6, one separation 1e-6), off the sphere and at |z| = 40.
+        for z in (sphere.nodes[13] * (1.0 + 1e-6), np.array([1.9, -0.2, 0.6]),
+                  40.0 * np.array([2.0, -1.0, 2.0]) / 3.0):
+            b = rhs_vector(z, POL, sphere, K)
+            gh = green_tensor(sphere.nodes, z, K) @ POL
+            want = np.stack([np.sum(sphere.e1 * gh, axis=1),
+                             np.sum(sphere.e2 * gh, axis=1)], axis=1).ravel()
+            assert np.max(np.abs(b - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_batch_matches_single(self, sphere):
         zs = np.array([[1.9, -0.2, 0.6], [0.4, 0.1, 1.4], [2.5, 2.5, 2.5]])
@@ -374,6 +377,18 @@ class TestSamplingGrid:
     def test_bad_spacing(self):
         with pytest.raises(InvalidArgumentError):
             build_sampling_grid(np.zeros((3, 2)) + [[0, 1]], 0.0, 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lattice_cap(self):
+        # The count is exact at the cap and is taken before any allocation,
+        # also for spans past the double range.
+        at_cap = [[0, 9999], [0, 999], [0, 0]]
+        assert lattice_shape(at_cap, 1.0) == (10000, 1000, 1)
+        assert np.prod(lattice_shape(at_cap, 1.0)) == MAX_SAMPLING_POINTS
+        for bounds in ([[0, 10000], [0, 999], [0, 0]], [[-1e6, 1e6], [-3, 3], [-3, 3]],
+                       [[-1e308, 1e308], [-3, 3], [-3, 3]]):
+            with pytest.raises(InvalidArgumentError, match="cap of 10,000,000"):
+                build_sampling_grid(np.array(bounds), 1.0, 0.5)
 
 
 class TestImagingSweep:
