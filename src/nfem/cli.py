@@ -9,13 +9,16 @@ Subcommands
 Exit codes: 0 success, 2 configuration error (including arguments the
 numerics reject, degenerate transmission systems, and files or directories
 that cannot be read or written), 3 data-format error (including all-zero
-data), 4 selfcheck failure.  A failed run creates no output directory.
+data), 4 selfcheck failure, 141 standard output closed by its reader before
+the run finished printing (its files are written).  A failed run creates no
+output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -56,6 +59,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SELFCHECK = 4
+# What a shell reports for a process that SIGPIPE ended (128 + 13).
+EXIT_PIPE = 141
 
 # Margin below which the wavenumber counts as sitting on a Maxwell
 # eigenvalue of the measurement ball, where the sampling method degenerates.
@@ -156,15 +161,6 @@ def _reconstruct(args) -> int:
         alpha=_fixed_alpha(cfg),
     )
     elapsed = time.perf_counter() - t0
-    active = grid.active
-    lo = float(np.min(field.log_indicator[active]))
-    hi = float(np.max(field.log_indicator[active]))
-    alphas = field.alpha[active]
-    print(f"swept {int(np.sum(active))} active sampling points in {elapsed:.1f} s")
-    print(f"log10 indicator range over active points: [{lo:.3f}, {hi:.3f}]")
-    print(f"alpha ({cfg.alpha_mode}): {int(np.sum(field.flagged))} of "
-          f"{alphas.size} active points flagged; min/median/max "
-          f"{np.min(alphas):.3e} / {np.median(alphas):.3e} / {np.max(alphas):.3e}")
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if "csv" in cfg.formats:
@@ -176,6 +172,17 @@ def _reconstruct(args) -> int:
         vtk_path = out / f"{cfg.prefix}_imaging.vtk"
         write_imaging_vtk(field, vtk_path)
         written.append(vtk_path)
+    # The summary comes after the files, so a reader of stdout that goes
+    # away early loses only these lines.
+    active = grid.active
+    lo = float(np.min(field.log_indicator[active]))
+    hi = float(np.max(field.log_indicator[active]))
+    alphas = field.alpha[active]
+    print(f"swept {int(np.sum(active))} active sampling points in {elapsed:.1f} s")
+    print(f"log10 indicator range over active points: [{lo:.3f}, {hi:.3f}]")
+    print(f"alpha ({cfg.alpha_mode}): {int(np.sum(field.flagged))} of "
+          f"{alphas.size} active points flagged; min/median/max "
+          f"{np.min(alphas):.3e} / {np.median(alphas):.3e} / {np.max(alphas):.3e}")
     for p in written:
         print(f"wrote {p}")
     return EXIT_OK
@@ -296,7 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`nfem ... | head`).  Every file is
+        # written by now; point stdout at devnull so that the flush at exit
+        # does not fail again (the Python docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ConfigError, InvalidArgumentError, DegenerateConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

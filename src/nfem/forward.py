@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DegenerateConfigError, InvalidArgumentError
 from .green import check_wavenumber, incident_field, curl_incident_field, Dipole
@@ -138,24 +137,20 @@ class ModeCoefficients:
         return self.table[0, :, 0]
 
 
-def _trace_pair(family: str, n, kind: int, k_med: float, A: float, r: float):
-    """(tangential E, tangential A curl E) radial factors at radius r, as a
-    complex array of shape (2, *n.shape) for an array of degrees n.
+def _trace_pair(family: str, kind: int, h: np.ndarray, t: float, k_med: float, A: float):
+    """(tangential E, tangential A curl E) radial factors at t = k_med r for
+    degrees 1..n_max, as a complex array of shape (2, n_max).  h holds
+    h_0..h_{n_max}(t); the regular kind (1) takes its real part, j_n.
 
     Common geometric factors shared by both sides of an interface are
     dropped; only ratios across the interface matter.
     """
-    t = k_med * r
-    if kind == 1:
-        z = spherical_jn(n, t)
-        zp = spherical_jn(n, t, derivative=True)
-    else:
-        z = spherical_jn(n, t) + 1j * spherical_yn(n, t)
-        zp = spherical_jn(n, t, derivative=True) + 1j * spherical_yn(
-            n, t, derivative=True
-        )
-    psip = z + t * zp
-    pair = (z, A * psip) if family == "TE" else (psip / k_med, A * k_med * z)
+    z = h if kind == 3 else h.real
+    n = np.arange(1, z.shape[0])
+    zn = z[1:]
+    zp = z[:-1] - (n + 1) * zn / t
+    psip = zn + t * zp
+    pair = (zn, A * psip) if family == "TE" else (psip / k_med, A * k_med * zn)
     return np.array(pair, dtype=complex)
 
 
@@ -190,25 +185,31 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     n_shells = len(config.shells)
     degrees = np.arange(1, config.n_max + 1)
     table = np.zeros((n_shells + 2, len(FAMILIES), 2, config.n_max), dtype=complex)
+    # Region q meets radii q - 1 and q.  One kernel call gives h_n, and with
+    # its real part j_n, at every (region, radius) the sweep visits.
+    visits = [(q, i) for q in range(n_shells + 2) for i in (q - 1, q)
+              if 0 <= i <= n_shells]
+    t = np.array([media[q][0] * radii[i] for q, i in visits])
+    h = sf.spherical_z(config.n_max, 3, t)
     singular = []
     for f, fam in enumerate(FAMILIES):
 
-        def trace(kind, region, r):
-            return _trace_pair(fam, degrees, kind, *media[region], r)
+        def trace(kind, region, i):
+            col = visits.index((region, i))
+            return _trace_pair(fam, kind, h[:, col], t[col], *media[region])
 
         # y_n overflows at high degree, and the inf and NaN it makes spread
         # through the transfer steps into R_n, where the callers report them.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vec = trace(3, -1, radii[-1])
+            vec = trace(3, n_shells + 1, n_shells)
             for s in range(n_shells, 0, -1):
-                r_out, r_in = radii[s], radii[s - 1]
-                ab = _inv2_apply(trace(1, s, r_out), trace(3, s, r_out), vec)
+                ab = _inv2_apply(trace(1, s, s), trace(3, s, s), vec)
                 table[s, f] = ab
-                vec = ab[0] * trace(1, s, r_in) + ab[1] * trace(3, s, r_in)
+                vec = ab[0] * trace(1, s, s - 1) + ab[1] * trace(3, s, s - 1)
             # With vec = x0 t1 + x1 t3, R_n = x0 / x1 and gamma_n = 1 / x1.
             # x1 is det over the Wronskian of (t1, t3), so the wall system is
             # singular where det vanishes.
-            t1 = trace(1, 0, radii[0])
+            t1 = trace(1, 0, 0)
             det = t1[0] * vec[1] - vec[0] * t1[1]
             scale = np.maximum(np.abs(t1).max(axis=0), 1e-300) * np.maximum(
                 np.abs(vec).max(axis=0), 1e-300
@@ -216,7 +217,7 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
             bad = degrees[np.abs(det) < scale / COND_LIMIT]
             if bad.size:
                 singular.append((bad[0], f, fam))
-            x = _inv2_apply(t1, trace(3, 0, radii[0]), vec)
+            x = _inv2_apply(t1, trace(3, 0, 0), vec)
             table[0, f, 0] = x[0] / x[1]
             table[-1, f, 1] = 1 / x[1]
             table[1:-1, f] *= table[-1, f, 1]

@@ -27,11 +27,12 @@ curl N = k M, and both families are divergence free.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .errors import InvalidArgumentError, SingularPointError
 
-# Upward recurrence of y_n overflows silently well before this; keep a hard cap.
+# Largest wavefunction degree.  `spherical_z` matches mpmath to 1e-13 up to
+# this degree for t up to 250; y_n of this degree leaves the double range
+# below t of about 4.3, and is then -inf.
 ORDER_CAP = 200
 
 
@@ -89,31 +90,95 @@ def _legendre_table(cos_t: np.ndarray, sin_t: np.ndarray, n_max: int) -> np.ndar
     return table
 
 
+def spherical_z(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
+    """z_n(t) for n = 0..n_max at every t > 0, shape (n_max + 1, t.size):
+    j_n for kind 1, real, and h_n^(1) = j_n + i y_n for kind 3, complex.
+
+    Both satisfy z_{n+1} = (2n+1)/t z_n - z_{n-1}.  y_n takes it upward from
+    y_0 = -cos t/t and y_1, the direction in which it dominates; where it
+    leaves the double range it is -inf.  j_n takes it upward from
+    j_0 = sin t/t and j_1 up to degree floor(t), where it is not yet the
+    minimal solution, and beyond that degree by the ratios j_n/j_{n-1} of
+    the downward recurrence (Miller's method in ratio form, as in multilayer
+    Mie codes: Wiscombe, Appl. Opt. 19, 1505, 1980).  The ratios lie in
+    (0, 1) there, so nothing overflows on the way down, and j_n underflows
+    gradually to 0.  The downward start lies 16 + 6 m^(1/3) degrees above
+    n_max, m the largest floor(t) up to n_max; 12 + 6 m^(1/3) already gives
+    ratios within 5e-16 of mpmath's for every t up to n_max + 1 and n_max
+    up to ORDER_CAP.
+    """
+    t = np.asarray(t, dtype=float)
+    # fmin skips a NaN argument, which then stays NaN without a warning.
+    last = np.fmin(np.floor(t), n_max)
+    m = int(np.max(last, initial=0.0))
+    top = n_max + int(6 * np.cbrt(m)) + 16
+    # Rows j_n and, for kind 3, y_n, from z_0 = a/t and z_1 = (z_0 - b)/t.
+    # j_n is needed upward only to degree m; y_n may overflow on the way.
+    up = np.zeros((1 + (kind == 3), n_max + 1, t.size))
+    n_up = n_max if kind == 3 else m
+    ratio = np.ones((n_max + 1, t.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coef = np.arange(1, 2 * top + 2, 2)[:, None] / t
+        s, c = np.sin(t), np.cos(t)
+        for row, (a, b) in zip(up, [(s, c), (-c, s)]):
+            row[0] = a / t
+            if n_max:
+                row[1] = (row[0] - b) / t
+        for n in range(1, n_up):
+            np.multiply(coef[n], up[:, n], out=up[:, n + 1])
+            up[:, n + 1] -= up[:, n - 1]
+        r = np.zeros_like(t)
+        for n in range(top, 0, -1):
+            r = np.divide(1.0, coef[n] - r, out=ratio[n] if n <= n_max else None)
+    anchor = last.astype(int)
+    down = np.arange(n_max + 1)[:, None] > anchor
+    ratio[~down] = 1.0
+    j = np.where(down, np.cumprod(ratio, axis=0) * up[0, anchor, np.arange(t.size)],
+                 up[0])
+    if kind == 1:
+        return j
+    y = up[1]
+    y[np.isnan(y)] = -np.inf  # -inf - (-inf) after the overflow
+    h = np.empty(j.shape, dtype=complex)
+    h.real, h.imag = j, y
+    return h
+
+
 def _radial_table(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
     """z_n(t), z_n(t)/t and psi_n'(t)/t for n = 1..n_max, shape (3, n_max, points).
 
-    psi_n'/t = z_{n-1} - n z_n/t, the recurrence scipy's derivative uses.
-    The regular kind takes its t -> 0 limit below t = 1e-6, where
-    z_n/t = t^(n-1)/(2n+1)!!; the radiating kind is singular there.
+    z_n comes from `spherical_z`, and psi_n'/t = z_{n-1} - n z_n/t.  Real and
+    imaginary parts are formed apart, so an overflowed y_n = -inf stays a
+    clean infinity (psi_n'/t = +inf, its leading term) instead of turning
+    complex arithmetic into NaN.  The regular kind takes its t -> 0 limit
+    below t = 1e-6, where z_n/t = t^(n-1)/(2n+1)!!; the radiating kind is
+    singular there.
     """
     out = np.empty((3, n_max, t.size), dtype=float if kind == 1 else complex)
     n = np.arange(n_max + 1)[:, None]
     small = t < 1e-6
+    if kind == 3 and np.any(small):
+        raise SingularPointError("radiating wavefunction evaluated at the origin")
+    # Every column goes through the kernel; those below 1e-6 are then
+    # overwritten by the series.
+    t_k = np.where(small, 1.0, t)
+    z = spherical_z(n_max + 1, kind, t_k)
+    deg = n[1:]
+    for part, dest in ((z.real, out.real), (z.imag, out.imag))[: 1 + (kind == 3)]:
+        z_n = part[1:-1]
+        dest[0] = z_n
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_t = np.divide(z_n, t_k, out=dest[1])
+            # A subnormal j_n has lost digits that j_n/t may need back; its
+            # neighbours, of one sign there, give (j_{n-1} + j_{n+1})/(2n+1).
+            sub = np.abs(z_n) < np.finfo(float).tiny
+            z_t[sub] = ((part[:-2] + part[2:]) / (2 * deg + 1))[sub]
+            dest[2] = np.where(np.isinf(z_n), -z_n, part[:-2] - deg * z_t)
     if np.any(small):
-        if kind == 3:
-            raise SingularPointError("radiating wavefunction evaluated at the origin")
         ts = t[small]
         steps = np.vstack([np.full_like(ts, 1.0 / 3.0), ts / (2 * n[2:] + 1)])
         w = np.cumprod(steps, axis=0)
         out[:, :, small] = [ts * w, w, (n[1:] + 1) * w]
-    big = ~small
-    tb = t[big]
-    z = spherical_jn(n, tb)
-    if kind == 3:
-        z = z + 1j * spherical_yn(n, tb)
-    out[0][:, big] = z[1:]
-    out[1][:, big] = z[1:] / tb
-    out[2][:, big] = z[:-1] - n[1:] * out[1][:, big]
     return out
 
 

@@ -3,6 +3,7 @@ and vector spherical wavefunctions checked against independent oracles."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln, lpmv, spherical_jn, spherical_yn
@@ -22,6 +23,27 @@ def series_spherical_jn(n: int, t: float, terms: int = 60) -> float:
         total += term / dfact
         term *= -t * t / 2.0 / (m + 1)
     return t**n * total
+
+
+def mp_spherical_bessel(n_max: int, t: float) -> tuple[list, list]:
+    """j_n(t) and y_n(t) for n = 0..n_max as mpmath numbers at 60 digits:
+    y_n by its upward recurrence from y_0 = -cos t/t, j_n by Miller's
+    downward recurrence from far above n_max and t, normalized on the larger
+    of j_0 = sin t/t and j_1.  mpmath's exponent range holds every value."""
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        s, c = mp.sin(t), mp.cos(t)
+        y = [-c / t, -c / t**2 - s / t]
+        for n in range(1, n_max):
+            y.append((2 * n + 1) / t * y[n] - y[n - 1])
+        top = n_max + int(t) + 40 + int(20 * mp.cbrt(t + 1))
+        f = [mp.mpf(0)] * (top + 2)
+        f[top] = mp.mpf(1)
+        for n in range(top, 0, -1):
+            f[n - 1] = (2 * n + 1) / t * f[n] - f[n + 1]
+        j0, j1 = s / t, s / t**2 - c / t
+        scale = j0 / f[0] if abs(j0) > abs(j1) else j1 / f[1]
+        return [+(v * scale) for v in f[: n_max + 1]], [+v for v in y[: n_max + 1]]
 
 
 def radial(n_max: int, kind: int, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +109,101 @@ class TestRadial:
     def test_order_cap(self):
         with pytest.raises(InvalidArgumentError):
             sf.vswf_fields(np.ones((1, 3)), 1.0, sf.ORDER_CAP + 1, 1)
+
+
+# A log grid over the arguments the kernel promises to cover.
+KERNEL_T = np.geomspace(1e-6, 250.0, 97)
+
+
+def _mp_doubles(rows) -> np.ndarray:
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+@pytest.fixture(scope="module")
+def mp_radial():
+    """mpmath's z_n, z_n/t and psi_n'/t on KERNEL_T up to ORDER_CAP, for
+    z = j and z = y, each formed at 60 digits and rounded once; with the
+    moduli |h_n|, |h_n|/t and |h_{n-1} - n h_n/t| of the same three."""
+    n_cap = sf.ORDER_CAP
+    values = {"j": [[], [], []], "y": [[], [], []]}
+    moduli = [[], [], []]
+    for t in KERNEL_T:
+        j, y = mp_spherical_bessel(n_cap, t)
+        with mp.workdps(60):
+            t = mp.mpf(t)
+            for name, z in (("j", j), ("y", y)):
+                rows = values[name]
+                rows[0].append(z)
+                rows[1].append([z[n] / t for n in range(1, n_cap + 1)])
+                rows[2].append([z[n - 1] - n * z[n] / t for n in range(1, n_cap + 1)])
+            h = [mp.mpc(a, b) for a, b in zip(j, y)]
+            moduli[0].append([abs(v) for v in h])
+            moduli[1].append([abs(h[n]) / t for n in range(1, n_cap + 1)])
+            moduli[2].append([abs(h[n - 1] - n * h[n] / t) for n in range(1, n_cap + 1)])
+    values = {name: [_mp_doubles(r).T for r in rows] for name, rows in values.items()}
+    return values, [_mp_doubles(r).T for r in moduli]
+
+
+def assert_matches_mpmath(got, want, modulus, z_n, first_degree):
+    """got against mpmath's want, rows of degree first_degree.. over KERNEL_T.
+
+    Below degree t none of j_n, y_n, psi_n' and chi_n' has a zero (the first
+    lies above n + 1/2), so the error is taken relative to the value.  From
+    t = n on they oscillate, and near a zero any value formed in double
+    precision is off by a few ulps of the modulus, so there the scale is the
+    larger of the value and the modulus.  Where mpmath puts the value, or the
+    z_n it is formed from, outside the double range, got must be the
+    infinity of the value's sign; nowhere may it be NaN.
+    """
+    degree = np.arange(first_degree, first_degree + len(want))[:, None]
+    assert not np.any(np.isnan(got))
+    finite = np.isfinite(want) & np.isfinite(z_n)
+    assert np.all(np.isfinite(got[finite]))
+    assert np.array_equal(got[~finite], np.copysign(np.inf, want[~finite]))
+    normal = finite & (np.abs(want) >= np.finfo(float).tiny)
+    scale = np.where(KERNEL_T >= degree, np.maximum(np.abs(want), modulus), np.abs(want))
+    err = np.abs(got[normal] - want[normal]) / scale[normal]
+    assert np.max(err) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRadialKernel:
+    """spherical_z and the radial table against mpmath, at every degree up to
+    ORDER_CAP and t from 1e-6 to 250, without a numpy warning."""
+
+    def test_oracle_matches_mpmath_bessel(self):
+        # The recurrence oracle against mpmath's Bessel functions of
+        # half-integer order, including a deep underflow and a zero of j_0.
+        for n, t in [(0, 3.141592653589793), (1, 4.4934094579), (37, 40.1),
+                     (150, 120.0), (200, 1e-6), (200, 250.0)]:
+            j, y = mp_spherical_bessel(200, t)
+            with mp.workdps(60):
+                pre = mp.sqrt(mp.pi / (2 * mp.mpf(t)))
+                want_j = pre * mp.besselj(n + mp.mpf(1) / 2, t)
+                want_y = pre * mp.bessely(n + mp.mpf(1) / 2, t)
+                assert abs(j[n] - want_j) <= mp.mpf(10) ** -45 * abs(want_j)
+                assert abs(y[n] - want_y) <= mp.mpf(10) ** -45 * abs(want_y)
+
+    def test_kernel_matches_mpmath(self, mp_radial):
+        values, moduli = mp_radial
+        h = sf.spherical_z(sf.ORDER_CAP, 3, KERNEL_T)
+        assert np.array_equal(sf.spherical_z(sf.ORDER_CAP, 1, KERNEL_T), h.real)
+        assert_matches_mpmath(h.real, values["j"][0], moduli[0], values["j"][0], 0)
+        assert_matches_mpmath(h.imag, values["y"][0], moduli[0], values["y"][0], 0)
+
+    @pytest.mark.parametrize("kind", [1, 3])
+    def test_radial_table_matches_mpmath(self, mp_radial, kind):
+        # z_n, z_n/t and psi_n'/t: the real part from j_n, the imaginary part
+        # of the radiating kind from y_n.
+        values, moduli = mp_radial
+        table = sf._radial_table(sf.ORDER_CAP, kind, KERNEL_T)
+        parts = [("j", table.real)] + ([("y", table.imag)] if kind == 3 else [])
+        for name, got in parts:
+            z_n = values[name][0][1:]
+            for row in range(3):
+                want = z_n if row == 0 else values[name][row]
+                modulus = moduli[row][1:] if row == 0 else moduli[row]
+                assert_matches_mpmath(got[row], want, modulus, z_n, 1)
 
 
 def legendre_recurrence(n_max: int, m: int, x: float) -> list[float]:
