@@ -293,10 +293,11 @@ def _region_field(
         coef = coeffs.table[region, :, col]
         if not np.any(coef):
             continue
-        m_f, n_f = sf.vswf_fields(points, k_med, config.n_max, kind)
-        # Degrees whose coefficients overflowed make the fields NaN, which
-        # the callers report; the warnings on the way say nothing more.
+        # Degrees past y_n's overflow, or whose coefficients overflowed, make
+        # the fields NaN, which the callers report; the warnings on the way
+        # say nothing more.
         with np.errstate(over="ignore", invalid="ignore"):
+            m_f, n_f = sf.vswf_fields(points, k_med, config.n_max, kind)
             w = coef[:, deg - 1] * c
             e += np.einsum("q,qij->ij", w[0], m_f) + np.einsum("q,qij->ij", w[1], n_f)
             # curl M = k N, curl N = k M

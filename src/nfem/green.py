@@ -47,33 +47,50 @@ def check_wavenumber(k: float) -> float:
 
 def _separation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r < MIN_SEPARATION):
-        raise SingularPointError("evaluation point coincides with the source point")
-    return d, r
+    return d, np.linalg.norm(d, axis=-1)
+
+
+def _times(p_re, p_im, x, y):
+    """Real and imaginary planes of (p_re + i p_im)(x + i y)."""
+    return p_re * x - p_im * y, p_re * y + p_im * x
 
 
 def _green_scalars(r: np.ndarray, k: float):
-    """(Phi'/r, a, b) at separations r, with G(x, z) h = a h + b (d.h) d for
-    d = x - z and r = |d|: a = (i/k)(k^2 Phi + Phi'/r) and
-    b = (i/k)(Phi'' - Phi'/r) / r^2.  The one place Phi and its radial
-    derivatives are formed."""
+    """u = 1/r and the real and imaginary planes of p = Phi(r), a and b at
+    separations r, with G(x, z) h = a h + b (rhat.h) rhat for rhat = d/r,
+    d = x - z: a = (i/k)(k^2 Phi + Phi'/r) = p(-u + i(k - u^2/k)) and
+    b = (i/k)(Phi'' - Phi'/r) = p(3u + i(3u^2/k - k)).  The one place Phi is
+    formed, and the one home of the MIN_SEPARATION guard.  No complex array
+    and no 1/r^2 factor: b/r^2 underflows past |d| of about 1e102, while b
+    and the dyadic term stay in range out to the coordinate cap of 1e150."""
     k = check_wavenumber(k)
-    p = np.exp(1j * k * r) / (4 * np.pi * r)
-    f1_r = (1j * k - 1.0 / r) * p / r
-    f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
-    return f1_r, (1j / k) * (k**2 * p + f1_r), (1j / k) * (f2 - f1_r) / r**2
+    if np.any(r < MIN_SEPARATION):
+        raise SingularPointError("evaluation point coincides with the source point")
+    u = np.reciprocal(r)
+    kr = r * k
+    q = u * (1 / (4 * np.pi))
+    p_re = np.cos(kr)
+    p_re *= q
+    p_im = np.sin(kr)
+    p_im *= q
+    t = u * u
+    t *= 1 / k
+    a = _times(p_re, p_im, -u, k - t)
+    b = _times(p_re, p_im, 3 * u, 3 * t - k)
+    return u, (p_re, p_im), a, b
 
 
 def green_apply(x: np.ndarray, z: np.ndarray, h_pol: np.ndarray, k: float) -> np.ndarray:
     """G(x, z) h for broadcast batches of x, z and h, each of shape (..., 3).
 
     G h = (i/k)(k^2 Phi h + grad(grad Phi . h)) in the two-scalar form
-    G h = a h + b (d.h) d of ``_green_scalars``.
+    G h = a h + b (rhat.h) rhat of ``_green_scalars``.
     """
     d, r = _separation(x, z)
-    _, a, b = _green_scalars(r, k)
-    return a[..., None] * h_pol + (b * np.einsum("...c,...c->...", d, h_pol))[..., None] * d
+    u, _, (a_re, a_im), (b_re, b_im) = _green_scalars(r, k)
+    rhat = d * u[..., None]
+    a, b = a_re + 1j * a_im, b_re + 1j * b_im
+    return a[..., None] * h_pol + (b * np.einsum("...c,...c->...", rhat, h_pol))[..., None] * rhat
 
 
 def incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
@@ -82,7 +99,9 @@ def incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
 
 
 def curl_incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
-    """curl_x of the dipole field, i k grad Phi x p, at x of shape (..., 3)."""
+    """curl_x of the dipole field, i k grad Phi x p = i k Phi' (rhat x p), at x
+    of shape (..., 3)."""
     diff, r = _separation(x, d.location)
-    f1_r, _, _ = _green_scalars(r, k)
-    return 1j * k * np.cross(f1_r[..., None] * diff, d.polarization)
+    u, (p_re, p_im), _, _ = _green_scalars(r, k)
+    phi1 = (p_re + 1j * p_im) * (1j * k - u)  # Phi'(r)
+    return 1j * k * np.cross(phi1[..., None] * (diff * u[..., None]), d.polarization)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, InvalidArgumentError
-from .green import _green_scalars, _separation, green_apply
+from .green import _green_scalars, green_apply
 from .measurement import NearFieldMatrix, SphereGrid
 
 # Morozov root bracket relative to sigma_1^2, and the stopping step (or
@@ -32,8 +32,11 @@ from .measurement import NearFieldMatrix, SphereGrid
 ALPHA_LO_FACTOR = 1e-14
 ALPHA_LOG10_TOL = 1e-8
 ALPHA_MAX_STEPS = 200
+# A Morozov row whose discrepancy misses h sigma_1 ||g~|| by more than this
+# fraction of itself is flagged.
+MOROZOV_RTOL = 1e-6
 
-_CHUNK = 2048
+_CHUNK = 512
 
 # Largest sampling lattice a run accepts.  Each point holds about 150 bytes
 # of lattice, image and writer arrays, and the sweep images a few thousand
@@ -84,21 +87,39 @@ def rhs_vector(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> 
 
 
 def rhs_matrix(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> np.ndarray:
-    """Right-hand sides for a batch of sampling points, shape (2n, n_z)."""
+    """Right-hand sides for a batch of sampling points, shape (2n, n_z).
+
+    b[(i, l), t] = a (e_l.h) + b (rhat.h)(e_l.rhat) with rhat = d/r and
+    d = x_i - z_t, in real arithmetic on (n_z, n) planes: each entry is
+    written once into a row-major (n_z, n, 2) array, returned transposed, so
+    a column's bits do not depend on the batch it is in.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if np.any(np.abs(np.linalg.norm(z, axis=1) - grid.radius) <= 1e-9):
         raise InvalidArgumentError(
             "sampling point lies on the measurement sphere; rhs is singular"
         )
-    # b[(i, l), t] = a (e_l.h) + b (d.h)(e_l.d) with d = x_i - z_t: complex
-    # scalars per (i, t) times real projections, no complex 3-vector field.
-    d, r = _separation(grid.nodes[:, None, :], z[None, :, :])
-    _, a, b = _green_scalars(r, k)
-    frames = np.stack([grid.e1, grid.e2], axis=1)  # (n, 2, 3)
-    b *= np.einsum("itc,c->it", d, h_pol)
-    out = a[:, None, :] * (frames @ h_pol)[:, :, None]
-    out += b[:, None, :] * np.einsum("ilc,itc->ilt", frames, d)
-    return out.reshape(-1, z.shape[0])
+    # d = x_i - z_t as three real (n_z, n) planes, then r and rhat from them.
+    d = np.ascontiguousarray(grid.nodes.T)[:, None, :] - z.T[:, :, None]
+    r = d[0] * d[0]
+    r += d[1] * d[1]
+    r += d[2] * d[2]
+    u, _, (a_re, a_im), (b_re, b_im) = _green_scalars(np.sqrt(r, out=r), k)
+    d *= u
+    rh = h_pol[0] * d[0] + h_pol[1] * d[1] + h_pol[2] * d[2]
+    b_re *= rh
+    b_im *= rh
+    out = np.empty((z.shape[0], grid.n_nodes, 2), dtype=complex)
+    parts = out.view(float)  # (n_z, n, 4): re and im of l = 0, then of l = 1
+    for l, e in enumerate((grid.e1, grid.e2)):
+        eh = e @ h_pol
+        e = np.ascontiguousarray(e.T)
+        ed = np.multiply(e[0], d[0], out=rh)  # b already holds rh
+        ed += e[1] * d[1]
+        ed += e[2] * d[2]
+        np.add(a_re * eh, b_re * ed, out=parts[..., 2 * l])
+        np.add(a_im * eh, b_im * ed, out=parts[..., 2 * l + 1])
+    return out.reshape(z.shape[0], -1).T
 
 
 @dataclass(frozen=True)
@@ -106,7 +127,7 @@ class RegularizedBatch:
     """Regularized solves of a batch of right-hand sides, one entry per column."""
 
     alpha: np.ndarray
-    flagged: np.ndarray  # Morozov root clamped to a bracket end or unconverged
+    flagged: np.ndarray  # Morozov root clamped, unconverged or off its equation
     discrepancy: np.ndarray  # weighted residual ||A~ g~ - b~||
     g_norm: np.ndarray  # weighted density norm ||g~||
     g: np.ndarray | None = None  # densities, shape (2n, n_z), on request
@@ -172,7 +193,8 @@ def regularized_solve(
 ) -> RegularizedBatch:
     """Tikhonov solves g~ = sum_i s_i/(s_i^2 + alpha) (u_i^H b~) v_i, g = W^-1/2 g~,
     for the columns of b (2n, n_z): alpha as given, or else per column the
-    root of Morozov's ||A~ g~ - b~|| = h ||A~|| ||g~|| with h = h_noise.  A
+    root of Morozov's ||A~ g~ - b~|| = h ||A~|| ||g~|| with h = h_noise,
+    flagged where it misses that equation by more than MOROZOV_RTOL.  A
     column's results depend on it alone, so a batch of one gives the same
     bits as that column in any batch.  A zero or non-finite ||g~|| raises.
     """
@@ -194,11 +216,15 @@ def regularized_solve(
     if not np.all(np.isfinite(g_norm) & (g_norm > 0)):
         cause = "the Morozov root" if alpha is None else f"lsm.alpha_fixed = {alpha:g}"
         raise InvalidArgumentError(f"{cause} leaves a density norm zero or not finite")
+    discrepancy = a * np.sqrt(r)
+    if alpha is None:
+        flagged |= (np.abs(discrepancy - h_noise * svd.s[0] * g_norm)
+                    > MOROZOV_RTOL * discrepancy)
     g = None
     if want_g:
         x = beta * (svd.s / (s2 + a[:, None]))
         g = (_matmul_rows(x, svd.vh.conj()) / np.sqrt(svd.weights2)).T
-    return RegularizedBatch(a, flagged, a * np.sqrt(r), g_norm, g)
+    return RegularizedBatch(a, flagged, discrepancy, g_norm, g)
 
 
 def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:

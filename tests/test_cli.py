@@ -365,6 +365,33 @@ class TestCliWorkflow:
             assert list(out.glob("*.nfem")) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simulate_at_order_cap_is_one_error_line(self, tmp_path, capsys):
+        # At n_max = 200, y_n overflows inside vswf_fields on the way to the
+        # interface residual: still one error line and exit 3, no warning.
+        bad = tmp_path / "cap.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 200"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.glob("*.nfem")) == []
+
+    @pytest.mark.parametrize("n_max, step", [(197, "+3"), (200, None)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_selfcheck_convergence_stays_below_cap(self, tmp_path, capsys, n_max, step):
+        # The reference order is n_max + 5 clipped to the cap; at the cap
+        # there is none, which is a FAIL line naming the cap, never an error
+        # about an order the user did not set.
+        cfg = tmp_path / "cap.ini"
+        cfg.write_text(FAST_CONFIG.replace("k = 0.75", f"k = 0.75\nn_max = {n_max}"))
+        assert main(["selfcheck", "--config", str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        line = next(l for l in out.splitlines() if "series convergence" in l)
+        assert line.startswith("[FAIL]")
+        assert (f"order {step}" in line) if step else ("cap" in line and "200" in line)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_selfcheck_overflow_fails(self, tmp_path):
         bad = tmp_path / "nan.ini"
         bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 90"))

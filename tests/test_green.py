@@ -7,6 +7,7 @@ import pytest
 from nfem.errors import InvalidArgumentError, SingularPointError
 from nfem.green import (
     Dipole,
+    _green_scalars,
     _separation,
     check_wavenumber,
     curl_incident_field,
@@ -67,6 +68,16 @@ def green_tensor(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
     return (1j / k) * (k**2 * p * eye + hess)
 
 
+def complex_green_scalars(r: np.ndarray, k: float):
+    """(Phi, Phi', a, b) of G h = a h + b (rhat.h) rhat in complex arithmetic:
+    a = (i/k)(k^2 Phi + Phi'/r) and b = (i/k)(Phi'' - Phi'/r), from Phi and
+    its radial derivatives as the kernel formed them before its real form."""
+    p = np.exp(1j * k * r) / (4 * np.pi * r)
+    f1_r = (1j * k - 1.0 / r) * p / r
+    f2 = ((1j * k - 1.0 / r) ** 2 + 1.0 / r**2) * p
+    return p, f1_r * r, (1j / k) * (k**2 * p + f1_r), (1j / k) * (f2 - f1_r)
+
+
 def green_matrix(x, y, k):
     """G(x, y) as a 3 x 3 matrix, one column G e_j per call of green_apply."""
     return green_apply(x, y, np.eye(3), k).T
@@ -112,6 +123,19 @@ class TestPhi:
                 curl_incident_field(X, Dipole(Y, P), bad)
 
 
+class TestGreenScalars:
+    @pytest.mark.parametrize("k", [1e-3, 0.3, K, 5.0, 100.0])
+    def test_real_form_matches_complex_oracle(self, k):
+        r = np.logspace(-6, 3, 4001)
+        u, p, a, b = _green_scalars(r, k)
+        want_p, want_phi1, want_a, want_b = complex_green_scalars(r, k)
+        assert np.array_equal(u, 1 / r)
+        for (re, im), want in ((p, want_p), (a, want_a), (b, want_b)):
+            assert np.max(np.abs(re + 1j * im - want) / np.abs(want)) <= 1e-15
+        phi1 = (p[0] + 1j * p[1]) * (1j * k - u)
+        assert np.max(np.abs(phi1 - want_phi1) / np.abs(want_phi1)) <= 1e-15
+
+
 class TestGreenTensor:
     def test_symmetry_in_arguments(self):
         # G(x, y) = G(y, x)^T, and here G is itself complex-symmetric.
@@ -147,10 +171,13 @@ class TestGreenTensor:
         assert ratio == pytest.approx(0.5, rel=0.02)
 
     def test_green_apply_matches_tensor(self):
+        # Near and at |y| = 1e149, where b/r^2 would underflow and drop the
+        # (rhat.h) rhat term.
         pts = np.array([X, X + 0.3, X - 0.2])
-        got = green_apply(pts, Y, P, K)
-        want = np.array([green_tensor(x, Y, K) @ P for x in pts])
-        assert np.allclose(got, want, rtol=1e-14)
+        for y in (Y, 1e149 * np.array([2.0, -1.0, 2.0]) / 3.0):
+            got = green_apply(pts, y, P, K)
+            want = np.array([green_tensor(x, y, K) @ P for x in pts])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestDipoleField:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nfem import lsm
 from nfem.errors import DataFormatError, InvalidArgumentError
 from nfem.forward import LayeredCavityConfig, Shell
+from nfem.green import green_apply
 from nfem.lsm import (
     ALPHA_LO_FACTOR,
     MAX_SAMPLING_POINTS,
@@ -247,6 +249,20 @@ class TestRegularizedSolve:
                 for name in ("alpha", "flagged", "discrepancy", "g_norm"):
                     assert getattr(one, name)[0] == getattr(batch, name)[j]
 
+    def test_root_off_its_equation_is_flagged(self, svd, chunk_rhs, monkeypatch):
+        # A root finder that reports unflagged roots a factor 2 off: every
+        # such row misses the discrepancy equation and must come out flagged.
+        # The true roots pass the same check unflagged.
+        b = chunk_rhs[:, :64]
+        good = regularized_solve(svd, b, 0.02)
+        assert not np.any(good.flagged)
+        miss = good.alpha * np.where(np.arange(64) % 2, 2.0, 1.0)
+        monkeypatch.setattr(lsm, "_morozov_root",
+                            lambda s2, beta2, h: (miss.copy(), np.zeros(64, bool)))
+        bad = regularized_solve(svd, b, 0.02)
+        assert np.array_equal(bad.flagged, np.arange(64) % 2 == 1)
+        assert np.array_equal(bad.alpha, miss)
+
     def test_fixed_alpha_matches_tikhonov(self, svd, chunk_rhs):
         b = chunk_rhs[:, :3]
         batch = regularized_solve(svd, b, alpha=1e-4, want_g=True)
@@ -302,20 +318,39 @@ class TestRegularizedSolve:
 class TestRhs:
     def test_matches_green_tensor(self, sphere):
         # Every node against the dense tensor oracle, at z 1e-6 outside node 13
-        # (|z| = rho + 1e-6, one separation 1e-6), off the sphere and at |z| = 40.
+        # (|z| = rho + 1e-6, one separation 1e-6), off the sphere, at |z| = 40
+        # and at |z| = 1e149, where the kernel must stay finite and keep its
+        # dyadic term, as green_apply does.
+        direction = np.array([2.0, -1.0, 2.0]) / 3.0
         for z in (sphere.nodes[13] * (1.0 + 1e-6), np.array([1.9, -0.2, 0.6]),
-                  40.0 * np.array([2.0, -1.0, 2.0]) / 3.0):
+                  40.0 * direction, 1e149 * direction):
             b = rhs_vector(z, POL, sphere, K)
             gh = green_tensor(sphere.nodes, z, K) @ POL
             want = np.stack([np.sum(sphere.e1 * gh, axis=1),
                              np.sum(sphere.e2 * gh, axis=1)], axis=1).ravel()
+            assert np.all(np.isfinite(b))
             assert np.max(np.abs(b - want)) <= 1e-13 * np.max(np.abs(want))
+            gh = green_apply(sphere.nodes, z, POL, K)
+            applied = np.stack([np.sum(sphere.e1 * gh, axis=1),
+                                np.sum(sphere.e2 * gh, axis=1)], axis=1).ravel()
+            assert np.max(np.abs(b - applied)) <= 1e-14 * np.max(np.abs(applied))
 
     def test_batch_matches_single(self, sphere):
         zs = np.array([[1.9, -0.2, 0.6], [0.4, 0.1, 1.4], [2.5, 2.5, 2.5]])
         batch = rhs_matrix(zs, POL, sphere, K)
         for t, z in enumerate(zs):
-            assert np.allclose(batch[:, t], rhs_vector(z, POL, sphere, K), rtol=1e-14)
+            assert np.array_equal(batch[:, t], rhs_vector(z, POL, sphere, K))
+
+    def test_column_bits_independent_of_batch_size(self, sphere):
+        # One point's column is the same in batches of 1, 7 and 512 (the
+        # sweep's chunk), wherever it sits in the batch.
+        rng = np.random.default_rng(5)
+        zs = rng.standard_normal((512, 3))
+        zs *= (rng.uniform(1.05, 4.0, 512) / np.linalg.norm(zs, axis=1))[:, None]
+        want = rhs_vector(zs[6], POL, sphere, K)
+        assert np.array_equal(rhs_matrix(zs[:7], POL, sphere, K)[:, 6], want)
+        assert np.array_equal(rhs_matrix(zs, POL, sphere, K)[:, 6], want)
+        assert rhs_matrix(zs, POL, sphere, K).flags.f_contiguous
 
     def test_linearity_in_polarization(self, sphere):
         z = np.array([1.2, 1.2, 0.0])
