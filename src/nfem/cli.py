@@ -9,9 +9,9 @@ Subcommands
 Exit codes: 0 success, 2 configuration error (including arguments the
 numerics reject, degenerate transmission systems, and files or directories
 that cannot be read or written), 3 data-format error (including all-zero
-data), 4 selfcheck failure, 141 standard output closed by its reader before
-the run finished printing (its files are written).  A failed run creates no
-output directory.
+data), 4 an invariant check failed (`selfcheck`, or `simulate` before
+writing), 141 standard output closed by its reader before the run finished
+printing (its files are written).  A failed run creates no output directory.
 """
 
 from __future__ import annotations
@@ -59,13 +59,19 @@ from .specialfun import ORDER_CAP
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_SELFCHECK = 4
+EXIT_INVARIANT = 4
 # What a shell reports for a process that SIGPIPE ended (128 + 13).
 EXIT_PIPE = 141
 
 # Margin below which the wavenumber counts as sitting on a Maxwell
 # eigenvalue of the measurement ball, where the sampling method degenerates.
 MARGIN_FLOOR = 1e-3
+
+# Limits of the invariants of synthesized data, which `simulate` enforces
+# before it writes and `selfcheck` reports: the reciprocity defect relative
+# to the largest entry, and the interface residual at the probe source.
+RECIPROCITY_LIMIT = 1e-8
+RESIDUAL_LIMIT = 1e-6
 
 
 def _fixed_alpha(cfg: RunConfig) -> float | None:
@@ -103,12 +109,33 @@ def _synthesize(cfg: RunConfig) -> tuple:
     return config, grid, clean, scale, elapsed, defect, residual
 
 
+def _invariants(defect: float, residual: float) -> tuple:
+    """(check, value, limit, what a failure means) for each invariant of the
+    synthesized data.  A value passes only if it is below its limit, so NaN
+    fails."""
+    return (
+        ("reciprocity defect", defect, RECIPROCITY_LIMIT,
+         "near-field matrix is not reciprocity-symmetric"),
+        ("interface residual", residual, RESIDUAL_LIMIT,
+         "transmission conditions violated beyond tolerance"),
+    )
+
+
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     config, _, clean, _, elapsed, defect, residual = _synthesize(cfg)
 
     clean_path = out / f"{cfg.prefix}_clean.nfem"
+    # Every check runs before the first file is written: finiteness (a data
+    # error), then the invariants.
+    if not np.all(np.isfinite(clean.entries)):
+        raise DataFormatError(f"{clean_path}: refusing to write non-finite matrix entries")
+    for check, value, limit, failure in _invariants(defect, residual):
+        if not value < limit:
+            print(f"error: {check} {value:.3e} is not below its limit {limit:.0e} "
+                  f"({failure}); no file written", file=sys.stderr)
+            return EXIT_INVARIANT
     write_nearfield(clean, clean_path, cfg.k)
     paths = [clean_path]
     if cfg.noise_level > 0:
@@ -201,17 +228,11 @@ def _selfcheck(args) -> int:
         failures.append("wavenumber sits on a Maxwell eigenvalue")
 
     config, grid, matrix, scale, _, defect, residual = _synthesize(cfg)
-    ok = defect < 1e-8
-    print(f"[{'PASS' if ok else 'FAIL'}] reciprocity defect: {defect:.3e} "
-          "(limit 1e-08)")
-    if not ok:
-        failures.append("near-field matrix is not reciprocity-symmetric")
-
-    ok = residual < 1e-6
-    print(f"[{'PASS' if ok else 'FAIL'}] interface residual: {residual:.3e} "
-          "(limit 1e-06)")
-    if not ok:
-        failures.append("transmission conditions violated beyond tolerance")
+    for check, value, limit, failure in _invariants(defect, residual):
+        ok = value < limit
+        print(f"[{'PASS' if ok else 'FAIL'}] {check}: {value:.3e} (limit {limit:.0e})")
+        if not ok:
+            failures.append(failure)
 
     # The reference order stays at or below the cap the user's order obeys.
     order = min(config.n_max + 5, ORDER_CAP)
@@ -230,7 +251,7 @@ def _selfcheck(args) -> int:
 
     if failures:
         print("selfcheck FAILED: " + "; ".join(failures))
-        return EXIT_SELFCHECK
+        return EXIT_INVARIANT
     print("selfcheck passed")
     return EXIT_OK
 

@@ -23,7 +23,6 @@ to 1e-13 of the largest entry.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -235,76 +234,103 @@ def add_noise(matrix: NearFieldMatrix, spec: NoiseSpec) -> NearFieldMatrix:
 # CRC-64/ECMA-182 of the payload guards against truncation and bit rot:
 # polynomial 0x42F0E1EBA9EA3693, init 0, unreflected, no final xor.
 _CRC64_POLY = 0x42F0E1EBA9EA3693
-# Cap on the lanes crc64 advances side by side, which bounds its lane state
-# whatever the payload size.
-_CRC64_MAX_LANES = 16384
 
 
-def _crc64_table() -> np.ndarray:
-    """Register after each top-byte value is shifted through 8 zero bits."""
-    table = np.arange(256, dtype=np.uint64) << np.uint64(56)
+def _crc64_table16() -> np.ndarray:
+    """Register after each top 16-bit value hi 256 + lo is shifted through 16
+    zero bits.  Two steps of the byte table T8 give it in closed form,
+    (T8[hi] << 8) ^ T8[lo ^ (T8[hi] >> 56)], and T8 is linear, so that is
+    (T8[hi] << 8) ^ T8[T8[hi] >> 56] ^ T8[lo]."""
+    t8 = np.arange(256, dtype=np.uint64) << np.uint64(56)
     for _ in range(8):
-        carry = np.where(table >> np.uint64(63), np.uint64(_CRC64_POLY), np.uint64(0))
-        table = (table << np.uint64(1)) ^ carry
-    return table
+        carry = np.where(t8 >> np.uint64(63), np.uint64(_CRC64_POLY), np.uint64(0))
+        t8 = (t8 << np.uint64(1)) ^ carry
+    hi = (t8 << np.uint64(8)) ^ t8[t8 >> np.uint64(56)]
+    return np.bitwise_xor.outer(hi, t8).reshape(-1)
 
 
-_CRC_TABLE = _crc64_table()
+_CRC_TABLE16 = _crc64_table16()
+
+
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """ops[k, v]: the GF(2)-linear map on registers whose 64 basis images
+    are ``columns``, applied to byte value v at bits 8k..8k+7."""
+    basis = columns.reshape(8, 8)
+    ops = np.zeros((8, 1), dtype=np.uint64)
+    for bit in range(8):
+        ops = np.concatenate([ops, ops ^ basis[:, bit : bit + 1]], axis=1)
+    return ops
+
+
+def _apply(ops: np.ndarray, registers: np.ndarray) -> np.ndarray:
+    """The map of byte tables ``ops`` applied to every register."""
+    octets = registers.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(ops[np.arange(8), octets], axis=1)
 
 
 def crc64(data: bytes | memoryview) -> int:
     """CRC-64/ECMA-182 of a bytes-like object.
 
     The input is left-padded with zero bytes, which leaves a CRC with init 0
-    unchanged, and cut into equal lanes that advance together, one byte
-    column per table step.  64 extra lanes start at the unit registers and
-    see only zeros, so they end as the columns of the operator that carries
-    a CRC across one lane of zero bytes.  Byte tables of that operator fold
-    the lane CRCs into one, as zlib's crc32_combine does.
+    unchanged, and cut into equal lanes of whole 64-bit words that advance
+    together.  Each step XORs one big-endian word into every lane's register
+    and shifts it through 64 zero bits in four 16-bit table steps.  64 extra
+    lanes start at the unit registers and see only zeros, so they end as the
+    columns of the operator that carries a CRC across one lane of zero
+    bytes.  A pairwise tree folds the lane CRCs into one, as zlib's
+    crc32_combine does, squaring the operator at each level.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     n = raw.size
-    # About 2 sqrt(n) lanes balances the per-step cost of the numpy calls
-    # against the per-lane cost of the fold.
-    lanes = min(_CRC64_MAX_LANES, max(1, 2 * math.isqrt(n)))
-    width = -(-n // lanes)
-    block = np.zeros((lanes + 64, width), dtype=np.uint8)
-    block.reshape(-1)[lanes * width - n : lanes * width] = raw
-    # Little-endian words, so byte 7 of each is the register's top byte.
-    crc = np.zeros(lanes + 64, dtype="<u8")
-    crc[lanes:] = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    top = crc.view(np.uint8)[7::8]
-    index = np.empty(crc.size, dtype=np.intp)
-    step = np.empty_like(crc)
-    for column in block.T:
-        np.bitwise_xor(top, column, out=index, casting="unsafe")
-        np.take(_CRC_TABLE, index, out=step)
-        np.left_shift(crc, np.uint64(8), out=crc)
-        np.bitwise_xor(crc, step, out=crc)
-    # ops[k][v]: the operator applied to byte value v at bits 8k..8k+7.
-    basis = crc[lanes:].reshape(8, 8)
-    ops = np.zeros((8, 1), dtype=np.uint64)
-    for bit in range(8):
-        ops = np.concatenate([ops, ops ^ basis[:, bit : bit + 1]], axis=1)
-    ops = ops.tolist()
-    total = 0
-    for lane_crc in crc[:lanes].tolist():
-        shifted = lane_crc
-        for k in range(8):
-            shifted ^= ops[k][(total >> (8 * k)) & 0xFF]
-        total = shifted
-    return total
+    # About sqrt(n) lanes, so that the word steps, n / (8 lanes), are few
+    # and the zero padding, under 8 bytes a lane, is small.  Past 4096
+    # lanes a 27 MB payload runs no faster.
+    lanes = 1 << min(12, n.bit_length() // 2)
+    width = -(-n // (8 * lanes)) * 8
+    block = np.zeros(lanes * width, dtype=np.uint8)
+    block[block.size - n :] = raw
+    words = block.view(">u8").reshape(lanes, -1)
+    reg = np.zeros(lanes + 64, dtype=np.uint64)
+    reg[lanes:] = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    head = reg[:lanes]
+    top = np.empty_like(reg)
+    index = top.view(np.intp)
+    step = np.empty_like(reg)
+    # 64 words of every lane at a time, as rows in native byte order.
+    for start in range(0, words.shape[1], 64):
+        for word in words[:, start : start + 64].T.astype(np.uint64, order="C"):
+            np.bitwise_xor(head, word, out=head)
+            for _ in range(4):
+                np.right_shift(reg, np.uint64(48), out=top)
+                np.take(_CRC_TABLE16, index, out=step, mode="clip")
+                np.left_shift(reg, np.uint64(16), out=reg)
+                np.bitwise_xor(reg, step, out=reg)
+    crcs, columns = head, reg[lanes:]
+    while crcs.size > 1:
+        ops = _byte_tables(columns)
+        crcs = _apply(ops, crcs[0::2]) ^ crcs[1::2]
+        columns = _apply(ops, columns)
+    return int(crcs[0])
 
 
 def write_nearfield(matrix: NearFieldMatrix, path, k: float) -> None:
     """Write the NFEM1 binary format (little-endian, CRC-64 trailer) once the
-    matrix passes its checks, creating the parent directory."""
+    matrix passes its checks, creating the parent directory.
+
+    The file is built in one buffer of its exact size: the node table and
+    the entries are written through views of it, and the CRC of the payload
+    is packed in place before one write."""
     check_wavenumber(k)
     if not np.all(np.isfinite(matrix.entries)):
         raise DataFormatError(f"{path}: refusing to write non-finite matrix entries")
     grid = matrix.grid
     n = grid.n_nodes
-    header = HEADER.pack(
+    body = len(MAGIC) + HEADER.size
+    buf = bytearray(body + n * 3 * 8 + (2 * n) * (2 * n) * 16 + 8)
+    buf[: len(MAGIC)] = MAGIC
+    HEADER.pack_into(
+        buf,
+        len(MAGIC),
         float(k),
         float(grid.radius),
         n,
@@ -312,17 +338,14 @@ def write_nearfield(matrix: NearFieldMatrix, path, k: float) -> None:
         float(matrix.noise_level),
         matrix.seed if matrix.seed is not None else 0,
     )
-    nodes = np.stack([grid.theta, grid.phi, grid.weights], axis=1)
-    payload = (
-        header
-        + nodes.astype("<f8").tobytes()
-        + matrix.entries.astype("<c16").tobytes()
-    )
+    nodes = np.frombuffer(buf, dtype="<f8", count=3 * n, offset=body).reshape(n, 3)
+    nodes[:, 0], nodes[:, 1], nodes[:, 2] = grid.theta, grid.phi, grid.weights
+    entries = np.frombuffer(buf, dtype="<c16", count=4 * n * n, offset=body + n * 3 * 8)
+    entries.reshape(2 * n, 2 * n)[...] = matrix.entries
+    struct.pack_into("<Q", buf, len(buf) - 8, crc64(memoryview(buf)[len(MAGIC) : -8]))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(payload)
-        f.write(struct.pack("<Q", crc64(payload)))
+        f.write(buf)
 
 
 def read_nearfield(path) -> tuple[NearFieldMatrix, float]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nfem
+from nfem import cli
 from nfem.cli import EXIT_PIPE, main
 from nfem.config import RunConfig, default_config_text, load_config
 from nfem.errors import ConfigError, InvalidArgumentError
@@ -320,6 +321,37 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(out.glob("*.nfem")) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simulate_refuses_unconverged_data(self, tmp_path, capsys):
+        # At n_max = 3 the series is far from converged: the interface
+        # residual at the probe source is 5.1e-3.  Exit 4, one error line
+        # with the check, its value and its limit, and no output directory.
+        bad = tmp_path / "low_order.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 3"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: interface residual 5.1") and err.count("\n") == 1
+        assert "limit 1e-06" in err
+        assert not out.exists()
+
+    def test_simulate_nan_invariant_fails(self, cfg_path, tmp_path, capsys,
+                                          monkeypatch):
+        # A NaN reciprocity defect on finite data fails its check: exit 4,
+        # nothing written.
+        synthesize = cli._synthesize
+
+        def nan_defect(cfg):
+            *head, _, residual = synthesize(cfg)
+            return (*head, float("nan"), residual)
+
+        monkeypatch.setattr(cli, "_synthesize", nan_defect)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: reciprocity defect nan") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_derived_order_past_cap_names_rho(self, tmp_path, capsys):

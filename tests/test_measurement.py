@@ -4,6 +4,8 @@ binary data format."""
 import contextlib
 import dataclasses
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from nfem import measurement
 from nfem import specialfun as sf
 from nfem.forward import LayeredCavityConfig, Shell, scattered_field, solve_modes
 from nfem.measurement import (
+    HEADER,
+    MAGIC,
     NearFieldMatrix,
     NoiseSpec,
     SphereGrid,
@@ -317,6 +321,59 @@ def crc64_oracle(data: bytes) -> int:
     return crc
 
 
+def crc64_lanes_oracle(data) -> int:
+    """The byte-wide lane CRC-64 that the word-wide kernel replaced: about
+    2 sqrt(n) lanes (at most 16384) advance one byte column per table step,
+    and a per-lane Horner loop over the byte tables of the zero-lane
+    operator folds them.  Fast enough for the benchmark's payload sizes."""
+    table = np.array(_ORACLE_TABLE, dtype=np.uint64)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    n = raw.size
+    lanes = min(16384, max(1, 2 * math.isqrt(n)))
+    width = -(-n // lanes)
+    block = np.zeros((lanes + 64, width), dtype=np.uint8)
+    block.reshape(-1)[lanes * width - n : lanes * width] = raw
+    crc = np.zeros(lanes + 64, dtype="<u8")
+    crc[lanes:] = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    top = crc.view(np.uint8)[7::8]
+    index = np.empty(crc.size, dtype=np.intp)
+    step = np.empty_like(crc)
+    for column in block.T:
+        np.bitwise_xor(top, column, out=index, casting="unsafe")
+        np.take(table, index, out=step)
+        np.left_shift(crc, np.uint64(8), out=crc)
+        np.bitwise_xor(crc, step, out=crc)
+    basis = crc[lanes:].reshape(8, 8)
+    ops = np.zeros((8, 1), dtype=np.uint64)
+    for bit in range(8):
+        ops = np.concatenate([ops, ops ^ basis[:, bit : bit + 1]], axis=1)
+    ops = ops.tolist()
+    total = 0
+    for lane_crc in crc[:lanes].tolist():
+        shifted = lane_crc
+        for k in range(8):
+            shifted ^= ops[k][(total >> (8 * k)) & 0xFF]
+        total = shifted
+    return total
+
+
+def _lane_rule_steps() -> list[int]:
+    """Lengths at -1, 0 and +1 around the steps of crc64's lane rule:
+    2^min(12, bit_length(n) // 2) lanes of whole 64-bit words.  The lane
+    count doubles at n = 2^(2j - 1), and the lane width crosses a multiple
+    of 8 bytes where n is a multiple of 8 lanes: the first and the last such
+    n at each lane count, and the first two past the last doubling."""
+    lengths = set()
+    for j in range(1, 13):
+        lanes = 1 << j
+        first = 1 << (2 * j - 1)
+        end = 1 << (2 * j + 1) if j < 12 else first + 3 * 8 * lanes
+        tiles = [t for t in range(8 * lanes, end, 8 * lanes) if t > first]
+        for n in [first] + tiles[:1] + tiles[-1:]:
+            lengths.update((n - 1, n, n + 1))
+    return sorted(lengths)
+
+
 class TestCrc64:
     def test_oracle_check_value(self):
         assert crc64_oracle(b"123456789") == 0x6C40DF5F0B497347
@@ -339,6 +396,31 @@ class TestCrc64:
     def test_megabyte_buffer(self):
         data = np.random.default_rng(3).bytes(1 << 20)
         assert crc64(data) == crc64_oracle(data)
+
+    def test_lanes_oracle_matches_oracle(self):
+        data = np.random.default_rng(4).bytes(1 << 20)
+        assert crc64_lanes_oracle(data) == crc64_oracle(data)
+
+    @pytest.mark.parametrize("n", _lane_rule_steps())
+    def test_matches_lanes_oracle_around_lane_rule_steps(self, n):
+        data = np.random.default_rng(n).bytes(n)
+        assert crc64(data) == crc64_lanes_oracle(data)
+
+    # NFEM1 payloads of the benchmark's two grids: 18 x 36 and 12 x 24 nodes.
+    @pytest.mark.parametrize("n", [26_889_445, 5_315_365], ids=["n648", "n288"])
+    def test_benchmark_payload_sizes(self, n):
+        data = np.random.default_rng(n).bytes(n)
+        assert crc64(data) == crc64_lanes_oracle(data)
+
+    def test_table16_matches_bit_loop(self):
+        # The register after each 16-bit value at the top is shifted
+        # through 16 zero bits, one bit at a time.
+        table = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+        for _ in range(16):
+            carry = np.where(table >> np.uint64(63), np.uint64(0x42F0E1EBA9EA3693),
+                             np.uint64(0))
+            table = (table << np.uint64(1)) ^ carry
+        assert np.array_equal(measurement._CRC_TABLE16, table)
 
 
 class TestFileFormat:
@@ -372,6 +454,22 @@ class TestFileFormat:
         write_nearfield(back, path2, BALL.k)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(0.02, 5)], ids=["clean", "noisy"])
+    def test_bytes_match_layout(self, matrix, tmp_path, noise):
+        # The file is the documented layout, built here piece by piece, with
+        # the byte-at-a-time CRC of the payload.
+        m = matrix if noise is None else add_noise(matrix, noise)
+        path = tmp_path / "layout.nfem"
+        write_nearfield(m, path, BALL.k)
+        g = m.grid
+        payload = (
+            HEADER.pack(BALL.k, g.radius, g.n_nodes, int(m.noisy), m.noise_level,
+                        m.seed if m.seed is not None else 0)
+            + np.stack([g.theta, g.phi, g.weights], axis=1).astype("<f8").tobytes()
+            + m.entries.astype("<c16").tobytes()
+        )
+        assert path.read_bytes() == MAGIC + payload + struct.pack("<Q", crc64_oracle(payload))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nfem"
         path.write_bytes(b"GARBAGE" + b"\x00" * 64)
@@ -396,8 +494,6 @@ class TestFileFormat:
             read_nearfield(path)
 
     def test_dimension_mismatch_detected(self, matrix, tmp_path):
-        import struct
-
         path = tmp_path / "dim.nfem"
         write_nearfield(matrix, path, BALL.k)
         blob = bytearray(path.read_bytes())
