@@ -21,6 +21,7 @@ import dataclasses
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from .measurement import (
     assemble_nearfield,
     build_sphere_grid,
     read_nearfield,
+    reciprocity_defect,
     write_manifest,
     write_nearfield,
 )
@@ -95,18 +97,22 @@ def _synthesize(cfg: RunConfig) -> tuple:
     """Clean data for the run's config and the checks made on it: (forward
     config, grid, clean matrix, largest entry magnitude, seconds spent in the
     mode solve and the assembly, reciprocity defect relative to that
-    magnitude, interface residual at the probe source)."""
+    magnitude, interface residual at the probe source).
+
+    The residual needs only the mode coefficients, so a helper thread
+    computes it while this one assembles."""
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
     coeffs = solve_modes(config)
-    clean = assemble_nearfield(config, grid, coeffs)
-    elapsed = time.perf_counter() - t0
-    scale = max(np.max(np.abs(clean.entries)), 1e-300)
-    defect = np.max(np.abs(clean.entries - clean.entries.T)) / scale
-    residual = interface_residual(config, _probe_source(cfg),
-                                  np.asarray(cfg.polarization), coeffs=coeffs)
-    return config, grid, clean, scale, elapsed, defect, residual
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        residual = helper.submit(interface_residual, config, _probe_source(cfg),
+                                 np.asarray(cfg.polarization), coeffs=coeffs)
+        clean = assemble_nearfield(config, grid, coeffs)
+        elapsed = time.perf_counter() - t0
+        scale = max(np.max(np.abs(clean.entries)), 1e-300)
+        defect = reciprocity_defect(clean) / scale
+    return config, grid, clean, scale, elapsed, defect, residual.result()
 
 
 def _invariants(defect: float, residual: float) -> tuple:
@@ -136,12 +142,19 @@ def _simulate(args) -> int:
             print(f"error: {check} {value:.3e} is not below its limit {limit:.0e} "
                   f"({failure}); no file written", file=sys.stderr)
             return EXIT_INVARIANT
-    write_nearfield(clean, clean_path, cfg.k)
+    # A helper thread makes and writes the noisy file while this one writes
+    # the clean file.  Leaving the block waits for both; a failed clean
+    # write raises there, and a failed noisy write at `result()`.
+    noisy = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        if cfg.noise_level > 0:
+            noisy_path = out / f"{cfg.prefix}_noisy.nfem"
+            noisy = helper.submit(lambda: write_nearfield(
+                add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)), noisy_path, cfg.k))
+        write_nearfield(clean, clean_path, cfg.k)
     paths = [clean_path]
-    if cfg.noise_level > 0:
-        noisy = add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed))
-        noisy_path = out / f"{cfg.prefix}_noisy.nfem"
-        write_nearfield(noisy, noisy_path, cfg.k)
+    if noisy is not None:
+        noisy.result()
         paths.append(noisy_path)
     write_manifest(
         out / f"{cfg.prefix}_manifest.txt",

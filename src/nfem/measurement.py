@@ -218,6 +218,24 @@ def assemble_nearfield(
     return NearFieldMatrix(grid=grid, entries=entries)
 
 
+def reciprocity_defect(matrix: NearFieldMatrix) -> float:
+    """max |S - S^T| of a matrix that is block-circulant in phi, as
+    ``assemble_nearfield``'s are, read from its block column at phi_q = 0.
+
+    S[(a, p, l), (b, q, m)] - S[(b, q, m), (a, p, l)] is
+    C[(a, d, l), (b, m)] - C[(b, -d, m), (a, l)] with d = p - q, so these
+    are the dense scan's subtractions and the max is bitwise equal; a NaN
+    entry makes it NaN.
+    """
+    n_phi = ring_size(matrix.grid)
+    n_theta = matrix.grid.n_nodes // n_phi
+    # column[a, d, l, b, m] = C[(a, d, l), (b, m)]
+    column = matrix.entries.reshape(n_theta, n_phi, 2, n_theta, n_phi, 2)[:, :, :, :, 0]
+    # mirror[a, d, l, b, m] = C[(b, -d, m), (a, l)]
+    mirror = column.transpose(3, 1, 4, 0, 2)[:, -np.arange(n_phi) % n_phi]
+    return float(np.max(np.abs(column - mirror)))
+
+
 def add_noise(matrix: NearFieldMatrix, spec: NoiseSpec) -> NearFieldMatrix:
     """Multiplicative per-entry complex Gaussian noise at relative level h."""
     if spec.level == 0:
@@ -273,32 +291,43 @@ def crc64(data: bytes | memoryview) -> int:
 
     The input is left-padded with zero bytes, which leaves a CRC with init 0
     unchanged, and cut into equal lanes of whole 64-bit words that advance
-    together.  Each step XORs one big-endian word into every lane's register
-    and shifts it through 64 zero bits in four 16-bit table steps.  64 extra
-    lanes start at the unit registers and see only zeros, so they end as the
-    columns of the operator that carries a CRC across one lane of zero
-    bytes.  A pairwise tree folds the lane CRCs into one, as zlib's
+    together.  Only the leading lanes that hold padding are copied; the rest
+    are read in place.  Each step XORs one big-endian word into every lane's
+    register and shifts it through 64 zero bits in four 16-bit table steps.
+    64 extra lanes start at the unit registers and see only zeros, so they
+    end as the columns of the operator that carries a CRC across one lane of
+    zero bytes.  A pairwise tree folds the lane CRCs into one, as zlib's
     crc32_combine does, squaring the operator at each level.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     n = raw.size
-    # About sqrt(n) lanes, so that the word steps, n / (8 lanes), are few
-    # and the zero padding, under 8 bytes a lane, is small.  Past 4096
-    # lanes a 27 MB payload runs no faster.
-    lanes = 1 << min(12, n.bit_length() // 2)
+    # About 4 sqrt(n) lanes, up to 16384: the word steps, n / (8 lanes), are
+    # few and each is long enough that numpy releases the GIL for most of
+    # it, so two CRCs on two threads overlap.
+    lanes = 1 << min(14, n.bit_length() // 2 + 2)
     width = -(-n // (8 * lanes)) * 8
-    block = np.zeros(lanes * width, dtype=np.uint8)
-    block[block.size - n :] = raw
-    words = block.view(">u8").reshape(lanes, -1)
+    words = width // 8
+    # The last `full` lanes start at or past the padding and are read in
+    # place; the `split` lanes before them get the leading `cut` bytes.
+    full = n // width if width else 0
+    split, cut = lanes - full, n - full * width
+    padded = np.zeros(split * width, dtype=np.uint8)
+    padded[padded.size - cut :] = raw[:cut]
+    lead = padded.view(">u8").reshape(split, words)
+    rest = raw[cut:].view(">u8").reshape(full, words)
     reg = np.zeros(lanes + 64, dtype=np.uint64)
     reg[lanes:] = np.uint64(1) << np.arange(64, dtype=np.uint64)
     head = reg[:lanes]
     top = np.empty_like(reg)
     index = top.view(np.intp)
     step = np.empty_like(reg)
+    rows = np.empty((64, lanes), dtype=np.uint64)
     # 64 words of every lane at a time, as rows in native byte order.
-    for start in range(0, words.shape[1], 64):
-        for word in words[:, start : start + 64].T.astype(np.uint64, order="C"):
+    for start in range(0, words, 64):
+        chunk = rows[: min(64, words - start)]
+        chunk[:, :split] = lead[:, start : start + 64].T
+        chunk[:, split:] = rest[:, start : start + 64].T
+        for word in chunk:
             np.bitwise_xor(head, word, out=head)
             for _ in range(4):
                 np.right_shift(reg, np.uint64(48), out=top)

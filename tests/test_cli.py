@@ -25,6 +25,7 @@ from nfem.measurement import (
     build_sphere_grid,
     crc64,
     read_nearfield,
+    write_nearfield,
 )
 from nfem.forward import LayeredCavityConfig, Shell
 from nfem.output import write_cross_sections, write_imaging_csv, write_imaging_vtk
@@ -271,6 +272,45 @@ class TestCliWorkflow:
         assert (out1 / "fast_noisy.nfem").read_bytes() == (
             out2 / "fast_noisy.nfem"
         ).read_bytes()
+
+    # The 6x12 payload pads 63 of its 2048 CRC lanes, the 5x7 one 34 of 1024.
+    @pytest.mark.parametrize("grid", ["n_theta = 6\nn_phi = 12", "n_theta = 5\nn_phi = 7"],
+                             ids=["6x12", "5x7"])
+    def test_simulate_files_match_serial_writes(self, tmp_path, grid):
+        # The clean and the noisy file are written on two threads; their
+        # bytes are those of the public functions called one after another.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FAST_CONFIG.replace("n_theta = 6\nn_phi = 12", grid))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        run = load_config(cfg)
+        clean = assemble_nearfield(run.cavity_config(),
+                                   build_sphere_grid(run.n_theta, run.n_phi, run.rho))
+        noisy = add_noise(clean, NoiseSpec(run.noise_level, run.seed))
+        for name, matrix in (("clean", clean), ("noisy", noisy)):
+            write_nearfield(matrix, tmp_path / "serial" / name, run.k)
+            assert (tmp_path / "run" / f"fast_{name}.nfem").read_bytes() == (
+                tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.parametrize("failing", ["clean", "noisy", "clean noisy"])
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_simulate_write_failure_is_one_error_line(self, cfg_path, tmp_path, capsys,
+                                                      monkeypatch, failing):
+        # A failed write on either thread, or on both, ends in one error line
+        # and exit code 2, with no traceback and no manifest.
+        write = cli.write_nearfield
+
+        def flaky(matrix, path, k):
+            if Path(path).stem.split("_")[-1] in failing.split():
+                raise OSError(f"{path}: no space left on device")
+            write(matrix, path, k)
+
+        monkeypatch.setattr(cli, "write_nearfield", flaky)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no space left" in err and "Traceback" not in err
+        assert not (out / "fast_manifest.txt").exists()
 
     def test_selfcheck_passes(self, cfg_path):
         assert main(["selfcheck", "--config", str(cfg_path)]) == 0

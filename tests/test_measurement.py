@@ -35,6 +35,7 @@ from nfem.measurement import (
     build_sphere_grid,
     crc64,
     read_nearfield,
+    reciprocity_defect,
     ring_size,
     write_nearfield,
 )
@@ -214,6 +215,45 @@ class TestBlockCirculant:
                               matrix.entries)
 
 
+def gather_column(column, n_theta, n_phi):
+    """The block-circulant matrix S[(a, p, l), (b, q, m)] =
+    C[(a, (p - q) mod n_phi, l), (b, m)] of a block column C."""
+    shift = (np.arange(n_phi)[:, None] - np.arange(n_phi)) % n_phi
+    blocks = column.reshape(n_theta, n_phi, 2, n_theta, 2)[:, shift]
+    return blocks.transpose(0, 1, 3, 4, 2, 5).reshape(column.shape[0], -1)
+
+
+class TestReciprocityDefect:
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (5, 7), (8, 16)])
+    def test_equals_dense_scan_on_assembled_data(self, n_theta, n_phi):
+        m = assemble_nearfield(BALL, build_sphere_grid(n_theta, n_phi, 1.0))
+        dense = np.max(np.abs(m.entries - m.entries.T))
+        assert dense > 0
+        assert reciprocity_defect(m) == dense
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (3, 5), (4, 8)])
+    def test_equals_dense_scan_on_any_block_column(self, n_theta, n_phi):
+        # A random block column is far from reciprocal, and its subtractions
+        # are still the dense scan's.
+        m = self.gathered(n_theta, n_phi)
+        assert reciprocity_defect(m) == np.max(np.abs(m.entries - m.entries.T)) > 0.1
+
+    def test_nan_entry_propagates(self):
+        m = self.gathered(3, 5, nan_at=(11, 4))
+        assert np.isnan(np.max(np.abs(m.entries - m.entries.T)))
+        assert np.isnan(reciprocity_defect(m))
+
+    @staticmethod
+    def gathered(n_theta, n_phi, nan_at=None):
+        rng = np.random.default_rng(n_theta * n_phi)
+        shape = (2 * n_theta * n_phi, 2 * n_theta)
+        column = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if nan_at is not None:
+            column[nan_at] = np.nan
+        return NearFieldMatrix(grid=build_sphere_grid(n_theta, n_phi, 1.0),
+                               entries=gather_column(column, n_theta, n_phi))
+
+
 class TestRingLayoutGuard:
     """A grid whose node a*n_phi + p is not at (theta_a, 2 pi p / n_phi) is
     refused: the cyclic fill would assemble a wrong matrix for it."""
@@ -357,17 +397,18 @@ def crc64_lanes_oracle(data) -> int:
     return total
 
 
-def _lane_rule_steps() -> list[int]:
-    """Lengths at -1, 0 and +1 around the steps of crc64's lane rule:
-    2^min(12, bit_length(n) // 2) lanes of whole 64-bit words.  The lane
-    count doubles at n = 2^(2j - 1), and the lane width crosses a multiple
-    of 8 bytes where n is a multiple of 8 lanes: the first and the last such
-    n at each lane count, and the first two past the last doubling."""
+def _lane_rule_steps(top: int, shift: int) -> list[int]:
+    """Lengths at -1, 0 and +1 around the steps of the lane rule
+    2^min(top, bit_length(n) // 2 + shift) lanes of whole 64-bit words.  The
+    lane count doubles to 2^j at n = 2^(2 (j - shift) - 1), and the lane
+    width crosses a multiple of 8 bytes where n is a multiple of 8 lanes:
+    the first and the last such n at each lane count, and the first two past
+    the last doubling."""
     lengths = set()
-    for j in range(1, 13):
+    for j in range(shift + 1, top + 1):
         lanes = 1 << j
-        first = 1 << (2 * j - 1)
-        end = 1 << (2 * j + 1) if j < 12 else first + 3 * 8 * lanes
+        first = 1 << (2 * (j - shift) - 1)
+        end = 1 << (2 * (j - shift) + 1) if j < top else first + 3 * 8 * lanes
         tiles = [t for t in range(8 * lanes, end, 8 * lanes) if t > first]
         for n in [first] + tiles[:1] + tiles[-1:]:
             lengths.update((n - 1, n, n + 1))
@@ -401,7 +442,10 @@ class TestCrc64:
         data = np.random.default_rng(4).bytes(1 << 20)
         assert crc64_lanes_oracle(data) == crc64_oracle(data)
 
-    @pytest.mark.parametrize("n", _lane_rule_steps())
+    # crc64's rule, 2^min(14, bit_length(n) // 2 + 2) lanes, and the steps of
+    # the 2^min(12, bit_length(n) // 2) rule before it, kept as more lengths.
+    @pytest.mark.parametrize(
+        "n", sorted(set(_lane_rule_steps(14, 2)) | set(_lane_rule_steps(12, 0))))
     def test_matches_lanes_oracle_around_lane_rule_steps(self, n):
         data = np.random.default_rng(n).bytes(n)
         assert crc64(data) == crc64_lanes_oracle(data)
