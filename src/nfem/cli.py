@@ -49,6 +49,7 @@ from .measurement import (
     NoiseSpec,
     add_noise,
     assemble_nearfield,
+    block_column,
     build_sphere_grid,
     read_nearfield,
     reciprocity_defect,
@@ -110,7 +111,7 @@ def _synthesize(cfg: RunConfig) -> tuple:
                                  np.asarray(cfg.polarization), coeffs=coeffs)
         clean = assemble_nearfield(config, grid, coeffs)
         elapsed = time.perf_counter() - t0
-        scale = max(np.max(np.abs(clean.entries)), 1e-300)
+        scale = max(np.max(np.abs(block_column(clean))), 1e-300)
         defect = reciprocity_defect(clean) / scale
     return config, grid, clean, scale, elapsed, defect, residual.result()
 
@@ -135,7 +136,7 @@ def _simulate(args) -> int:
     clean_path = out / f"{cfg.prefix}_clean.nfem"
     # Every check runs before the first file is written: finiteness (a data
     # error), then the invariants.
-    if not np.all(np.isfinite(clean.entries)):
+    if not np.all(np.isfinite(block_column(clean))):
         raise DataFormatError(f"{clean_path}: refusing to write non-finite matrix entries")
     for check, value, limit, failure in _invariants(defect, residual):
         if not value < limit:
@@ -251,7 +252,7 @@ def _selfcheck(args) -> int:
     order = min(config.n_max + 5, ORDER_CAP)
     if order > config.n_max:
         ref = assemble_nearfield(dataclasses.replace(config, n_max=order), grid)
-        diff = np.max(np.abs(ref.entries - matrix.entries))
+        diff = np.max(np.abs(block_column(ref) - block_column(matrix)))
         ok = diff / scale < 1e-8
         print(f"[{'PASS' if ok else 'FAIL'}] series convergence "
               f"(order +{order - config.n_max}): {diff / scale:.3e} (limit 1e-08)")

@@ -115,6 +115,11 @@ class RunConfig:
             )
         if self.spacing <= 0:
             raise ConfigError("lsm.spacing must be positive")
+        # Outside this range the dipole's fields and the sampling right-hand
+        # side underflow or overflow on the way to the checks and the image.
+        if not 1e-100 <= max(abs(v) for v in self.polarization) <= 1e100:
+            raise ConfigError("lsm.polarization must be nonzero, with its largest "
+                              "component between 1e-100 and 1e100 in magnitude")
         if self.alpha_mode not in ("morozov", "fixed"):
             raise ConfigError("lsm.alpha_mode must be 'morozov' or 'fixed'")
         if self.alpha_mode == "fixed" and self.alpha_fixed <= 0:

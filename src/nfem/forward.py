@@ -32,6 +32,11 @@ FAMILIES = ("TE", "TM")
 
 # Condition-number ceiling for a (column-equilibrated) per-mode system.
 COND_LIMIT = 1e12
+# The series tail `data_truncation_order` leaves, the seeded points on each
+# interface of `interface_residual`, the degrees `maxwell_eigenvalue_margin` scans.
+DATA_SERIES_TOL = 1e-8
+RESIDUAL_SAMPLES, RESIDUAL_SEED = 20, 0
+EIGEN_SCAN_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -101,20 +106,20 @@ def data_truncation_order(
     shells: tuple[Shell, ...],
     k: float,
     measurement_radius: float,
-    tol: float = 1e-8,
 ) -> int:
     """Series order for synthesizing data with sources and receivers at the
     measurement radius rho.
 
     The reflected field's series converges like (rho^2 / a^2)^n when both the
     source and the evaluation point sit on |x| = rho, so the default rule is
-    extended by enough degrees to push the geometric tail below ``tol``.
+    extended until the geometric tail falls below ``DATA_SERIES_TOL``.
     """
     base = truncation_order(cavity_radius, shells, k)
-    ratio = (measurement_radius / cavity_radius) ** 2
-    if ratio >= 1:
+    if not 0 < measurement_radius < cavity_radius:
         raise InvalidArgumentError("measurement radius must be inside the cavity")
-    extra = int(np.ceil(np.log(tol) / np.log(ratio)))
+    # A difference of logs: (rho/a)^2 itself underflows below rho/a ~ 1e-154.
+    log_ratio = 2 * (np.log(measurement_radius) - np.log(cavity_radius))
+    extra = int(np.ceil(np.log(DATA_SERIES_TOL) / log_ratio))
     return base + max(extra, 0)
 
 
@@ -235,12 +240,12 @@ def source_expansion(
     p: np.ndarray,
     k: float,
     n_max: int,
-    cavity_radius: float | None = None,
+    cavity_radius: float,
 ) -> np.ndarray:
     """Radiating-expansion coefficients of the dipole field, valid for |x| > |y|.
 
-    Returns c[family] over the modes of ``specialfun.vswf_modes(n_max)``, an
-    array of shape (2, n_modes) with families in ``FAMILIES`` order:
+    Returns c[family] over the modes in ``specialfun.mode_index(n_max)``
+    order, an array of shape (2, n_modes) with families in ``FAMILIES`` order:
     c_nm = -k^2 conj(regular VSWF at y) . p.
     """
     y = np.asarray(y, dtype=float)
@@ -251,7 +256,7 @@ def source_expansion(
         raise InvalidArgumentError(
             "source at the expansion center; offset the dipole from the origin"
         )
-    if cavity_radius is not None and r >= cavity_radius:
+    if r >= cavity_radius:
         raise InvalidArgumentError("source must lie strictly inside the cavity")
     m1, n1 = sf.vswf_fields(y[None, :], k, n_max, 1)
     return -(k**2) * np.array([np.conj(m1[:, 0, :]) @ p, np.conj(n1[:, 0, :]) @ p])
@@ -285,7 +290,7 @@ def _region_field(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E, curl E) of the region's modal field for source coefficients c,
     excluding the closed-form incident field in the cavity."""
-    deg = sf.mode_degrees(config.n_max)
+    deg, _ = sf.mode_index(config.n_max)
     k_med = config.media()[region][0]
     e = np.zeros((points.shape[0], 3), dtype=complex)
     curl = np.zeros_like(e)
@@ -311,21 +316,19 @@ def interface_residual(
     config: LayeredCavityConfig,
     y: np.ndarray,
     p: np.ndarray,
-    samples: int = 20,
-    seed: int = 0,
     coeffs: ModeCoefficients | None = None,
 ) -> float:
     """Max relative mismatch of tangential E and tangential A curl E across
-    every interface, at `samples` random points per interface."""
+    every interface, at ``RESIDUAL_SAMPLES`` seeded random points on each."""
     if coeffs is None:
         coeffs = solve_modes(config)
     c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RESIDUAL_SEED)
     media = config.media()
     dip = Dipole(np.asarray(y, dtype=float), np.asarray(p, dtype=float))
     worst = 0.0
     for q, r in enumerate(config.interface_radii):
-        dirs = rng.normal(size=(samples, 3))
+        dirs = rng.normal(size=(RESIDUAL_SAMPLES, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = r * dirs
         e_in, curl_in = _region_field(pts, q, config, coeffs, c)
@@ -349,15 +352,15 @@ def interface_residual(
     return float(worst)
 
 
-def maxwell_eigenvalue_margin(k: float, ball_radius: float, n_scan: int = 20) -> float:
+def maxwell_eigenvalue_margin(k: float, ball_radius: float) -> float:
     """Distance (in t = k rho) from k to the nearest Maxwell eigenvalue of the
     measurement ball of radius rho.
 
     TE eigenvalues satisfy j_n(k rho) = 0, TM eigenvalues psi_n'(k rho) = 0
-    (n >= 1).  Zeros are located by sign-change scan of j_n and psi_n'/t for
-    every degree on [0, k rho + 2 pi], and all brackets are polished together
-    by bisection; if none fall in that window the window half-width is
-    returned, so the margin is a continuous, 1-Lipschitz function of k rho.
+    (n = 1..``EIGEN_SCAN_ORDER``).  Zeros are located by sign-change scan of
+    j_n and psi_n'/t on [0, k rho + 2 pi], and all brackets are polished
+    together by bisection; if none fall in that window the window half-width
+    is returned, so the margin is a continuous, 1-Lipschitz function of k rho.
     """
     check_wavenumber(k)
     if ball_radius <= 0:
@@ -365,14 +368,14 @@ def maxwell_eigenvalue_margin(k: float, ball_radius: float, n_scan: int = 20) ->
     t0 = k * ball_radius
     t_cap = t0 + 2 * np.pi
     grid = np.linspace(1e-6, t_cap, max(64, int(t_cap / 0.02)))
-    # Rows 0 and 2 of the radial table: j_n and psi_n'/t, (2, n_scan, points).
-    sign = np.sign(sf._radial_table(n_scan, 1, grid)[::2])
+    # Rows 0 and 2 of the radial table: j_n and psi_n'/t, (2, degrees, points).
+    sign = np.sign(sf._radial_table(EIGEN_SCAN_ORDER, 1, grid)[::2])
     fam, deg, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
     lo, hi, sign_lo = grid[i], grid[i + 1], sign[fam, deg, i]
     bracket = np.arange(i.size)
     for _ in range(64):  # halves every bracket down to adjacent doubles
         mid = 0.5 * (lo + hi)
-        sign_mid = np.sign(sf._radial_table(n_scan, 1, mid)[2 * fam, deg, bracket])
+        sign_mid = np.sign(sf._radial_table(EIGEN_SCAN_ORDER, 1, mid)[2 * fam, deg, bracket])
         left = sign_mid != sign_lo
         lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
     return float(np.min(np.abs(t0 - lo), initial=2 * np.pi))

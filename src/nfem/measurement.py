@@ -165,17 +165,6 @@ def ring_size(grid: SphereGrid) -> int:
     return n_phi
 
 
-def tangential_projections(
-    grid: SphereGrid, n_phi: int, k: float, n_max: int
-) -> np.ndarray:
-    """P[(family, mode), a, l] = (regular VSWF at meridian node a) . e_l there,
-    for the nodes a n_phi of the phi = 0 meridian; TE modes, then TM."""
-    meridian = slice(None, None, n_phi)
-    fields = np.concatenate(sf.vswf_fields(grid.nodes[meridian], k, n_max, 1))
-    frames = np.stack([grid.e1[meridian], grid.e2[meridian]], axis=1)
-    return np.einsum("qaj,alj->qal", fields, frames)
-
-
 def assemble_nearfield(
     config: LayeredCavityConfig,
     grid: SphereGrid,
@@ -199,10 +188,13 @@ def assemble_nearfield(
     n_theta = grid.n_nodes // n_phi
     if coeffs is None:
         coeffs = solve_modes(config)
-    deg = sf.mode_degrees(config.n_max)
-    p0 = tangential_projections(grid, n_phi, config.k, config.n_max)
-    orders = np.tile([m for _, m in sf.vswf_modes(config.n_max)], 2)
-    phase = np.exp(1j * orders[:, None] * grid.phi[:n_phi])
+    deg, order = sf.mode_index(config.n_max)
+    # p0[(family, mode), a, l] = regular VSWF . e_l at meridian node a; TE, TM.
+    meridian = slice(None, None, n_phi)
+    fields = np.concatenate(sf.vswf_fields(grid.nodes[meridian], config.k, config.n_max, 1))
+    frames = np.stack([grid.e1[meridian], grid.e2[meridian]], axis=1)
+    p0 = np.einsum("qaj,alj->qal", fields, frames)
+    phase = np.exp(1j * np.tile(order, 2)[:, None] * grid.phi[:n_phi])
     # proj[mode, (a, l, p)]: the meridian projections turned to every phi_p.
     proj = (p0[..., None] * phase[:, None, None, :]).reshape(p0.shape[0], -1)
     # Degrees whose R_n overflowed make the entries NaN, which the NFEM1
@@ -218,6 +210,16 @@ def assemble_nearfield(
     return NearFieldMatrix(grid=grid, entries=entries)
 
 
+def block_column(matrix: NearFieldMatrix) -> np.ndarray:
+    """The block column at phi_q = 0 of a ring-grid matrix S, as a view:
+    column[a, d, l, b, m] = C[(a, d, l), (b, m)] = S[(a, d, l), (b, 0, m)].
+    Every entry of a block-circulant S, as ``assemble_nearfield``'s are, is
+    an entry of C, so a max or finiteness test over C equals S's bitwise."""
+    n_phi = ring_size(matrix.grid)
+    n_theta = matrix.grid.n_nodes // n_phi
+    return matrix.entries.reshape(n_theta, n_phi, 2, n_theta, n_phi, 2)[:, :, :, :, 0]
+
+
 def reciprocity_defect(matrix: NearFieldMatrix) -> float:
     """max |S - S^T| of a matrix that is block-circulant in phi, as
     ``assemble_nearfield``'s are, read from its block column at phi_q = 0.
@@ -227,10 +229,8 @@ def reciprocity_defect(matrix: NearFieldMatrix) -> float:
     are the dense scan's subtractions and the max is bitwise equal; a NaN
     entry makes it NaN.
     """
-    n_phi = ring_size(matrix.grid)
-    n_theta = matrix.grid.n_nodes // n_phi
-    # column[a, d, l, b, m] = C[(a, d, l), (b, m)]
-    column = matrix.entries.reshape(n_theta, n_phi, 2, n_theta, n_phi, 2)[:, :, :, :, 0]
+    column = block_column(matrix)
+    n_phi = column.shape[1]
     # mirror[a, d, l, b, m] = C[(b, -d, m), (a, l)]
     mirror = column.transpose(3, 1, 4, 0, 2)[:, -np.arange(n_phi) % n_phi]
     return float(np.max(np.abs(column - mirror)))

@@ -55,15 +55,12 @@ def _spherical_frame(points: np.ndarray) -> tuple[np.ndarray, ...]:
     return pts, r, cos_t, sin_t, phi, rhat, that, phat
 
 
-def vswf_modes(n_max: int) -> list[tuple[int, int]]:
-    """Mode enumeration (n, m), n = 1..n_max, m = -n..n, in a fixed order."""
-    return [(n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1)]
-
-
-def mode_degrees(n_max: int) -> np.ndarray:
-    """The degree n of every mode, in ``vswf_modes(n_max)`` order."""
+def mode_index(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(deg, order): the degree n and the order m of every mode, n = 1..n_max,
+    m = -n..n.  Mode (n, m) is row n^2 + n + m - 1 of every per-mode array."""
     n = np.arange(1, n_max + 1)
-    return np.repeat(n, 2 * n + 1)
+    deg = np.repeat(n, 2 * n + 1)
+    return deg, np.arange(deg.size) - deg * deg - deg + 1
 
 
 def _legendre_table(cos_t: np.ndarray, sin_t: np.ndarray, n_max: int) -> np.ndarray:
@@ -187,8 +184,8 @@ def vswf_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate all M and N wavefunctions up to degree n_max at many points.
 
-    Returns arrays of shape (n_modes, n_points, 3) in the order of
-    ``vswf_modes(n_max)``.
+    Returns arrays of shape (n_modes, n_points, 3) in ``mode_index(n_max)``
+    order.
     """
     if kind not in (1, 3):
         raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
@@ -202,9 +199,7 @@ def vswf_fields(
     z, z_over_t, psip_over_t = _radial_table(n_max, kind, k * r)
     table = _legendre_table(cos_t, sin_t, n_max)
 
-    # Mode q = (n, m) in vswf_modes order is row n^2 + n + m - 1.
-    deg = mode_degrees(n_max)
-    order = np.arange(deg.size) - deg * deg - deg + 1
+    deg, order = mode_index(n_max)
     col, zero, rows = np.abs(order), order == 0, deg - 1
     n, m = deg[:, None].astype(float), order[:, None].astype(float)
     # tau = d/dtheta and pi = m/sin(theta) times lambda_nm P_n^m, from

@@ -679,6 +679,22 @@ class TestCliWorkflow:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["1e-100", "1e100"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_polarization_at_its_bounds_images(self, fast_data, tmp_path, scale):
+        # The smallest and largest polarization lsm.polarization accepts:
+        # the residual check, the image and the probe run without a warning.
+        cfg = tmp_path / "pol.ini"
+        cfg.write_text(re.sub(r"^polarization = .*$", f"polarization = {scale} 0 0",
+                              FAST_CONFIG, flags=re.M))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["reconstruct", "--config", str(cfg), "--data", str(fast_data),
+                     "--out", str(out)]) == 0
+        assert np.all(np.isfinite(read_vtk_scalars(out / "fast_imaging.vtk")))
+        assert main(["probe", "--config", str(cfg), "--data", str(fast_data),
+                     "--z", "1.6,0,0"]) == 0
+
     def test_probe_masked_point(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
@@ -729,6 +745,36 @@ def test_reconstruct_into_closed_pipe(cfg_path, fast_data, tmp_path):
     assert names == ["fast_imaging.csv", "fast_imaging.vtk", "fast_slice_xy.csv",
                      "fast_slice_xz.csv", "fast_slice_yz.csv"]
     assert len(read_vtk_scalars(out / "fast_imaging.vtk")) == 9**3
+
+
+@pytest.mark.parametrize("command, key, value", [
+    # The forward section only simulate and selfcheck solve: at this rho,
+    # (rho / a)^2 underflows and the probe source sits at the origin.
+    *[(command, "rho", "1e-200") for command in ("simulate", "selfcheck")],
+    *[(command, key, value)
+      for key, value in [("cavity_radius", "1e200"), ("polarization", "0 0 0"),
+                         ("polarization", "1e-300 0 0"), ("polarization", "1e300 0 0")]
+      for command in ("simulate", "reconstruct", "probe", "selfcheck")],
+])
+def test_extreme_value_is_one_stderr_line(fast_data, tmp_path, command, key, value):
+    # A child interpreter that shows every warning: under -W error, the
+    # broad except in RunConfig.validate would turn a warning raised while
+    # the config is checked into the one error line and hide it.
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", FAST_CONFIG, flags=re.M)
+    assert count == 1
+    cfg = tmp_path / "extreme.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    extra = {"simulate": ["--out", str(out)],
+             "reconstruct": ["--data", str(fast_data), "--out", str(out)],
+             "probe": ["--data", str(fast_data), "--z", "1.6,0,0"],
+             "selfcheck": []}[command]
+    proc = subprocess.run([sys.executable, "-m", "nfem.cli", command, "--config", str(cfg),
+                           *extra], capture_output=True, text=True,
+                          env=_package_env(PYTHONWARNINGS="always"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_image_agrees_across_blas_thread_counts(tmp_path):

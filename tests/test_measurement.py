@@ -32,6 +32,7 @@ from nfem.measurement import (
     SphereGrid,
     add_noise,
     assemble_nearfield,
+    block_column,
     build_sphere_grid,
     crc64,
     read_nearfield,
@@ -51,7 +52,7 @@ def assemble_nearfield_oracle(config, grid, coeffs=None):
     S = -k^2 (P_TE^T R_TE conj(P_TE) + P_TM^T R_TM conj(P_TM))."""
     if coeffs is None:
         coeffs = solve_modes(config)
-    deg = sf.mode_degrees(config.n_max)
+    deg, _ = sf.mode_index(config.n_max)
     m1, n1 = sf.vswf_fields(grid.nodes, config.k, config.n_max, 1)
     frames = np.stack([grid.e1, grid.e2], axis=1)  # (n, 2, 3)
     p_te = np.einsum("qij,ilj->qil", m1, frames).reshape(m1.shape[0], -1)
@@ -239,17 +240,55 @@ class TestReciprocityDefect:
         assert reciprocity_defect(m) == np.max(np.abs(m.entries - m.entries.T)) > 0.1
 
     def test_nan_entry_propagates(self):
-        m = self.gathered(3, 5, nan_at=(11, 4))
+        m = self.gathered(3, 5, at=(11, 4))
         assert np.isnan(np.max(np.abs(m.entries - m.entries.T)))
         assert np.isnan(reciprocity_defect(m))
 
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (3, 5), (4, 8)])
+    def test_block_column_is_the_gathered_column(self, n_theta, n_phi):
+        m = self.gathered(n_theta, n_phi)
+        column = block_column(m)
+        assert np.shares_memory(column, m.entries)
+        assert np.array_equal(column.reshape(2 * n_theta * n_phi, -1),
+                              self.gathered_column(n_theta, n_phi))
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (5, 7), (8, 16)])
+    def test_reads_equal_dense_ones_on_assembled_data(self, n_theta, n_phi):
+        grid = build_sphere_grid(n_theta, n_phi, 1.0)
+        m = assemble_nearfield(BALL, grid)
+        ref = assemble_nearfield(dataclasses.replace(BALL, n_max=BALL.n_max + 5), grid)
+        self.assert_reads_equal(m, ref)
+
+    @pytest.mark.parametrize("at, value", [(None, 0), ((11, 4), np.nan), ((0, 5), np.inf),
+                                           ((29, 0), -np.inf), ((7, 2), complex(0, np.inf))])
+    def test_reads_equal_dense_ones_on_any_block_column(self, at, value):
+        # With a non-finite entry planted, the finiteness test fails and the
+        # max goes NaN or inf, on the column as on the dense matrix.
+        m = self.gathered(3, 5, at=at, value=value)
+        self.assert_reads_equal(m, self.gathered(3, 5, seed=1))
+        assert np.all(np.isfinite(block_column(m))) == (at is None)
+
     @staticmethod
-    def gathered(n_theta, n_phi, nan_at=None):
-        rng = np.random.default_rng(n_theta * n_phi)
+    def assert_reads_equal(m, ref):
+        """Scale, finiteness and series difference: column reads == dense ones."""
+        column, ref_column = block_column(m), block_column(ref)
+        np.testing.assert_array_equal(np.max(np.abs(column)), np.max(np.abs(m.entries)))
+        assert np.all(np.isfinite(column)) == np.all(np.isfinite(m.entries))
+        np.testing.assert_array_equal(np.max(np.abs(ref_column - column)),
+                                      np.max(np.abs(ref.entries - m.entries)))
+
+    @staticmethod
+    def gathered_column(n_theta, n_phi, seed=None, at=None, value=np.nan):
+        rng = np.random.default_rng(n_theta * n_phi if seed is None else seed)
         shape = (2 * n_theta * n_phi, 2 * n_theta)
         column = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if nan_at is not None:
-            column[nan_at] = np.nan
+        if at is not None:
+            column[at] = value
+        return column
+
+    @classmethod
+    def gathered(cls, n_theta, n_phi, **kwargs):
+        column = cls.gathered_column(n_theta, n_phi, **kwargs)
         return NearFieldMatrix(grid=build_sphere_grid(n_theta, n_phi, 1.0),
                                entries=gather_column(column, n_theta, n_phi))
 

@@ -240,11 +240,17 @@ def legendre(n_max: int, x) -> np.ndarray:
     return sf._legendre_table(x, sin_t, n_max) * scale / lam[:, :, None]
 
 
+def vswf_modes(n_max: int) -> list[tuple[int, int]]:
+    """Mode enumeration (n, m), n = 1..n_max, m = -n..n: the list that
+    ``sf.mode_index`` replaced, kept as its oracle."""
+    return [(n, m) for n in range(1, n_max + 1) for m in range(-n, n + 1)]
+
+
 def tau_pi(n: int, m: int, theta: np.ndarray, k: float = 0.9, r: float = 0.8):
     """tau = lambda_nm dP_n^m/dtheta and pi = lambda_nm m P_n^m / sin theta
     (m >= 0) at polar angles theta, read off M_nm = z s (i pi that - tau phat)
     e^{i m phi} at phi = 0, where phat = (0, 1, 0)."""
-    q = sf.vswf_modes(n).index((n, m))
+    q = vswf_modes(n).index((n, m))
     zs = spherical_jn(n, k * r) / math.sqrt(n * (n + 1))
     pts = r * np.stack([np.sin(theta), 0 * theta, np.cos(theta)], axis=1)
     m_f = sf.vswf_fields(pts, k, n, 1)[0][q]
@@ -336,7 +342,7 @@ def fd_div(f, x, eps=1e-5):
 
 def wavefunction(which: str, kind: int, n: int, m: int, k: float):
     """x -> M_nm(x) or N_nm(x) (which = "M" or "N") at one point, by vswf_fields."""
-    q, family = sf.vswf_modes(n).index((n, m)), "MN".index(which)
+    q, family = vswf_modes(n).index((n, m)), "MN".index(which)
     return lambda x: sf.vswf_fields(np.asarray(x)[None, :], k, n, kind)[family][q, 0]
 
 
@@ -396,15 +402,20 @@ class TestVswf:
     def test_batch_matches_single(self):
         pts = np.array(self.POINTS)
         m_all, n_all = sf.vswf_fields(pts, self.K, 3, 1)
-        modes = sf.vswf_modes(3)
+        modes = vswf_modes(3)
         for q, (n, m) in enumerate(modes):
             for i, x in enumerate(self.POINTS):
                 assert np.allclose(m_all[q, i], self.field("M", n, m, 1)(x), atol=1e-15)
                 assert np.allclose(n_all[q, i], self.field("N", n, m, 1)(x), atol=1e-15)
 
     def test_mode_ordering(self):
-        modes = sf.vswf_modes(2)
+        modes = vswf_modes(2)
         assert modes == [(1, -1), (1, 0), (1, 1), (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, sf.ORDER_CAP])
+    def test_mode_index_matches_enumeration(self, n_max):
+        deg, order = sf.mode_index(n_max)
+        assert list(zip(deg.tolist(), order.tolist())) == vswf_modes(n_max)
 
     def test_origin_rejected_for_radiating(self):
         with pytest.raises(SingularPointError):
@@ -477,7 +488,7 @@ def vswf_fields_oracle(points, k, n_max, kind):
     """All M and N wavefunctions, one (n, m) at a time from lpmv: the
     per-mode construction that vswf_fields replaced."""
     pts, r, cos_t, sin_t, phi, rhat, that, phat = sf._spherical_frame(points)
-    modes = sf.vswf_modes(n_max)
+    modes = vswf_modes(n_max)
     m_fields = np.zeros((len(modes), pts.shape[0], 3), dtype=complex)
     n_fields = np.zeros_like(m_fields)
     for idx, (n, m) in enumerate(modes):
@@ -577,7 +588,7 @@ class TestVswfKernel:
         n_max = 130
         pts = np.vstack([np.array(self.FAR), [[0.3, -0.2, 0.5]]])
         m_f, n_f = sf.vswf_fields(pts, self.K, n_max, 1)
-        modes = sf.vswf_modes(n_max)
+        modes = vswf_modes(n_max)
         for n, m in [(120, 1), (124, 77), (130, 130)]:
             a, b = modes.index((n, m)), modes.index((n, -m))
             for f in (m_f, n_f):
