@@ -9,15 +9,16 @@ Subcommands
 Exit codes: 0 success, 2 configuration error (including arguments the
 numerics reject, degenerate transmission systems, and files or directories
 that cannot be read or written), 3 data-format error (including all-zero
-data), 4 an invariant check failed (`selfcheck`, or `simulate` before
-writing), 141 standard output closed by its reader before the run finished
-printing (its files are written).  A failed run creates no output directory.
+and non-finite data), 4 a failed invariant check of the synthesized data:
+reciprocity, interface residual or series tail (`selfcheck`, or `simulate`
+before writing), 141 standard output closed by its reader before the run
+finished printing (its files are written).  A failed run creates no output
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .errors import (
     DegenerateConfigError,
     InvalidArgumentError,
 )
-from .forward import interface_residual, maxwell_eigenvalue_margin, solve_modes
+from .forward import DATA_SERIES_TOL, interface_residual, maxwell_eigenvalue_margin, solve_modes
 from .lsm import (
     MAX_COORDINATE,
     build_sampling_grid,
@@ -53,6 +54,8 @@ from .measurement import (
     build_sphere_grid,
     read_nearfield,
     reciprocity_defect,
+    series_tail,
+    tail_order,
     write_manifest,
     write_nearfield,
 )
@@ -88,20 +91,21 @@ def _probe_source(cfg: RunConfig) -> np.ndarray:
     Draws beyond half the measurement radius are pulled back onto that
     radius: the data series order is sized for sources well inside the
     measurement sphere, and a source near or past it would not converge.
+    Draws inside rho/100 are pushed out to it, which keeps the source off
+    the expansion center for every rho the config accepts.
     """
     y = cfg.rho * 0.3 * np.random.default_rng(cfg.seed).standard_normal(3)
     r = np.linalg.norm(y)
-    return y if r <= 0.5 * cfg.rho else y * (0.5 * cfg.rho / r)
+    return y * (np.clip(r, 0.01 * cfg.rho, 0.5 * cfg.rho) / r)
 
 
 def _synthesize(cfg: RunConfig) -> tuple:
     """Clean data for the run's config and the checks made on it: (forward
-    config, grid, clean matrix, largest entry magnitude, seconds spent in the
-    mode solve and the assembly, reciprocity defect relative to that
-    magnitude, interface residual at the probe source).
+    config, clean matrix, seconds spent in the mode solve and the assembly,
+    the ``_invariants`` table).
 
-    The residual needs only the mode coefficients, so a helper thread
-    computes it while this one assembles."""
+    The interface residual and the series tail do not read the assembled
+    matrix, so a helper thread computes them while this one assembles."""
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
@@ -109,36 +113,43 @@ def _synthesize(cfg: RunConfig) -> tuple:
     with ThreadPoolExecutor(max_workers=1) as helper:
         residual = helper.submit(interface_residual, config, _probe_source(cfg),
                                  np.asarray(cfg.polarization), coeffs=coeffs)
+        tail = helper.submit(series_tail, config, grid)
         clean = assemble_nearfield(config, grid, coeffs)
         elapsed = time.perf_counter() - t0
-        scale = max(np.max(np.abs(block_column(clean))), 1e-300)
+        scale = max(float(np.max(np.abs(block_column(clean)))), 1e-300)
         defect = reciprocity_defect(clean) / scale
-    return config, grid, clean, scale, elapsed, defect, residual.result()
+    table = _invariants(config.n_max, defect, residual.result(), tail.result() / scale)
+    return config, clean, elapsed, table
 
 
-def _invariants(defect: float, residual: float) -> tuple:
+def _invariants(n_max: int, defect: float, residual: float, tail: float) -> tuple:
     """(check, value, limit, what a failure means) for each invariant of the
-    synthesized data.  A value passes only if it is below its limit, so NaN
-    fails."""
+    synthesized data: the reciprocity defect and the series tail relative to
+    the largest entry, and the interface residual at the probe source.  A
+    value passes only if it is below its limit, so NaN fails."""
+    step = tail_order(n_max) - n_max
+    series = (f"series convergence (order +{step})" if step else
+              f"series convergence (n_max = {n_max} is the order cap {ORDER_CAP})")
     return (
         ("reciprocity defect", defect, RECIPROCITY_LIMIT,
          "near-field matrix is not reciprocity-symmetric"),
         ("interface residual", residual, RESIDUAL_LIMIT,
          "transmission conditions violated beyond tolerance"),
+        (series, tail, DATA_SERIES_TOL, "near-field matrix not converged in series order"),
     )
 
 
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
-    config, _, clean, _, elapsed, defect, residual = _synthesize(cfg)
+    config, clean, elapsed, invariants = _synthesize(cfg)
 
     clean_path = out / f"{cfg.prefix}_clean.nfem"
     # Every check runs before the first file is written: finiteness (a data
     # error), then the invariants.
     if not np.all(np.isfinite(block_column(clean))):
         raise DataFormatError(f"{clean_path}: refusing to write non-finite matrix entries")
-    for check, value, limit, failure in _invariants(defect, residual):
+    for check, value, limit, failure in invariants:
         if not value < limit:
             print(f"error: {check} {value:.3e} is not below its limit {limit:.0e} "
                   f"({failure}); no file written", file=sys.stderr)
@@ -175,8 +186,8 @@ def _simulate(args) -> int:
     )
     print(f"assembled {clean.entries.shape[0]}x{clean.entries.shape[1]} "
           f"near-field matrix in {elapsed:.2f} s (n_max={config.n_max})")
-    print(f"reciprocity defect (relative): {defect:.3e}")
-    print(f"interface residual at probe source: {residual:.3e}")
+    for check, value, limit, _ in invariants:
+        print(f"{check}: {value:.3e} (limit {limit:.0e})")
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
@@ -241,27 +252,12 @@ def _selfcheck(args) -> int:
     if not ok:
         failures.append("wavenumber sits on a Maxwell eigenvalue")
 
-    config, grid, matrix, scale, _, defect, residual = _synthesize(cfg)
-    for check, value, limit, failure in _invariants(defect, residual):
+    *_, invariants = _synthesize(cfg)
+    for check, value, limit, failure in invariants:
         ok = value < limit
         print(f"[{'PASS' if ok else 'FAIL'}] {check}: {value:.3e} (limit {limit:.0e})")
         if not ok:
             failures.append(failure)
-
-    # The reference order stays at or below the cap the user's order obeys.
-    order = min(config.n_max + 5, ORDER_CAP)
-    if order > config.n_max:
-        ref = assemble_nearfield(dataclasses.replace(config, n_max=order), grid)
-        diff = np.max(np.abs(block_column(ref) - block_column(matrix)))
-        ok = diff / scale < 1e-8
-        print(f"[{'PASS' if ok else 'FAIL'}] series convergence "
-              f"(order +{order - config.n_max}): {diff / scale:.3e} (limit 1e-08)")
-    else:
-        ok = False
-        print(f"[FAIL] series convergence: n_max = {config.n_max} is the order cap "
-              f"{ORDER_CAP}, so no higher order is left to compare with")
-    if not ok:
-        failures.append("near-field matrix not converged in series order")
 
     if failures:
         print("selfcheck FAILED: " + "; ".join(failures))

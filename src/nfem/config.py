@@ -21,6 +21,11 @@ from .forward import LayeredCavityConfig, Shell, data_truncation_order
 from .lsm import MAX_COORDINATE, lattice_shape
 from .specialfun import ORDER_CAP
 
+# Smallest measurement radius: the interface-residual check draws its probe
+# source at rho/100 or more from the origin, which must stay clear of the
+# expansion center guard (1e-12) of `forward.source_expansion`.
+RHO_FLOOR = 1e-9
+
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -102,8 +107,8 @@ class RunConfig:
             raise ConfigError(
                 "measurement.rho must be smaller than forward.cavity_radius"
             )
-        if self.rho <= 0:
-            raise ConfigError("measurement.rho must be positive")
+        if not self.rho >= RHO_FLOOR:
+            raise ConfigError(f"measurement.rho must be at least {RHO_FLOOR:g}")
         if self.n_theta < 2 or self.n_phi < 4:
             raise ConfigError("measurement.n_theta must be >= 2 and n_phi >= 4")
         if self.noise_level < 0:

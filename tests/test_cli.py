@@ -322,6 +322,17 @@ class TestCliWorkflow:
         cfg.write_text(FAST_CONFIG.replace("seed = 7", "seed = 228819406"))
         assert main(["selfcheck", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("seed, radius", [(7, 0.122), (57120, 0.01), (228819406, 0.5)])
+    def test_probe_source_stays_between_rho_over_100_and_rho_over_2(self, seed, radius):
+        # Seed 7 draws 0.122 rho and keeps its bits; 57120 draws 0.0067 rho
+        # and is pushed out, 228819406 draws 1.035 rho and is pulled in,
+        # each along its own direction.
+        draw = 0.3 * np.random.default_rng(seed).standard_normal(3)
+        y = cli._probe_source(RunConfig(seed=seed))
+        assert np.linalg.norm(y) == pytest.approx(radius, abs=5e-4)
+        assert np.allclose(y / np.linalg.norm(y), draw / np.linalg.norm(draw), rtol=0, atol=1e-15)
+        assert seed != 7 or np.array_equal(y, draw)
+
     def test_selfcheck_fails_on_eigenvalue(self, tmp_path):
         bad = tmp_path / "eig.ini"
         bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 4.4934094579"))
@@ -378,20 +389,36 @@ class TestCliWorkflow:
 
     def test_simulate_nan_invariant_fails(self, cfg_path, tmp_path, capsys,
                                           monkeypatch):
-        # A NaN reciprocity defect on finite data fails its check: exit 4,
-        # nothing written.
-        synthesize = cli._synthesize
+        # A NaN reciprocity defect or a NaN series tail on finite data fails
+        # its check: exit 4, nothing written.
+        for name, check in (("reciprocity_defect", "reciprocity defect"),
+                            ("series_tail", "series convergence (order +5)")):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, lambda *args: float("nan"))
+                out = tmp_path / name
+                assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {check} nan") and err.count("\n") == 1
+            assert not out.exists()
 
-        def nan_defect(cfg):
-            *head, _, residual = synthesize(cfg)
-            return (*head, float("nan"), residual)
-
-        monkeypatch.setattr(cli, "_synthesize", nan_defect)
+    @pytest.mark.parametrize("n_max", [3, 12, 20, 85, None])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simulate_and_selfcheck_agree(self, tmp_path, capsys, n_max):
+        # simulate writes data exactly when selfcheck passes them.  At n_max
+        # = 12 and 20 the series tail fails, and at 85 it is NaN (R_n is
+        # finite only to degree 87), while the data and the interface
+        # residual are fine; None derives the order 34.
+        cfg = tmp_path / "run.ini"
+        order = "" if n_max is None else f"\nn_max = {n_max}"
+        cfg.write_text(FAST_CONFIG.replace("k = 0.75", f"k = 0.75{order}"))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 4
+        simulated = main(["simulate", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith("error: reciprocity defect nan") and err.count("\n") == 1
-        assert not out.exists()
+        assert (simulated == 0) == (main(["selfcheck", "--config", str(cfg)]) == 0)
+        assert simulated == (0 if n_max is None else 4)
+        if n_max in (12, 20, 85):
+            assert err.startswith("error: series convergence (order +5) ")
+            assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_derived_order_past_cap_names_rho(self, tmp_path, capsys):
@@ -748,9 +775,11 @@ def test_reconstruct_into_closed_pipe(cfg_path, fast_data, tmp_path):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    # The forward section only simulate and selfcheck solve: at this rho,
-    # (rho / a)^2 underflows and the probe source sits at the origin.
-    *[(command, "rho", "1e-200") for command in ("simulate", "selfcheck")],
+    # The forward section only simulate and selfcheck solve: at these rho,
+    # the probe source would sit within 1e-12 of the origin, and at 1e-200
+    # (rho / a)^2 underflows too.
+    *[(command, "rho", value) for value in ("1e-200", "1e-12")
+      for command in ("simulate", "selfcheck")],
     *[(command, key, value)
       for key, value in [("cavity_radius", "1e200"), ("polarization", "0 0 0"),
                          ("polarization", "1e-300 0 0"), ("polarization", "1e300 0 0")]
@@ -774,6 +803,9 @@ def test_extreme_value_is_one_stderr_line(fast_data, tmp_path, command, key, val
                           env=_package_env(PYTHONWARNINGS="always"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if key == "rho":
+        # Refused by its floor, not by the probe source it would place.
+        assert "measurement.rho" in proc.stderr and "dipole" not in proc.stderr
     assert not out.exists()
 
 

@@ -38,6 +38,7 @@ from nfem.measurement import (
     read_nearfield,
     reciprocity_defect,
     ring_size,
+    series_tail,
     write_nearfield,
 )
 
@@ -291,6 +292,38 @@ class TestReciprocityDefect:
         column = cls.gathered_column(n_theta, n_phi, **kwargs)
         return NearFieldMatrix(grid=build_sphere_grid(n_theta, n_phi, 1.0),
                                entries=gather_column(column, n_theta, n_phi))
+
+
+class TestSeriesTail:
+    @pytest.mark.parametrize("n_theta, n_phi, n_max", [(6, 12, 12), (12, 24, 18), (18, 36, 34)])
+    def test_matches_the_dense_difference(self, n_theta, n_phi, n_max):
+        # Each degree is solved on its own, so the tail is max |C(n_max + 5)
+        # - C(n_max)| up to rounding: 1.1e-13, 3.6e-11 and 3.9e-6 apart
+        # relative.  At n_max = 34 both read 1.8e-10 of the largest entry,
+        # and the gap is about 7e-16 of it.
+        grid = build_sphere_grid(n_theta, n_phi, 1.0)
+        config = dataclasses.replace(BALL, n_max=n_max)
+        ref = assemble_nearfield(dataclasses.replace(config, n_max=n_max + 5), grid)
+        diff = np.max(np.abs(block_column(ref) - block_column(assemble_nearfield(config, grid))))
+        assert series_tail(config, grid) == pytest.approx(diff, rel=1e-5, abs=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_reflection_coefficient_makes_it_nan(self, monkeypatch):
+        solve = measurement.solve_modes
+
+        def planted(config):
+            coeffs = solve(config)
+            coeffs.table[0, 1, 0, config.n_max - 2] = np.nan  # TM R_n, n = n_max - 1
+            return coeffs
+
+        monkeypatch.setattr(measurement, "solve_modes", planted)
+        assert np.isnan(series_tail(BALL, build_sphere_grid(4, 8, 1.0)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_at_the_order_cap(self):
+        # No degree above the cap is left to measure the tail with.
+        config = dataclasses.replace(BALL, n_max=sf.ORDER_CAP)
+        assert np.isnan(series_tail(config, build_sphere_grid(4, 8, 1.0)))
 
 
 class TestRingLayoutGuard:
