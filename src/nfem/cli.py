@@ -10,10 +10,10 @@ Exit codes: 0 success, 2 configuration error (including arguments the
 numerics reject, degenerate transmission systems, and files or directories
 that cannot be read or written), 3 data-format error (including all-zero
 and non-finite data), 4 a failed invariant check of the synthesized data:
-reciprocity, interface residual or series tail (`selfcheck`, or `simulate`
-before writing), 141 standard output closed by its reader before the run
-finished printing (its files are written).  A failed run creates no output
-directory.
+reciprocity, interface residual, series tail or eigenvalue margin
+(`selfcheck`, or `simulate` before writing), 141 standard output closed by
+its reader before the run finished printing (its files are written).  A
+failed run creates no output directory.
 """
 
 from __future__ import annotations
@@ -35,7 +35,14 @@ from .errors import (
     DegenerateConfigError,
     InvalidArgumentError,
 )
-from .forward import DATA_SERIES_TOL, interface_residual, maxwell_eigenvalue_margin, solve_modes
+from .forward import (
+    DATA_SERIES_TOL,
+    interface_residual,
+    maxwell_eigenvalue_margin,
+    series_tail,
+    solve_modes,
+    tail_order,
+)
 from .lsm import (
     MAX_COORDINATE,
     build_sampling_grid,
@@ -54,8 +61,6 @@ from .measurement import (
     build_sphere_grid,
     read_nearfield,
     reciprocity_defect,
-    series_tail,
-    tail_order,
     write_manifest,
     write_nearfield,
 )
@@ -104,8 +109,9 @@ def _synthesize(cfg: RunConfig) -> tuple:
     config, clean matrix, seconds spent in the mode solve and the assembly,
     the ``_invariants`` table).
 
-    The interface residual and the series tail do not read the assembled
-    matrix, so a helper thread computes them while this one assembles."""
+    The interface residual and the eigenvalue margin do not read the
+    assembled matrix, so a helper thread computes them while this one
+    assembles and sums the series tail."""
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
@@ -113,29 +119,38 @@ def _synthesize(cfg: RunConfig) -> tuple:
     with ThreadPoolExecutor(max_workers=1) as helper:
         residual = helper.submit(interface_residual, config, _probe_source(cfg),
                                  np.asarray(cfg.polarization), coeffs=coeffs)
-        tail = helper.submit(series_tail, config, grid)
+        margin = helper.submit(maxwell_eigenvalue_margin, cfg.k, cfg.rho)
         clean = assemble_nearfield(config, grid, coeffs)
         elapsed = time.perf_counter() - t0
         scale = max(float(np.max(np.abs(block_column(clean)))), 1e-300)
         defect = reciprocity_defect(clean) / scale
-    table = _invariants(config.n_max, defect, residual.result(), tail.result() / scale)
+        tail = series_tail(config, cfg.rho) / scale
+    table = _invariants(config.n_max, defect, residual.result(), tail, margin.result())
     return config, clean, elapsed, table
 
 
-def _invariants(n_max: int, defect: float, residual: float, tail: float) -> tuple:
-    """(check, value, limit, what a failure means) for each invariant of the
-    synthesized data: the reciprocity defect and the series tail relative to
-    the largest entry, and the interface residual at the probe source.  A
-    value passes only if it is below its limit, so NaN fails."""
+def _invariants(n_max: int, defect: float, residual: float, tail: float,
+                margin: float) -> tuple:
+    """(passed, check, reading, what a failure means) for each invariant of
+    the synthesized data: the reciprocity defect and the series tail
+    relative to the largest entry, and the interface residual at the probe
+    source, each below its limit; and the eigenvalue margin of the
+    measurement ball, above its floor.  Each verdict is a comparison that
+    NaN fails."""
     step = tail_order(n_max) - n_max
     series = (f"series convergence (order +{step})" if step else
               f"series convergence (n_max = {n_max} is the order cap {ORDER_CAP})")
-    return (
+    limits = (
         ("reciprocity defect", defect, RECIPROCITY_LIMIT,
          "near-field matrix is not reciprocity-symmetric"),
         ("interface residual", residual, RESIDUAL_LIMIT,
          "transmission conditions violated beyond tolerance"),
         (series, tail, DATA_SERIES_TOL, "near-field matrix not converged in series order"),
+    )
+    return tuple((value < limit, check, f"{value:.3e} (limit {limit:.0e})", failure)
+                 for check, value, limit, failure in limits) + (
+        (margin > MARGIN_FLOOR, "eigenvalue margin of measurement ball",
+         f"{margin:.6f} (floor {MARGIN_FLOOR})", "wavenumber sits on a Maxwell eigenvalue"),
     )
 
 
@@ -149,10 +164,9 @@ def _simulate(args) -> int:
     # error), then the invariants.
     if not np.all(np.isfinite(block_column(clean))):
         raise DataFormatError(f"{clean_path}: refusing to write non-finite matrix entries")
-    for check, value, limit, failure in invariants:
-        if not value < limit:
-            print(f"error: {check} {value:.3e} is not below its limit {limit:.0e} "
-                  f"({failure}); no file written", file=sys.stderr)
+    for passed, check, reading, failure in invariants:
+        if not passed:
+            print(f"error: {check} {reading}: {failure}; no file written", file=sys.stderr)
             return EXIT_INVARIANT
     # A helper thread makes and writes the noisy file while this one writes
     # the clean file.  Leaving the block waits for both; a failed clean
@@ -186,8 +200,8 @@ def _simulate(args) -> int:
     )
     print(f"assembled {clean.entries.shape[0]}x{clean.entries.shape[1]} "
           f"near-field matrix in {elapsed:.2f} s (n_max={config.n_max})")
-    for check, value, limit, _ in invariants:
-        print(f"{check}: {value:.3e} (limit {limit:.0e})")
+    for _, check, reading, _ in invariants:
+        print(f"{check}: {reading}")
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
@@ -244,19 +258,10 @@ def _reconstruct(args) -> int:
 def _selfcheck(args) -> int:
     cfg = load_config(args.config)
     failures = []
-
-    margin = maxwell_eigenvalue_margin(cfg.k, cfg.rho)
-    ok = margin > MARGIN_FLOOR
-    print(f"[{'PASS' if ok else 'FAIL'}] eigenvalue margin of measurement ball: "
-          f"{margin:.6f} (floor {MARGIN_FLOOR})")
-    if not ok:
-        failures.append("wavenumber sits on a Maxwell eigenvalue")
-
     *_, invariants = _synthesize(cfg)
-    for check, value, limit, failure in invariants:
-        ok = value < limit
-        print(f"[{'PASS' if ok else 'FAIL'}] {check}: {value:.3e} (limit {limit:.0e})")
-        if not ok:
+    for passed, check, reading, failure in invariants:
+        print(f"[{'PASS' if passed else 'FAIL'}] {check}: {reading}")
+        if not passed:
             failures.append(failure)
 
     if failures:

@@ -20,7 +20,7 @@ where c_nm are the radiating-expansion coefficients of the dipole field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,6 +121,38 @@ def data_truncation_order(
     log_ratio = 2 * (np.log(measurement_radius) - np.log(cavity_radius))
     extra = int(np.ceil(np.log(DATA_SERIES_TOL) / log_ratio))
     return base + max(extra, 0)
+
+
+def tail_order(n_max: int) -> int:
+    """The highest degree ``series_tail`` sums for data of order n_max:
+    n_max + 5, clipped to the wavefunction order cap."""
+    return min(n_max + 5, sf.ORDER_CAP)
+
+
+def series_tail(config: LayeredCavityConfig, radius: float) -> float:
+    """A bound on every entry that degrees n_max + 1 .. ``tail_order(n_max)``
+    add to the data of order n_max, with sources and receivers on |x| = radius.
+
+    Degree n adds -k^2 R_n sum_m (P_nm . e)(x) conj(P_nm . e')(y) per family.
+    For every unit tangent e, sum_m |M_nm . e|^2 = (2n+1)/(8 pi) j_n(t)^2 and
+    sum_m |N_nm . e|^2 = (2n+1)/(8 pi) (psi_n'(t)/t)^2 at t = k radius, the
+    vector form of Unsold's theorem (Ann. Phys. 387, 355, 1927).  So by
+    Cauchy-Schwarz no entry exceeds k^2 sum_n (2n+1)/(8 pi) (|R_n^TE| j_n^2 +
+    |R_n^TM| (psi_n'/t)^2), the value returned; the diagonal entries reach
+    it when the R_n share a phase.  At n_max = ``ORDER_CAP`` no degree is
+    left, and the tail is NaN; a tail R_n that is not finite makes it NaN.
+    """
+    n_max, top = config.n_max, tail_order(config.n_max)
+    if top == n_max:
+        return float("nan")
+    reflection = np.abs(solve_modes(replace(config, n_max=top)).reflection[:, n_max:])
+    if not np.all(np.isfinite(reflection)):  # before the sum, which would warn
+        return float("nan")
+    # Rows 0 and 2 of the radial table, j_n and psi_n'/t, pair with TE and TM.
+    # |R_n| z_n first: R_n grows as z_n^2 falls, and z_n^2 alone may underflow.
+    z = np.abs(sf._radial_table(top, 1, np.array([config.k * radius]))[::2, n_max:, 0])
+    weight = (2 * np.arange(n_max + 1, top + 1) + 1) / (8 * np.pi)
+    return float(config.k**2 * np.sum(weight * (reflection * z * z)))
 
 
 @dataclass(frozen=True)

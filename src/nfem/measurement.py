@@ -165,53 +165,6 @@ def ring_size(grid: SphereGrid) -> int:
     return n_phi
 
 
-def tail_order(n_max: int) -> int:
-    """The highest degree ``series_tail`` contracts for data of order n_max:
-    n_max + 5, clipped to the wavefunction order cap."""
-    return min(n_max + 5, sf.ORDER_CAP)
-
-
-def _contract_column(
-    config: LayeredCavityConfig,
-    grid: SphereGrid,
-    coeffs: ModeCoefficients,
-    lowest: int = 1,
-) -> np.ndarray:
-    """The block column at phi_q = 0 of the mode contraction over degrees
-    lowest..n_max, as column[b, m, a, l, p] = C[(a, p, l), (b, m)].
-
-    A mode of azimuthal order mu projects at node (a, p), the node of ring a
-    at phi_p, to its meridian projection P0[mode, a] times e^{i mu phi_p},
-    so one GEMM over the TE and TM modes together gives the column.
-    """
-    if grid.radius >= config.cavity_radius:
-        raise InvalidArgumentError(
-            "measurement sphere must lie strictly inside the cavity"
-        )
-    n_phi = ring_size(grid)
-    n_theta = grid.n_nodes // n_phi
-    deg, order = sf.mode_index(config.n_max)
-    # p0[(family, mode), a, l] = regular VSWF . e_l at meridian node a; TE, TM.
-    meridian = slice(None, None, n_phi)
-    fields = np.concatenate(sf.vswf_fields(grid.nodes[meridian], config.k, config.n_max, 1))
-    frames = np.stack([grid.e1[meridian], grid.e2[meridian]], axis=1)
-    p0 = np.einsum("qaj,alj->qal", fields, frames)
-    # Each family's degrees from `lowest` up are its rows from mode (lowest, -lowest) on.
-    first = lowest * lowest - 1
-    p0 = p0.reshape(2, -1, n_theta, 2)[:, first:].reshape(-1, n_theta, 2)
-    deg, order = deg[first:], order[first:]
-    phase = np.exp(1j * np.tile(order, 2)[:, None] * grid.phi[:n_phi])
-    # proj[mode, (a, l, p)]: the meridian projections turned to every phi_p.
-    proj = (p0[..., None] * phase[:, None, None, :]).reshape(p0.shape[0], -1)
-    # Degrees whose R_n overflowed make the entries NaN, which the NFEM1
-    # writer and the invariant checks report; the warnings on the way say
-    # nothing more.
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = coeffs.reflection[:, deg - 1].reshape(-1, 1, 1) * np.conj(p0)
-        column = -(config.k**2) * (weighted.reshape(p0.shape[0], -1).T @ proj)
-    return column.reshape(n_theta, 2, n_theta, 2, n_phi)
-
-
 def assemble_nearfield(
     config: LayeredCavityConfig,
     grid: SphereGrid,
@@ -224,34 +177,40 @@ def assemble_nearfield(
     S depends on the phi indices only through (p - q) mod n_phi, so it is
     the cyclic gather of its block column C at phi_q = 0:
     S[(a, p, l), (b, q, m)] = C[(a, (p - q) mod n_phi, l), (b, m)].
+    A mode of azimuthal order mu projects at node (a, p), the node of ring a
+    at phi_p, to its meridian projection P0[mode, a] times e^{i mu phi_p},
+    so one GEMM over the TE and TM modes together gives the column.
     """
     if coeffs is None:
         coeffs = solve_modes(config)
-    column = _contract_column(config, grid, coeffs)
-    n_phi = column.shape[-1]
+    if grid.radius >= config.cavity_radius:
+        raise InvalidArgumentError(
+            "measurement sphere must lie strictly inside the cavity"
+        )
+    n_phi = ring_size(grid)
+    n_theta = grid.n_nodes // n_phi
+    deg, order = sf.mode_index(config.n_max)
+    # p0[(family, mode), a, l] = regular VSWF . e_l at meridian node a; TE, TM.
+    meridian = slice(None, None, n_phi)
+    fields = np.concatenate(sf.vswf_fields(grid.nodes[meridian], config.k, config.n_max, 1))
+    frames = np.stack([grid.e1[meridian], grid.e2[meridian]], axis=1)
+    p0 = np.einsum("qaj,alj->qal", fields, frames)
+    phase = np.exp(1j * np.tile(order, 2)[:, None] * grid.phi[:n_phi])
+    # proj[mode, (a, l, p)]: the meridian projections turned to every phi_p.
+    proj = (p0[..., None] * phase[:, None, None, :]).reshape(p0.shape[0], -1)
+    # Degrees whose R_n overflowed make the entries NaN, which the NFEM1
+    # writer and the invariant checks report; the warnings on the way say
+    # nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = coeffs.reflection[:, deg - 1].reshape(-1, 1, 1) * np.conj(p0)
+        column = -(config.k**2) * (weighted.reshape(p0.shape[0], -1).T @ proj)
+    # column[b, m, a, l, p] = C[(a, p, l), (b, m)]
+    column = column.reshape(n_theta, 2, n_theta, 2, n_phi)
     shift = (np.arange(n_phi)[:, None] - np.arange(n_phi)) % n_phi
     # blocks[b, m, a, l, p, q] = C[(a, (p - q) mod n_phi, l), (b, m)]
     blocks = column[..., shift]
     entries = blocks.transpose(2, 4, 3, 0, 5, 1).reshape(2 * grid.n_nodes, -1)
     return NearFieldMatrix(grid=grid, entries=entries)
-
-
-def series_tail(config: LayeredCavityConfig, grid: SphereGrid) -> float:
-    """max |C_tail|: the largest entry of the block column that degrees
-    n_max + 1 .. ``tail_order(n_max)`` add to the data of order n_max.
-
-    ``solve_modes`` solves each degree on its own, so this is the difference
-    between the block columns of order ``tail_order(n_max)`` and n_max, up
-    to rounding.  The tail uses its own mode solve and wavefunctions at that
-    order and leaves the data's untouched.  At n_max = ``ORDER_CAP`` no
-    degree is left, and the tail is NaN; a NaN entry makes it NaN too.
-    """
-    n_max, top = config.n_max, tail_order(config.n_max)
-    if top == n_max:
-        return float("nan")
-    config = replace(config, n_max=top)
-    tail = _contract_column(config, grid, solve_modes(config), lowest=n_max + 1)
-    return float(np.max(np.abs(tail)))
 
 
 def block_column(matrix: NearFieldMatrix) -> np.ndarray:

@@ -401,23 +401,34 @@ class TestCliWorkflow:
             assert err.startswith(f"error: {check} nan") and err.count("\n") == 1
             assert not out.exists()
 
-    @pytest.mark.parametrize("n_max", [3, 12, 20, 85, None])
+    SERIES = "series convergence (order +5)"
+
+    @pytest.mark.parametrize("k, n_max, check", [
+        pytest.param("0.75", 3, "interface residual", id="3"),
+        pytest.param("0.75", 12, SERIES, id="12"),
+        pytest.param("0.75", 20, SERIES, id="20"),
+        pytest.param("0.75", 85, SERIES, id="85"),
+        pytest.param("0.75", None, None, id="None"),
+        pytest.param("4.4934094579", None, "eigenvalue margin", id="k=4.4934094579"),
+    ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_simulate_and_selfcheck_agree(self, tmp_path, capsys, n_max):
+    def test_simulate_and_selfcheck_agree(self, tmp_path, capsys, k, n_max, check):
         # simulate writes data exactly when selfcheck passes them.  At n_max
         # = 12 and 20 the series tail fails, and at 85 it is NaN (R_n is
         # finite only to degree 87), while the data and the interface
-        # residual are fine; None derives the order 34.
+        # residual are fine; None derives the order 34.  k = 4.4934094579 is
+        # a Maxwell eigenvalue of the measurement ball: the data are sound,
+        # and the eigenvalue margin fails.
         cfg = tmp_path / "run.ini"
         order = "" if n_max is None else f"\nn_max = {n_max}"
-        cfg.write_text(FAST_CONFIG.replace("k = 0.75", f"k = 0.75{order}"))
+        cfg.write_text(FAST_CONFIG.replace("k = 0.75", f"k = {k}{order}"))
         out = tmp_path / "out"
         simulated = main(["simulate", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert (simulated == 0) == (main(["selfcheck", "--config", str(cfg)]) == 0)
-        assert simulated == (0 if n_max is None else 4)
-        if n_max in (12, 20, 85):
-            assert err.startswith("error: series convergence (order +5) ")
+        assert simulated == (0 if check is None else 4)
+        if check:
+            assert err.startswith(f"error: {check} ")
             assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -21,9 +21,18 @@ from nfem.errors import (
     InvalidArgumentError,
     MalformedHeaderError,
 )
-from nfem import measurement
+from nfem import forward, measurement
 from nfem import specialfun as sf
-from nfem.forward import LayeredCavityConfig, Shell, scattered_field, solve_modes
+from nfem.forward import (
+    DATA_SERIES_TOL,
+    LayeredCavityConfig,
+    Shell,
+    data_truncation_order,
+    scattered_field,
+    series_tail,
+    solve_modes,
+    tail_order,
+)
 from nfem.measurement import (
     HEADER,
     MAGIC,
@@ -38,7 +47,6 @@ from nfem.measurement import (
     read_nearfield,
     reciprocity_defect,
     ring_size,
-    series_tail,
     write_nearfield,
 )
 
@@ -297,33 +305,70 @@ class TestReciprocityDefect:
 class TestSeriesTail:
     @pytest.mark.parametrize("n_theta, n_phi, n_max", [(6, 12, 12), (12, 24, 18), (18, 36, 34)])
     def test_matches_the_dense_difference(self, n_theta, n_phi, n_max):
-        # Each degree is solved on its own, so the tail is max |C(n_max + 5)
-        # - C(n_max)| up to rounding: 1.1e-13, 3.6e-11 and 3.9e-6 apart
-        # relative.  At n_max = 34 both read 1.8e-10 of the largest entry,
+        # Each degree is solved on its own, and here the R_n share a phase,
+        # so the tail is max |C(n_max + 5) - C(n_max)| up to rounding:
+        # 1.1e-13, 3.6e-11 and 3.9e-6 apart relative.  At n_max = 34 both read 1.8e-10 of the largest entry,
         # and the gap is about 7e-16 of it.
         grid = build_sphere_grid(n_theta, n_phi, 1.0)
         config = dataclasses.replace(BALL, n_max=n_max)
         ref = assemble_nearfield(dataclasses.replace(config, n_max=n_max + 5), grid)
         diff = np.max(np.abs(block_column(ref) - block_column(assemble_nearfield(config, grid))))
-        assert series_tail(config, grid) == pytest.approx(diff, rel=1e-5, abs=0)
+        assert series_tail(config, 1.0) == pytest.approx(diff, rel=1e-5, abs=0)
+
+    @staticmethod
+    def random_configs(seed, count):
+        """(config, rho): k in [0.05, 4], one or two shells, rho/a in [0.2,
+        0.9], n_max from 10 below to 2 above the derived order."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            k = rng.uniform(0.05, 4.0)
+            radii = 1.0 + np.cumsum(rng.uniform(0.2, 1.0, size=rng.integers(1, 3)))
+            shells = tuple(Shell(r, rng.uniform(0.5, 2.0), rng.uniform(0.5, 4.0)) for r in radii)
+            rho = rng.uniform(0.2, 0.9)
+            n_max = max(1, data_truncation_order(1.0, shells, k, rho) + int(rng.integers(-10, 3)))
+            yield LayeredCavityConfig(1.0, shells, k, n_max), rho
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bounds_the_dense_difference(self):
+        # The tail bounds every entry that the degrees past n_max add: their
+        # contraction alone, and the difference of two assemblies up to the
+        # rounding of the subtraction (at most 1.9e-15 of the largest entry
+        # on 300 other seeded configs).  Both pass or fail DATA_SERIES_TOL together:
+        # here 78 pass, 20 fail and 2 are NaN.
+        for config, rho in self.random_configs(19, 100):
+            grid = build_sphere_grid(4, 8, rho)
+            top = dataclasses.replace(config, n_max=tail_order(config.n_max))
+            coeffs = solve_modes(top)
+            tail = series_tail(config, rho)
+            if np.isnan(tail):
+                assert not np.all(np.isfinite(coeffs.reflection[:, config.n_max:]))
+                continue
+            data = block_column(assemble_nearfield(config, grid))
+            scale = np.max(np.abs(data))
+            dense = np.max(np.abs(block_column(assemble_nearfield(top, grid, coeffs)) - data))
+            coeffs.table[0, :, 0, :config.n_max] = 0  # R_n of the data's degrees
+            alone = np.max(np.abs(block_column(assemble_nearfield(top, grid, coeffs))))
+            assert alone <= tail * (1 + 1e-12)
+            assert dense <= tail * (1 + 1e-12) + 1e-14 * scale
+            assert (tail / scale < DATA_SERIES_TOL) == (dense / scale < DATA_SERIES_TOL)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_reflection_coefficient_makes_it_nan(self, monkeypatch):
-        solve = measurement.solve_modes
+        solve = forward.solve_modes
 
         def planted(config):
             coeffs = solve(config)
             coeffs.table[0, 1, 0, config.n_max - 2] = np.nan  # TM R_n, n = n_max - 1
             return coeffs
 
-        monkeypatch.setattr(measurement, "solve_modes", planted)
-        assert np.isnan(series_tail(BALL, build_sphere_grid(4, 8, 1.0)))
+        monkeypatch.setattr(forward, "solve_modes", planted)
+        assert np.isnan(series_tail(BALL, 1.0))
 
     @pytest.mark.filterwarnings("error")
     def test_nan_at_the_order_cap(self):
         # No degree above the cap is left to measure the tail with.
         config = dataclasses.replace(BALL, n_max=sf.ORDER_CAP)
-        assert np.isnan(series_tail(config, build_sphere_grid(4, 8, 1.0)))
+        assert np.isnan(series_tail(config, 1.0))
 
 
 class TestRingLayoutGuard:

@@ -595,3 +595,29 @@ class TestVswfKernel:
                 scale = np.max(np.abs(f[a]))
                 assert scale > 0
                 assert np.max(np.abs(np.conj(f[a]) - (-1.0) ** m * f[b])) <= 1e-14 * scale
+
+
+class TestUnsoldIdentity:
+    """The vector form of Unsold's theorem, on which ``forward.series_tail``
+    rests: for every unit tangent e, sum_m |M_nm . e|^2 = (2n+1)/(8 pi) j_n^2
+    and sum_m |N_nm . e|^2 = (2n+1)/(8 pi) (psi_n'/t)^2."""
+
+    def test_sums_over_orders(self):
+        n_max, k = 60, 0.9
+        rng = np.random.default_rng(19)
+        dirs = rng.normal(size=(16, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = dirs * rng.uniform(0.1 / k, 4.0 / k, size=(16, 1))
+        _, r, *_, that, phat = sf._spherical_frame(pts)
+        # j_n and psi_n'/t at the t = k|x| that vswf_fields takes.
+        radial = sf._radial_table(n_max, 1, k * r)[::2]
+        deg, _ = sf.mode_index(n_max)
+        first = np.arange(1, n_max + 1) ** 2 - 1  # the row of mode (n, -n)
+        want = (2 * np.arange(1, n_max + 1) + 1) / (8 * np.pi)
+        for e in (that, phat, (that + phat) / np.sqrt(2)):
+            for fields, z in zip(sf.vswf_fields(pts, k, n_max, 1), radial):
+                # Divided by the radial factor, the squares stay in the double
+                # range: j_60(0.1)^2 is about 1e-320.
+                proj = np.einsum("qij,ij->qi", fields, e) / z[deg - 1]
+                sums = np.add.reduceat(np.abs(proj) ** 2, first, axis=0)
+                assert np.max(np.abs(sums / want[:, None] - 1)) < 1e-12
