@@ -179,12 +179,12 @@ _KEYS = {f.name: f.metadata for f in fields(RunConfig)}
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             parser.read_file(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
 
     kwargs = {}
     for section in parser.sections():

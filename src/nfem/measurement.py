@@ -13,12 +13,12 @@ the file format solver-agnostic.
 The grid is a ring grid: node a n_phi + p sits at theta_a and
 phi_p = 2 pi p / n_phi.  The layered cavity is spherically symmetric, so a
 rotation about the z axis by phi_q maps the grid onto itself and S is
-block-circulant in phi: its entries depend on the phi indices only through
-(p - q) mod n_phi.  The assembly evaluates the wavefunctions on the n_theta
-nodes of the phi = 0 meridian, turns them to the other rings by e^{i m phi_p},
-forms the 2 n_theta columns at phi_q = 0 with one GEMM, and fills the rest of
-the matrix by cyclic shifts.  Its entries match the dense mode contraction
-to 1e-13 of the largest entry.
+block-circulant in phi (its entries depend on the phi indices only through
+(p - q) mod n_phi), hence block-diagonal in the azimuthal Fourier basis.
+The assembly forms one product per residue of the azimuthal order mod n_phi
+from the wavefunctions on the phi = 0 meridian, turns them into the columns
+at phi_q = 0 by one inverse DFT, and fills the rest by cyclic shifts.  Its
+entries match the dense mode contraction to 1e-13 of the largest entry.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class NoiseSpec:
             raise InvalidArgumentError("noise level must be nonnegative")
 
 
-# Largest phi offset from the uniform ring that ring_size accepts; the
-# assembly's phases then move the entries by at most n_max times this.
+# Largest phi offset from the uniform ring that ring_size accepts.  The
+# assembly does not read phi, so an accepted grid gets the exact ring's data.
 _PHI_TOL = 1e-14
 
 
@@ -177,10 +177,9 @@ def assemble_nearfield(
     S depends on the phi indices only through (p - q) mod n_phi, so it is
     the cyclic gather of its block column C at phi_q = 0:
     S[(a, p, l), (b, q, m)] = C[(a, (p - q) mod n_phi, l), (b, m)].
-    A mode of azimuthal order mu projects at node (a, p), the node of ring a
-    at phi_p, to its meridian projection P0[mode, a] times e^{i mu phi_p},
-    so one GEMM over the TE and TM modes together gives the column.
-    """
+    A mode of azimuthal order mu projects at node (a, p) to P0[mode, a]
+    e^{2 pi i mu p / n_phi}, which reads mu only mod n_phi, so the products
+    G[nu] = sum_{mu = nu mod n_phi} R conj(P0) P0^T give C = n_phi ifft(G)."""
     if coeffs is None:
         coeffs = solve_modes(config)
     if grid.radius >= config.cavity_radius:
@@ -194,22 +193,23 @@ def assemble_nearfield(
     meridian = slice(None, None, n_phi)
     fields = np.concatenate(sf.vswf_fields(grid.nodes[meridian], config.k, config.n_max, 1))
     frames = np.stack([grid.e1[meridian], grid.e2[meridian]], axis=1)
-    p0 = np.einsum("qaj,alj->qal", fields, frames)
-    phase = np.exp(1j * np.tile(order, 2)[:, None] * grid.phi[:n_phi])
-    # proj[mode, (a, l, p)]: the meridian projections turned to every phi_p.
-    proj = (p0[..., None] * phase[:, None, None, :]).reshape(p0.shape[0], -1)
+    p0 = np.einsum("qaj,alj->qal", fields, frames).reshape(-1, 2 * n_theta)
+    residue = np.tile(order, 2) % n_phi
     # Degrees whose R_n overflowed make the entries NaN, which the NFEM1
     # writer and the invariant checks report; the warnings on the way say
     # nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = coeffs.reflection[:, deg - 1].reshape(-1, 1, 1) * np.conj(p0)
-        column = -(config.k**2) * (weighted.reshape(p0.shape[0], -1).T @ proj)
-    # column[b, m, a, l, p] = C[(a, p, l), (b, m)]
-    column = column.reshape(n_theta, 2, n_theta, 2, n_phi)
+        weighted = coeffs.reflection[:, deg - 1].reshape(-1, 1) * np.conj(p0)
+        # products[nu, (b, m), (a, l)]; a residue with no mode gives zeros.
+        products = np.stack([weighted[pick].T @ p0[pick]
+                             for pick in residue == np.arange(n_phi)[:, None]])
+        column = -(config.k**2) * n_phi * np.fft.ifft(products, axis=0)
+    # column[p, b, m, a, l] = C[(a, p, l), (b, m)]
+    column = column.reshape(n_phi, n_theta, 2, n_theta, 2)
     shift = (np.arange(n_phi)[:, None] - np.arange(n_phi)) % n_phi
-    # blocks[b, m, a, l, p, q] = C[(a, (p - q) mod n_phi, l), (b, m)]
-    blocks = column[..., shift]
-    entries = blocks.transpose(2, 4, 3, 0, 5, 1).reshape(2 * grid.n_nodes, -1)
+    # blocks[p, q, b, m, a, l] = C[(a, (p - q) mod n_phi, l), (b, m)]
+    blocks = column[shift]
+    entries = blocks.transpose(4, 0, 5, 2, 1, 3).reshape(2 * grid.n_nodes, -1)
     return NearFieldMatrix(grid=grid, entries=entries)
 
 

@@ -1,16 +1,23 @@
 """Configuration parsing, output writers, and the command-line workflow."""
 
+import contextlib
 import csv
 import dataclasses
+import io
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nfem
 from nfem import cli
@@ -29,6 +36,7 @@ from nfem.measurement import (
 )
 from nfem.forward import LayeredCavityConfig, Shell
 from nfem.output import write_cross_sections, write_imaging_csv, write_imaging_vtk
+from nfem.specialfun import ORDER_CAP
 
 FAST_CONFIG = """\
 [forward]
@@ -154,6 +162,26 @@ class TestConfigParsing:
         path.write_text("[forward]\nshells = 2.5 1 1 ; 2.0 1 1\n")
         with pytest.raises(ConfigError, match="increasing"):
             load_config(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"[forward]\nk = 0.75\xff\n",
+        b"k = 0.75\n[forward]\ncavity_radius = 1.5\n",
+        b"[forward]\nk\n",
+        b"[forward]\nk = 0.75\nk = 0.5\n",
+        b"\xef\xbb\xbf[forward]\nk = 0.75\n",
+    ], ids=["not_utf8", "key_before_section", "no_equals", "duplicate_key", "bom"])
+    def test_reader_errors_are_one_line(self, tmp_path, capsys, raw):
+        # Files are read as UTF-8, and a byte-order mark is skipped.  Every
+        # other fault of the file itself is one error line naming it, even
+        # where configparser's message spans several lines.
+        path = tmp_path / "run.ini"
+        path.write_bytes(raw)
+        if raw.startswith(b"\xef\xbb\xbf"):
+            assert load_config(path).k == 0.75
+            return
+        assert main(["selfcheck", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_every_field_declares_section_and_parser(self):
         sections = ("forward", "measurement", "lsm", "output")
@@ -837,3 +865,102 @@ def test_image_agrees_across_blas_thread_counts(tmp_path):
         logs.append(np.loadtxt(out / "fast_imaging.csv", delimiter=",", skiprows=1,
                                usecols=4))
     assert np.max(np.abs(logs[0] - logs[1])) <= 1e-12
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def run_configs(draw):
+    """A config on a tiny grid: any wavenumber, contrast and measurement
+    radius the parser accepts, including a Maxwell eigenvalue of the unit
+    measurement ball, a derived or explicit series order, and either alpha."""
+    rho = 1.5 * draw(st.one_of(st.just(2 / 3), st.floats(1e-6, 0.99)))
+    radius, shells = 1.5, []
+    for width, a, n in draw(st.lists(st.tuples(st.floats(0.05, 1.0), log_uniform(1e-3, 1e3),
+                                               log_uniform(1e-3, 1e3)), max_size=2)):
+        radius += width
+        shells.append(f"{radius!r} {a!r} {n!r}")
+    n_max = draw(st.one_of(st.none(), st.integers(1, ORDER_CAP)))
+    return f"""\
+[forward]
+cavity_radius = 1.5
+shells = {" ; ".join(shells)}
+k = {draw(st.one_of(st.just(4.4934094579), log_uniform(1e-4, 5.0)))!r}
+{"" if n_max is None else f"n_max = {n_max}"}
+[measurement]
+rho = {rho!r}
+n_theta = {draw(st.integers(2, 4))}
+n_phi = {draw(st.integers(4, 8))}
+noise_level = {draw(st.one_of(st.just(0.0), log_uniform(1e-6, 1e3)))!r}
+[lsm]
+box = -2 2 -2 2 -2 2
+spacing = {draw(st.floats(0.75, 1.5))!r}
+mask_radius = {rho!r}
+alpha_mode = {draw(st.sampled_from(["morozov", "fixed"]))}
+alpha_fixed = {draw(log_uniform(1e-12, 1e2))!r}
+[output]
+prefix = prop
+"""
+
+
+def run_under_contract(argv):
+    """Run one command in process and hold what every run must meet: a
+    documented exit code, at most one stderr line, an `error:` one, no
+    RuntimeWarning, and no NaN or inf printed on success.  Warnings are
+    recorded, not raised: under -W error the broad except in
+    RunConfig.validate would turn one into the error line and hide it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv[0], err)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not warned, (argv[0], warned)
+    assert code or not re.search(r"\b(nan|inf)\b", out.getvalue(), re.I), out.getvalue()
+    return code
+
+
+def written_numbers_are_finite(out_dir):
+    for path in Path(out_dir).iterdir():
+        if path.suffix == ".nfem":
+            values = read_nearfield(path)[0].entries
+        elif path.suffix == ".csv":
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        elif path.suffix == ".vtk":
+            values = read_vtk_scalars(path)
+        else:
+            continue
+        if not np.all(np.isfinite(values)):
+            return False
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=run_configs())
+def test_cli_contract_holds_on_random_configs(text):
+    # simulate -> selfcheck -> reconstruct -> probe: every run exits with a
+    # documented code, says at most one error line, warns nothing, and
+    # writes or prints only finite numbers when it succeeds.  When simulate
+    # writes data, selfcheck passes them, and a failed simulate leaves no
+    # directory.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, data, image = f"{tmp}/run.ini", Path(tmp, "data"), Path(tmp, "image")
+        Path(cfg).write_text(text)
+        simulated = run_under_contract(["simulate", "--config", cfg, "--out", str(data)])
+        checked = run_under_contract(["selfcheck", "--config", cfg])
+        if simulated:
+            assert not data.exists()
+            return
+        assert checked == 0
+        assert written_numbers_are_finite(data)
+        noisy = data / "prop_noisy.nfem"
+        source = str(noisy if noisy.exists() else data / "prop_clean.nfem")
+        if run_under_contract(["reconstruct", "--config", cfg, "--data", source,
+                               "--out", str(image)]) == 0:
+            assert written_numbers_are_finite(image)
+        run_under_contract(["probe", "--config", cfg, "--data", source, "--z", "1.6,0,0"])

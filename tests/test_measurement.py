@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,13 +191,16 @@ class TestAssembly:
 
 
 # The reference run's series order at rho = 1 (data_truncation_order), and
-# two vacuum shells at that order, whose data are exact zeros.
+# two vacuum shells at that order, whose data are exact zeros.  At order 3
+# the azimuthal orders -3 ... 3 leave residues mod n_phi > 7 with no mode.
 REFERENCE = dataclasses.replace(BALL, n_max=34)
 VACUUM = LayeredCavityConfig(1.5, (Shell(2.5, 1.0, 1.0), Shell(3.0, 1.0, 1.0)), 0.75, 34)
+LOW_ORDER = dataclasses.replace(BALL, n_max=3)
 
 
 class TestBlockCirculant:
-    @pytest.mark.parametrize("config", [REFERENCE, VACUUM], ids=["reference", "vacuum"])
+    @pytest.mark.parametrize("config", [REFERENCE, VACUUM, LOW_ORDER],
+                             ids=["reference", "vacuum", "empty_residues"])
     @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (5, 7), (8, 16), (12, 24)])
     def test_matches_dense_oracle(self, config, n_theta, n_phi):
         assert_matches_oracle(config, build_sphere_grid(n_theta, n_phi, 1.0))
@@ -215,6 +219,19 @@ class TestBlockCirculant:
         config = LayeredCavityConfig(
             1.5, (Shell(2.5, 10.0**log_a, 10.0**log_n),), k, n_max)
         assert_matches_oracle(config, build_sphere_grid(n_theta, n_phi, 1.0))
+
+    def test_memory_stays_near_the_output(self):
+        # Past the matrix itself, the assembly holds the gathered blocks
+        # before their transpose, and no array of modes x nodes.
+        grid = build_sphere_grid(18, 36, 1.0)
+        coeffs = solve_modes(REFERENCE)
+        tracemalloc.start()
+        try:
+            entries = assemble_nearfield(REFERENCE, grid, coeffs).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * entries.nbytes
 
     def test_file_grid_keeps_the_layout(self, matrix, tmp_path):
         path = tmp_path / "ring.nfem"
@@ -307,8 +324,8 @@ class TestSeriesTail:
     def test_matches_the_dense_difference(self, n_theta, n_phi, n_max):
         # Each degree is solved on its own, and here the R_n share a phase,
         # so the tail is max |C(n_max + 5) - C(n_max)| up to rounding:
-        # 1.1e-13, 3.6e-11 and 3.9e-6 apart relative.  At n_max = 34 both read 1.8e-10 of the largest entry,
-        # and the gap is about 7e-16 of it.
+        # 2.3e-13, 5.0e-12 and 1.8e-6 apart relative.  At n_max = 34 both read 1.8e-10 of the largest entry,
+        # and the gap is about 3e-16 of it.
         grid = build_sphere_grid(n_theta, n_phi, 1.0)
         config = dataclasses.replace(BALL, n_max=n_max)
         ref = assemble_nearfield(dataclasses.replace(config, n_max=n_max + 5), grid)
