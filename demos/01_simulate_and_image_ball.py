@@ -24,6 +24,7 @@ from nfem import (
     build_sphere_grid,
     data_truncation_order,
     run_imaging,
+    solve_modes,
 )
 
 # ---------------------------------------------------------------- forward
@@ -39,7 +40,7 @@ config = LayeredCavityConfig(cavity_radius, shells, k, n_max)
 grid = build_sphere_grid(n_theta=12, n_phi=24, radius=rho)
 
 t0 = time.perf_counter()
-clean = assemble_nearfield(config, grid)
+clean = assemble_nearfield(solve_modes(config), grid)
 print(f"assembled {clean.entries.shape[0]}x{clean.entries.shape[1]} data matrix "
       f"in {time.perf_counter() - t0:.2f} s (series order {n_max})")
 

@@ -115,12 +115,12 @@ def _synthesize(cfg: RunConfig) -> tuple:
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
-    coeffs = solve_modes(config)
+    modes = solve_modes(config)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        residual = helper.submit(interface_residual, config, _probe_source(cfg),
-                                 np.asarray(cfg.polarization), coeffs=coeffs)
+        residual = helper.submit(interface_residual, modes, _probe_source(cfg),
+                                 np.asarray(cfg.polarization))
         margin = helper.submit(maxwell_eigenvalue_margin, cfg.k, cfg.rho)
-        clean = assemble_nearfield(config, grid, coeffs)
+        clean = assemble_nearfield(modes, grid)
         elapsed = time.perf_counter() - t0
         scale = max(float(np.max(np.abs(block_column(clean)))), 1e-300)
         defect = reciprocity_defect(clean) / scale

@@ -164,9 +164,12 @@ class ModeCoefficients:
     the region, relative to a unit radiating incident coefficient.  Regions
     run from the cavity, which holds (R_n, 0), through the shells from inner
     to outer, to the exterior, which holds (0, gamma_n); families follow
-    ``FAMILIES``.  ``reflection[family, n-1]`` is R_n.
+    ``FAMILIES``.  ``reflection[family, n-1]`` is R_n.  ``config`` is the
+    configuration solved, from which every consumer reads k, n_max and the
+    radii.
     """
 
+    config: LayeredCavityConfig
     table: np.ndarray = field(repr=False)
 
     @property
@@ -264,7 +267,7 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
         raise DegenerateConfigError(
             f"singular transmission system at degree n={n}, family {fam}"
         )
-    return ModeCoefficients(table=table)
+    return ModeCoefficients(config, table)
 
 
 def source_expansion(
@@ -295,46 +298,38 @@ def source_expansion(
 
 
 def scattered_field(
-    x: np.ndarray,
-    y: np.ndarray,
-    p: np.ndarray,
-    config: LayeredCavityConfig,
-    coeffs: ModeCoefficients | None = None,
+    x: np.ndarray, y: np.ndarray, p: np.ndarray, modes: ModeCoefficients
 ) -> np.ndarray:
     """Scattered field E_s(x, y, p) inside the cavity; x may be (..., 3)."""
-    if coeffs is None:
-        coeffs = solve_modes(config)
+    config = modes.config
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 3)
     if np.any(np.linalg.norm(pts, axis=1) >= config.cavity_radius):
         raise InvalidArgumentError("evaluation points must lie inside the cavity")
     c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
-    out = _region_field(pts, 0, config, coeffs, c)[0]
+    out = _region_field(pts, 0, modes, c)[0]
     return out.reshape(x.shape) if x.ndim > 1 else out[0]
 
 
 def _region_field(
-    points: np.ndarray,
-    region: int,
-    config: LayeredCavityConfig,
-    coeffs: ModeCoefficients,
-    c: np.ndarray,
+    points: np.ndarray, region: int, modes: ModeCoefficients, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E, curl E) of the region's modal field for source coefficients c,
     excluding the closed-form incident field in the cavity."""
-    deg, _ = sf.mode_index(config.n_max)
-    k_med = config.media()[region][0]
+    n_max = modes.config.n_max
+    deg, _ = sf.mode_index(n_max)
+    k_med = modes.config.media()[region][0]
     e = np.zeros((points.shape[0], 3), dtype=complex)
     curl = np.zeros_like(e)
     for col, kind in enumerate((1, 3)):
-        coef = coeffs.table[region, :, col]
+        coef = modes.table[region, :, col]
         if not np.any(coef):
             continue
         # Degrees past y_n's overflow, or whose coefficients overflowed, make
         # the fields NaN, which the callers report; the warnings on the way
         # say nothing more.
         with np.errstate(over="ignore", invalid="ignore"):
-            m_f, n_f = sf.vswf_fields(points, k_med, config.n_max, kind)
+            m_f, n_f = sf.vswf_fields(points, k_med, n_max, kind)
             w = coef[:, deg - 1] * c
             e += np.einsum("q,qij->ij", w[0], m_f) + np.einsum("q,qij->ij", w[1], n_f)
             # curl M = k N, curl N = k M
@@ -344,16 +339,10 @@ def _region_field(
     return e, curl
 
 
-def interface_residual(
-    config: LayeredCavityConfig,
-    y: np.ndarray,
-    p: np.ndarray,
-    coeffs: ModeCoefficients | None = None,
-) -> float:
+def interface_residual(modes: ModeCoefficients, y: np.ndarray, p: np.ndarray) -> float:
     """Max relative mismatch of tangential E and tangential A curl E across
     every interface, at ``RESIDUAL_SAMPLES`` seeded random points on each."""
-    if coeffs is None:
-        coeffs = solve_modes(config)
+    config = modes.config
     c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
     rng = np.random.default_rng(RESIDUAL_SEED)
     media = config.media()
@@ -363,11 +352,11 @@ def interface_residual(
         dirs = rng.normal(size=(RESIDUAL_SAMPLES, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = r * dirs
-        e_in, curl_in = _region_field(pts, q, config, coeffs, c)
+        e_in, curl_in = _region_field(pts, q, modes, c)
         if q == 0:
             e_in = e_in + incident_field(pts, dip, config.k)
             curl_in = curl_in + curl_incident_field(pts, dip, config.k)
-        e_out, curl_out = _region_field(pts, q + 1, config, coeffs, c)
+        e_out, curl_out = _region_field(pts, q + 1, modes, c)
         a_in, a_out = media[q][1], media[q + 1][1]
         for f_in, f_out in ((e_in, e_out), (a_in * curl_in, a_out * curl_out)):
             t_in = np.cross(dirs, f_in)

@@ -41,7 +41,7 @@ class Dipole:
 
 def check_wavenumber(k: float) -> float:
     if not np.isfinite(k) or k <= 0:
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k}")
+        raise InvalidArgumentError(f"wavenumber must be positive and finite, got {k}")
     return float(k)
 
 

@@ -200,8 +200,8 @@ def regularized_solve(
     """
     if alpha is not None and not 0 < alpha < np.inf:
         raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
-    if h_noise < 0:
-        raise InvalidArgumentError("noise level must be nonnegative")
+    if not 0 <= h_noise < np.inf:
+        raise InvalidArgumentError(f"noise level must be finite and nonnegative, got {h_noise}")
     if not np.all(np.any(b, axis=0)):
         raise InvalidArgumentError("right-hand side is zero")
     beta = _matmul_rows(b.T, svd.uhw.T)  # rows are right-hand sides

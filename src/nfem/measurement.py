@@ -17,8 +17,9 @@ block-circulant in phi (its entries depend on the phi indices only through
 (p - q) mod n_phi), hence block-diagonal in the azimuthal Fourier basis.
 The assembly forms one product per residue of the azimuthal order mod n_phi
 from the wavefunctions on the phi = 0 meridian, turns them into the columns
-at phi_q = 0 by one inverse DFT, and fills the rest by cyclic shifts.  Its
-entries match the dense mode contraction to 1e-13 of the largest entry.
+at phi_q = 0 by one inverse DFT, and copies the whole matrix once out of a
+strided window over that column.  Its entries match the dense mode
+contraction to 1e-13 of the largest entry.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
 )
-from .forward import LayeredCavityConfig, ModeCoefficients, solve_modes
+from .forward import ModeCoefficients
 from .green import check_wavenumber
 
 MAGIC = b"NFEM1\x00"
@@ -133,8 +134,9 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.level < 0:
-            raise InvalidArgumentError("noise level must be nonnegative")
+        if not 0 <= self.level < np.inf:
+            raise InvalidArgumentError(
+                f"noise level must be finite and nonnegative, got {self.level}")
 
 
 # Largest phi offset from the uniform ring that ring_size accepts.  The
@@ -165,12 +167,9 @@ def ring_size(grid: SphereGrid) -> int:
     return n_phi
 
 
-def assemble_nearfield(
-    config: LayeredCavityConfig,
-    grid: SphereGrid,
-    coeffs: ModeCoefficients | None = None,
-) -> NearFieldMatrix:
-    """Sample the scattered field for every source/receiver node pair.
+def assemble_nearfield(modes: ModeCoefficients, grid: SphereGrid) -> NearFieldMatrix:
+    """Sample the scattered field of the solved modes for every source/receiver
+    node pair.
 
     Sources and receivers share the grid, so the matrix is the mode
     contraction S = -k^2 P^T R conj(P) over the TE and TM modes together.
@@ -180,8 +179,7 @@ def assemble_nearfield(
     A mode of azimuthal order mu projects at node (a, p) to P0[mode, a]
     e^{2 pi i mu p / n_phi}, which reads mu only mod n_phi, so the products
     G[nu] = sum_{mu = nu mod n_phi} R conj(P0) P0^T give C = n_phi ifft(G)."""
-    if coeffs is None:
-        coeffs = solve_modes(config)
+    config = modes.config
     if grid.radius >= config.cavity_radius:
         raise InvalidArgumentError(
             "measurement sphere must lie strictly inside the cavity"
@@ -199,17 +197,18 @@ def assemble_nearfield(
     # writer and the invariant checks report; the warnings on the way say
     # nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = coeffs.reflection[:, deg - 1].reshape(-1, 1) * np.conj(p0)
+        weighted = modes.reflection[:, deg - 1].reshape(-1, 1) * np.conj(p0)
         # products[nu, (b, m), (a, l)]; a residue with no mode gives zeros.
         products = np.stack([weighted[pick].T @ p0[pick]
                              for pick in residue == np.arange(n_phi)[:, None]])
         column = -(config.k**2) * n_phi * np.fft.ifft(products, axis=0)
-    # column[p, b, m, a, l] = C[(a, p, l), (b, m)]
+    # column[d, b, m, a, l] = C[(a, d, l), (b, m)], and twice[e] = column[(e + 1)
+    # mod n_phi], so windows[q, b, m, a, l, p] = twice[n_phi - 1 - q + p] =
+    # C[(a, (p - q) mod n_phi, l), (b, m)]: a strided view, copied once.
     column = column.reshape(n_phi, n_theta, 2, n_theta, 2)
-    shift = (np.arange(n_phi)[:, None] - np.arange(n_phi)) % n_phi
-    # blocks[p, q, b, m, a, l] = C[(a, (p - q) mod n_phi, l), (b, m)]
-    blocks = column[shift]
-    entries = blocks.transpose(4, 0, 5, 2, 1, 3).reshape(2 * grid.n_nodes, -1)
+    twice = np.concatenate([column[1:], column])
+    windows = np.lib.stride_tricks.sliding_window_view(twice, n_phi, axis=0)[::-1]
+    entries = windows.transpose(3, 5, 4, 1, 0, 2).reshape(2 * grid.n_nodes, -1)
     return NearFieldMatrix(grid=grid, entries=entries)
 
 
@@ -395,21 +394,26 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
     k, radius, n, noisy, level, seed = HEADER.unpack_from(payload)
     if not (np.isfinite(k) and k > 0 and np.isfinite(radius) and radius > 0 and n > 0):
         raise MalformedHeaderError(f"{path}: invalid header values k={k}, rho={radius}")
+    if noisy > 1 or not 0 <= level < np.inf:
+        raise MalformedHeaderError(f"{path}: invalid noise header: flag {noisy}, level {level}")
     expected = HEADER.size + n * 3 * 8 + (2 * n) * (2 * n) * 16
     if len(payload) != expected:
         raise DimensionMismatchError(
             f"{path}: payload has {len(payload)} bytes, expected {expected} for n={n}"
         )
     nodes = np.frombuffer(payload, dtype="<f8", count=3 * n, offset=HEADER.size)
-    nodes = nodes.reshape(n, 3)
+    theta, phi, weights = nodes.reshape(n, 3).T
+    # Comparisons that NaN fails, so a NaN angle or weight is refused too.
+    if not np.all((0 <= theta) & (theta <= np.pi) & (np.abs(phi) < np.inf)
+                  & (0 < weights) & (weights < np.inf)):
+        raise DataFormatError(f"{path}: node table needs theta in [0, pi], a finite phi "
+                              "and a finite positive weight at every node")
     entries = np.frombuffer(
         payload, dtype="<c16", count=4 * n * n, offset=HEADER.size + n * 3 * 8
     ).reshape(2 * n, 2 * n)
     if not np.all(np.isfinite(entries)):
         raise DataFormatError(f"{path}: non-finite matrix entries")
-    grid = _grid_from_angles(
-        nodes[:, 0].copy(), nodes[:, 1].copy(), nodes[:, 2].copy(), radius
-    )
+    grid = _grid_from_angles(theta.copy(), phi.copy(), weights.copy(), radius)
     matrix = NearFieldMatrix(
         grid=grid,
         entries=entries.copy(),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularPointError
+from .green import check_wavenumber
 
 # Largest wavefunction degree.  `spherical_z` matches mpmath to 1e-13 up to
 # this degree for t up to 250; y_n of this degree leaves the double range
@@ -189,8 +190,7 @@ def vswf_fields(
     """
     if kind not in (1, 3):
         raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
-    if k <= 0:
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     if not 0 <= n_max <= ORDER_CAP:
         raise InvalidArgumentError(f"n_max must be in [0, {ORDER_CAP}], got {n_max}")
     pts, r, cos_t, sin_t, phi, rhat, that, phat = _spherical_frame(points)

@@ -26,6 +26,8 @@ from nfem.config import RunConfig, default_config_text, load_config
 from nfem.errors import ConfigError, InvalidArgumentError
 from nfem.lsm import build_sampling_grid, run_imaging
 from nfem.measurement import (
+    HEADER,
+    MAGIC,
     NoiseSpec,
     add_noise,
     assemble_nearfield,
@@ -34,7 +36,7 @@ from nfem.measurement import (
     read_nearfield,
     write_nearfield,
 )
-from nfem.forward import LayeredCavityConfig, Shell
+from nfem.forward import LayeredCavityConfig, Shell, solve_modes
 from nfem.output import write_cross_sections, write_imaging_csv, write_imaging_vtk
 from nfem.specialfun import ORDER_CAP
 
@@ -212,7 +214,7 @@ class TestConfigParsing:
 def field():
     ball = LayeredCavityConfig(1.5, (Shell(2.5, 1.0, 2.0),), 0.75, 16)
     sphere = build_sphere_grid(6, 12, 1.0)
-    noisy = add_noise(assemble_nearfield(ball, sphere), NoiseSpec(0.02, 7))
+    noisy = add_noise(assemble_nearfield(solve_modes(ball), sphere), NoiseSpec(0.02, 7))
     grid = build_sampling_grid(np.array([[-2, 2]] * 3), 0.5, 1.0)
     pol = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
     return run_imaging(noisy, grid, pol, 0.02, k=0.75)
@@ -311,7 +313,7 @@ class TestCliWorkflow:
         cfg.write_text(FAST_CONFIG.replace("n_theta = 6\nn_phi = 12", grid))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         run = load_config(cfg)
-        clean = assemble_nearfield(run.cavity_config(),
+        clean = assemble_nearfield(solve_modes(run.cavity_config()),
                                    build_sphere_grid(run.n_theta, run.n_phi, run.rho))
         noisy = add_noise(clean, NoiseSpec(run.noise_level, run.seed))
         for name, matrix in (("clean", clean), ("noisy", noisy)):
@@ -789,6 +791,55 @@ def test_cli_import_leaves_out_scipy():
     code = ("import sys, nfem.cli; "
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=_package_env()).returncode == 0
+
+
+def test_every_traced_layer_keeps_a_binding():
+    # The benchmark's tracer wraps each layer in the namespaces its callers
+    # look it up in.  A refactor that removes every binding of one layer
+    # fails here, not only in the benchmark's smoke run.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (f"import sys; sys.path.insert(0, {str(perfbench)!r}); import tracer; "
+            "recorder = tracer.Recorder(); recorder.install(); "
+            "print(tracer.absent_layers(recorder.missing))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+# Offsets into an NFEM1 file: the noisy flag and noise level in the header,
+# and the (theta, phi, weight) columns of node 5's row in the node table.
+FLAG_AT = len(MAGIC) + struct.calcsize("<ddI")
+LEVEL_AT = FLAG_AT + 1
+NODE_AT = len(MAGIC) + HEADER.size + 5 * 24
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "probe"])
+@pytest.mark.parametrize("offset, fmt, value", [
+    (NODE_AT + 16, "<d", np.nan), (NODE_AT + 16, "<d", -1.0), (NODE_AT + 16, "<d", 0.0),
+    (NODE_AT + 16, "<d", np.inf), (NODE_AT, "<d", np.inf), (NODE_AT, "<d", -0.1),
+    (NODE_AT, "<d", 3.2), (NODE_AT + 8, "<d", np.nan), (NODE_AT + 8, "<d", -np.inf),
+    (LEVEL_AT, "<d", np.nan), (LEVEL_AT, "<d", np.inf), (LEVEL_AT, "<d", -0.1),
+    (FLAG_AT, "<B", 2),
+], ids=["weight_nan", "weight_negative", "weight_zero", "weight_inf", "theta_inf",
+        "theta_negative", "theta_past_pi", "phi_nan", "phi_inf", "level_nan", "level_inf",
+        "level_negative", "noisy_flag_2"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reader_refuses_file_defects(cfg_path, fast_data, tmp_path, capsys, command,
+                                     offset, fmt, value):
+    # Each edit, with the CRC re-packed, once ended in a traceback, a flood of
+    # warnings, an error that blamed the config, or silent use.
+    blob = bytearray(fast_data.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    struct.pack_into("<Q", blob, len(blob) - 8, crc64(bytes(blob[len(MAGIC):-8])))
+    bad = tmp_path / "bad.nfem"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    extra = {"reconstruct": ["--out", str(out)], "probe": ["--z", "1.6,0,0"]}
+    assert main([command, "--config", str(cfg_path), "--data", str(bad),
+                 *extra[command]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_reconstruct_into_closed_pipe(cfg_path, fast_data, tmp_path):

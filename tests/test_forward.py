@@ -1,6 +1,8 @@
 """Layered-sphere forward solver: transmission conditions, reciprocity,
 vacuum nulls, truncation rules, and the eigenvalue margin."""
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from nfem.forward import (
     COND_LIMIT,
     FAMILIES,
     LayeredCavityConfig,
+    ModeCoefficients,
     Shell,
     data_truncation_order,
     effective_wavenumber,
@@ -101,22 +104,22 @@ class TestReciprocity:
         y = np.array([-0.1, 0.6, -0.7])
         p = np.array([0.5, 1.0, -0.2])
         q = np.array([-1.0, 0.3, 0.8])
-        lhs = p @ scattered_field(x, y, q, cfg, coeffs)
-        rhs = q @ scattered_field(y, x, p, cfg, coeffs)
+        lhs = p @ scattered_field(x, y, q, coeffs)
+        rhs = q @ scattered_field(y, x, p, coeffs)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 class TestTransmission:
     def test_residual_small_at_converged_order(self):
         cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, 16)
-        res = interface_residual(cfg, Y_SRC, P_SRC)
+        res = interface_residual(solve_modes(cfg), Y_SRC, P_SRC)
         assert res < 1e-6
 
     def test_residual_monotone_in_order(self):
         values = []
         for n_max in range(4, 17, 2):
             cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, n_max)
-            values.append(interface_residual(cfg, Y_SRC, P_SRC))
+            values.append(interface_residual(solve_modes(cfg), Y_SRC, P_SRC))
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[0] > 1e-3  # low order genuinely unresolved
 
@@ -133,14 +136,23 @@ class TestTransmission:
         cfg = LayeredCavityConfig(1.5, shells, k, 80)
         y = 1.0 * np.array([0.6, 0.0, 0.8])
         p = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
-        assert interface_residual(cfg, y, p) < 1e-11
+        assert interface_residual(solve_modes(cfg), y, p) < 1e-11
+
+    def test_residual_reads_n_max_from_the_modes(self):
+        # The modes object is its own config's: degrees 1..4 of an order-16
+        # solve, labelled n_max = 4, give the order-4 residual bit for bit.
+        modes = solve_modes(BALL)
+        assert modes.config is BALL
+        low = ModeCoefficients(dataclasses.replace(BALL, n_max=4), modes.table[..., :4])
+        res = interface_residual(low, Y_SRC, P_SRC)
+        assert res == interface_residual(solve_modes(low.config), Y_SRC, P_SRC) > 1e-3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_residual_reports_nan(self):
         # At n_max = 90 the mode coefficients overflow to NaN; the residual must
         # say so rather than fold the NaN away and read as converged.
         cfg = LayeredCavityConfig(1.5, BALL.shells, 0.75, 90)
-        res = interface_residual(cfg, Y_SRC, P_SRC)
+        res = interface_residual(solve_modes(cfg), Y_SRC, P_SRC)
         assert np.isnan(res)
 
 
@@ -164,18 +176,18 @@ class TestSourceExpansion:
     def test_scattered_field_linear_in_polarization(self):
         coeffs = solve_modes(BALL)
         x = np.array([0.5, 0.5, 0.5])
-        e1 = scattered_field(x, Y_SRC, np.array([1.0, 0, 0]), BALL, coeffs)
-        e2 = scattered_field(x, Y_SRC, np.array([0, 1.0, 0]), BALL, coeffs)
-        e12 = scattered_field(x, Y_SRC, np.array([2.0, -3.0, 0]), BALL, coeffs)
+        e1 = scattered_field(x, Y_SRC, np.array([1.0, 0, 0]), coeffs)
+        e2 = scattered_field(x, Y_SRC, np.array([0, 1.0, 0]), coeffs)
+        e12 = scattered_field(x, Y_SRC, np.array([2.0, -3.0, 0]), coeffs)
         assert np.allclose(e12, 2 * e1 - 3 * e2, rtol=1e-12)
 
     def test_scattered_field_keeps_point_array_shape(self):
         coeffs = solve_modes(BALL)
         x = np.array([[0.5, 0.5, 0.5], [-0.3, 0.2, 0.6]] * 2).reshape(2, 2, 3)
-        e = scattered_field(x, Y_SRC, P_SRC, BALL, coeffs)
+        e = scattered_field(x, Y_SRC, P_SRC, coeffs)
         assert e.shape == x.shape
         for idx in np.ndindex(2, 2):
-            point = scattered_field(x[idx], Y_SRC, P_SRC, BALL, coeffs)
+            point = scattered_field(x[idx], Y_SRC, P_SRC, coeffs)
             assert np.allclose(e[idx], point, rtol=1e-13, atol=0)
 
 

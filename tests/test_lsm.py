@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nfem import lsm
 from nfem.errors import DataFormatError, InvalidArgumentError
-from nfem.forward import LayeredCavityConfig, Shell
+from nfem.forward import LayeredCavityConfig, Shell, solve_modes
 from nfem.green import green_apply
 from nfem.lsm import (
     ALPHA_LO_FACTOR,
@@ -42,7 +42,7 @@ def sphere():
 
 @pytest.fixture(scope="module")
 def noisy(sphere):
-    clean = assemble_nearfield(BALL, sphere)
+    clean = assemble_nearfield(solve_modes(BALL), sphere)
     return add_noise(clean, NoiseSpec(0.02, 7))
 
 

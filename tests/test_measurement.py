@@ -27,6 +27,7 @@ from nfem import specialfun as sf
 from nfem.forward import (
     DATA_SERIES_TOL,
     LayeredCavityConfig,
+    ModeCoefficients,
     Shell,
     data_truncation_order,
     scattered_field,
@@ -56,18 +57,17 @@ BALL = LayeredCavityConfig(
 )
 
 
-def assemble_nearfield_oracle(config, grid, coeffs=None):
+def assemble_nearfield_oracle(modes, grid):
     """The dense assembly that the block-column kernel replaced: project every
     wavefunction on every node's frame and contract both families,
     S = -k^2 (P_TE^T R_TE conj(P_TE) + P_TM^T R_TM conj(P_TM))."""
-    if coeffs is None:
-        coeffs = solve_modes(config)
+    config = modes.config
     deg, _ = sf.mode_index(config.n_max)
     m1, n1 = sf.vswf_fields(grid.nodes, config.k, config.n_max, 1)
     frames = np.stack([grid.e1, grid.e2], axis=1)  # (n, 2, 3)
     p_te = np.einsum("qij,ilj->qil", m1, frames).reshape(m1.shape[0], -1)
     p_tm = np.einsum("qij,ilj->qil", n1, frames).reshape(n1.shape[0], -1)
-    r_te, r_tm = coeffs.reflection[:, deg - 1]
+    r_te, r_tm = modes.reflection[:, deg - 1]
     return -(config.k**2) * (
         p_te.T @ (r_te[:, None] * np.conj(p_te))
         + p_tm.T @ (r_tm[:, None] * np.conj(p_tm))
@@ -77,9 +77,9 @@ def assemble_nearfield_oracle(config, grid, coeffs=None):
 def assert_matches_oracle(config, grid):
     """Block-column entries within 1e-13 of the oracle's largest entry, and
     reciprocity-symmetric to 1e-8 of it."""
-    coeffs = solve_modes(config)
-    got = assemble_nearfield(config, grid, coeffs).entries
-    want = assemble_nearfield_oracle(config, grid, coeffs)
+    modes = solve_modes(config)
+    got = assemble_nearfield(modes, grid).entries
+    want = assemble_nearfield_oracle(modes, grid)
     scale = np.max(np.abs(want))
     if scale == 0:  # vacuum shells: both are exact zeros
         assert not np.any(got)
@@ -108,7 +108,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def matrix(grid):
-    return assemble_nearfield(BALL, grid)
+    return assemble_nearfield(solve_modes(BALL), grid)
 
 
 class TestGrid:
@@ -157,14 +157,14 @@ class TestAssembly:
         x_i, y_j = grid.nodes[i], grid.nodes[j]
         e_l = (grid.e1, grid.e2)[ell][i]
         e_m = (grid.e1, grid.e2)[m][j]
-        field = scattered_field(y_j, x_i, e_l, BALL, coeffs)
+        field = scattered_field(y_j, x_i, e_l, coeffs)
         want = e_m @ field
         got = matrix.entries[2 * i + ell, 2 * j + m]
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_vacuum_configuration_is_null(self, grid, matrix):
         vac = LayeredCavityConfig(1.5, (Shell(2.5, 1.0, 1.0),), 0.75, 16)
-        null = assemble_nearfield(vac, grid)
+        null = assemble_nearfield(solve_modes(vac), grid)
         assert np.linalg.norm(null.entries) == 0.0
         assert np.linalg.norm(matrix.entries) > 0.0
 
@@ -175,7 +175,7 @@ class TestAssembly:
         # the operator so its singular values are grid-convergent.
         def top_singular(n_t, n_p):
             g = build_sphere_grid(n_t, n_p, 1.0)
-            m = assemble_nearfield(BALL, g)
+            m = assemble_nearfield(solve_modes(BALL), g)
             sw = np.sqrt(np.repeat(g.weights, 2))
             a = sw[:, None] * m.entries * sw[None, :]
             return np.linalg.svd(a, compute_uv=False)[:10]
@@ -184,10 +184,19 @@ class TestAssembly:
         fine = top_singular(12, 24)
         assert np.max(np.abs(coarse - fine) / fine) < 0.01
 
+    def test_reads_n_max_from_the_modes(self, grid, matrix):
+        # Degrees 1..4 of the order-16 solve, labelled n_max = 4, assemble
+        # the order-4 data bit for bit.
+        modes = solve_modes(BALL)
+        low = ModeCoefficients(dataclasses.replace(BALL, n_max=4), modes.table[..., :4])
+        entries = assemble_nearfield(low, grid).entries
+        assert np.array_equal(entries, assemble_nearfield(solve_modes(low.config), grid).entries)
+        assert not np.array_equal(entries, matrix.entries)
+
     def test_grid_outside_cavity_rejected(self):
         g = build_sphere_grid(4, 8, 2.0)
         with pytest.raises(InvalidArgumentError):
-            assemble_nearfield(BALL, g)
+            assemble_nearfield(solve_modes(BALL), g)
 
 
 # The reference run's series order at rho = 1 (data_truncation_order), and
@@ -221,24 +230,25 @@ class TestBlockCirculant:
         assert_matches_oracle(config, build_sphere_grid(n_theta, n_phi, 1.0))
 
     def test_memory_stays_near_the_output(self):
-        # Past the matrix itself, the assembly holds the gathered blocks
-        # before their transpose, and no array of modes x nodes.
+        # Past the matrix itself, the assembly holds a few block columns
+        # (the products, their inverse DFT and its doubled copy for the
+        # strided window), and no array of modes x nodes or second matrix.
         grid = build_sphere_grid(18, 36, 1.0)
-        coeffs = solve_modes(REFERENCE)
+        modes = solve_modes(REFERENCE)
         tracemalloc.start()
         try:
-            entries = assemble_nearfield(REFERENCE, grid, coeffs).entries
+            entries = assemble_nearfield(modes, grid).entries
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * entries.nbytes
+        assert peak <= 1.5 * entries.nbytes
 
     def test_file_grid_keeps_the_layout(self, matrix, tmp_path):
         path = tmp_path / "ring.nfem"
         write_nearfield(matrix, path, BALL.k)
         back, _ = read_nearfield(path)
         assert ring_size(back.grid) == 16
-        assert np.array_equal(assemble_nearfield(BALL, back.grid).entries,
+        assert np.array_equal(assemble_nearfield(solve_modes(BALL), back.grid).entries,
                               matrix.entries)
 
 
@@ -253,7 +263,7 @@ def gather_column(column, n_theta, n_phi):
 class TestReciprocityDefect:
     @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (5, 7), (8, 16)])
     def test_equals_dense_scan_on_assembled_data(self, n_theta, n_phi):
-        m = assemble_nearfield(BALL, build_sphere_grid(n_theta, n_phi, 1.0))
+        m = assemble_nearfield(solve_modes(BALL), build_sphere_grid(n_theta, n_phi, 1.0))
         dense = np.max(np.abs(m.entries - m.entries.T))
         assert dense > 0
         assert reciprocity_defect(m) == dense
@@ -281,8 +291,9 @@ class TestReciprocityDefect:
     @pytest.mark.parametrize("n_theta, n_phi", [(2, 4), (5, 7), (8, 16)])
     def test_reads_equal_dense_ones_on_assembled_data(self, n_theta, n_phi):
         grid = build_sphere_grid(n_theta, n_phi, 1.0)
-        m = assemble_nearfield(BALL, grid)
-        ref = assemble_nearfield(dataclasses.replace(BALL, n_max=BALL.n_max + 5), grid)
+        m = assemble_nearfield(solve_modes(BALL), grid)
+        ref = assemble_nearfield(solve_modes(dataclasses.replace(BALL, n_max=BALL.n_max + 5)),
+                                 grid)
         self.assert_reads_equal(m, ref)
 
     @pytest.mark.parametrize("at, value", [(None, 0), ((11, 4), np.nan), ((0, 5), np.inf),
@@ -328,8 +339,9 @@ class TestSeriesTail:
         # and the gap is about 3e-16 of it.
         grid = build_sphere_grid(n_theta, n_phi, 1.0)
         config = dataclasses.replace(BALL, n_max=n_max)
-        ref = assemble_nearfield(dataclasses.replace(config, n_max=n_max + 5), grid)
-        diff = np.max(np.abs(block_column(ref) - block_column(assemble_nearfield(config, grid))))
+        ref = block_column(assemble_nearfield(solve_modes(dataclasses.replace(
+            config, n_max=n_max + 5)), grid))
+        diff = np.max(np.abs(ref - block_column(assemble_nearfield(solve_modes(config), grid))))
         assert series_tail(config, 1.0) == pytest.approx(diff, rel=1e-5, abs=0)
 
     @staticmethod
@@ -360,11 +372,11 @@ class TestSeriesTail:
             if np.isnan(tail):
                 assert not np.all(np.isfinite(coeffs.reflection[:, config.n_max:]))
                 continue
-            data = block_column(assemble_nearfield(config, grid))
+            data = block_column(assemble_nearfield(solve_modes(config), grid))
             scale = np.max(np.abs(data))
-            dense = np.max(np.abs(block_column(assemble_nearfield(top, grid, coeffs)) - data))
+            dense = np.max(np.abs(block_column(assemble_nearfield(coeffs, grid)) - data))
             coeffs.table[0, :, 0, :config.n_max] = 0  # R_n of the data's degrees
-            alone = np.max(np.abs(block_column(assemble_nearfield(top, grid, coeffs))))
+            alone = np.max(np.abs(block_column(assemble_nearfield(coeffs, grid))))
             assert alone <= tail * (1 + 1e-12)
             assert dense <= tail * (1 + 1e-12) + 1e-14 * scale
             assert (tail / scale < DATA_SERIES_TOL) == (dense / scale < DATA_SERIES_TOL)
@@ -401,12 +413,12 @@ class TestRingLayoutGuard:
             assert ring_size(permuted(grid, order)) == 8
             return
         with pytest.raises(InvalidArgumentError, match="ring layout"):
-            assemble_nearfield(BALL, permuted(grid, order))
+            assemble_nearfield(solve_modes(BALL), permuted(grid, order))
 
     def test_phi_major_order_rejected(self, grid):
         order = np.arange(grid.n_nodes).reshape(8, 16).T.ravel()
         with pytest.raises(InvalidArgumentError, match="ring layout"):
-            assemble_nearfield(BALL, permuted(grid, order))
+            assemble_nearfield(solve_modes(BALL), permuted(grid, order))
 
     @pytest.mark.parametrize("phi_1d", [
         2 * np.pi * np.arange(8) / 8 + 0.1,  # uniform, but not from 0
@@ -418,19 +430,19 @@ class TestRingLayoutGuard:
         theta_1d = np.arccos(np.polynomial.legendre.leggauss(4)[0])
         grid = grid_at(np.repeat(theta_1d, 8), np.tile(phi_1d, 4))
         with pytest.raises(InvalidArgumentError, match="ring layout"):
-            assemble_nearfield(BALL, grid)
+            assemble_nearfield(solve_modes(BALL), grid)
 
     def test_uneven_rings_rejected(self):
         theta_1d = np.arccos(np.polynomial.legendre.leggauss(3)[0])
         theta = np.r_[np.repeat(theta_1d[:2], 8), np.full(4, theta_1d[2])]
         phi = np.r_[np.tile(2 * np.pi * np.arange(8) / 8, 2), 2 * np.pi * np.arange(4) / 4]
         with pytest.raises(InvalidArgumentError, match="ring layout"):
-            assemble_nearfield(BALL, grid_at(theta, phi))
+            assemble_nearfield(solve_modes(BALL), grid_at(theta, phi))
 
     def test_rebuilt_ring_grid_accepted(self, grid, matrix):
         # grid_at itself keeps a ring grid in the layout.
         same = grid_at(grid.theta, grid.phi)
-        assert np.array_equal(assemble_nearfield(BALL, same).entries, matrix.entries)
+        assert np.array_equal(assemble_nearfield(solve_modes(BALL), same).entries, matrix.entries)
 
 
 class TestNoise:
@@ -469,8 +481,10 @@ class TestNoise:
         assert err < 3 * se
 
     def test_negative_level_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            NoiseSpec(-0.01, 0)
+        # So is a level that is not finite, which would make every entry NaN.
+        for level in (-0.01, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                NoiseSpec(level, 0)
 
 
 def _oracle_table() -> list[int]:

@@ -421,6 +421,11 @@ class TestVswf:
         with pytest.raises(SingularPointError):
             sf.vswf_fields(np.zeros((1, 3)), self.K, 1, 3)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_not_positive_and_finite_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match="wavenumber"):
+            sf.vswf_fields(np.ones((1, 3)), k, 1, 1)
+
 
 def _norm_factor(n, m):
     """sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!)."""
