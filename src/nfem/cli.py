@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -107,25 +106,19 @@ def _probe_source(cfg: RunConfig) -> np.ndarray:
 def _synthesize(cfg: RunConfig) -> tuple:
     """Clean data for the run's config and the checks made on it: (forward
     config, clean matrix, seconds spent in the mode solve and the assembly,
-    the ``_invariants`` table).
-
-    The interface residual and the eigenvalue margin do not read the
-    assembled matrix, so a helper thread computes them while this one
-    assembles and sums the series tail."""
+    the ``_invariants`` table)."""
     config = cfg.cavity_config()
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
     modes = solve_modes(config)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        residual = helper.submit(interface_residual, modes, _probe_source(cfg),
-                                 np.asarray(cfg.polarization))
-        margin = helper.submit(maxwell_eigenvalue_margin, cfg.k, cfg.rho)
-        clean = assemble_nearfield(modes, grid)
-        elapsed = time.perf_counter() - t0
-        scale = max(float(np.max(np.abs(block_column(clean)))), 1e-300)
-        defect = reciprocity_defect(clean) / scale
-        tail = series_tail(config, cfg.rho) / scale
-    table = _invariants(config.n_max, defect, residual.result(), tail, margin.result())
+    clean = assemble_nearfield(modes, grid)
+    elapsed = time.perf_counter() - t0
+    residual = interface_residual(modes, _probe_source(cfg), np.asarray(cfg.polarization))
+    scale = max(float(np.max(np.abs(block_column(clean)))), 1e-300)
+    defect = reciprocity_defect(clean) / scale
+    tail = series_tail(config, cfg.rho) / scale
+    margin = maxwell_eigenvalue_margin(cfg.k, cfg.rho)
+    table = _invariants(config.n_max, defect, residual, tail, margin)
     return config, clean, elapsed, table
 
 
@@ -168,19 +161,12 @@ def _simulate(args) -> int:
         if not passed:
             print(f"error: {check} {reading}: {failure}; no file written", file=sys.stderr)
             return EXIT_INVARIANT
-    # A helper thread makes and writes the noisy file while this one writes
-    # the clean file.  Leaving the block waits for both; a failed clean
-    # write raises there, and a failed noisy write at `result()`.
-    noisy = None
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        if cfg.noise_level > 0:
-            noisy_path = out / f"{cfg.prefix}_noisy.nfem"
-            noisy = helper.submit(lambda: write_nearfield(
-                add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)), noisy_path, cfg.k))
-        write_nearfield(clean, clean_path, cfg.k)
+    write_nearfield(clean, clean_path, cfg.k)
     paths = [clean_path]
-    if noisy is not None:
-        noisy.result()
+    if cfg.noise_level > 0:
+        noisy_path = out / f"{cfg.prefix}_noisy.nfem"
+        write_nearfield(add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)),
+                        noisy_path, cfg.k)
         paths.append(noisy_path)
     write_manifest(
         out / f"{cfg.prefix}_manifest.txt",

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, InvalidArgumentError
 from .forward import LayeredCavityConfig, Shell, data_truncation_order
 from .lsm import MAX_COORDINATE, lattice_shape
+from .measurement import MAX_SPHERE_NODES
 from .specialfun import ORDER_CAP
 
 # Smallest measurement radius: the interface-residual check draws its probe
@@ -111,6 +112,10 @@ class RunConfig:
             raise ConfigError(f"measurement.rho must be at least {RHO_FLOOR:g}")
         if self.n_theta < 2 or self.n_phi < 4:
             raise ConfigError("measurement.n_theta must be >= 2 and n_phi >= 4")
+        if self.n_theta * self.n_phi > MAX_SPHERE_NODES:
+            raise ConfigError(
+                f"measurement.n_theta x measurement.n_phi = {self.n_theta * self.n_phi:,} "
+                f"nodes, above the cap of {MAX_SPHERE_NODES:,}")
         if self.noise_level < 0:
             raise ConfigError("measurement.noise_level must be nonnegative")
         if self.mask_radius < self.rho:

@@ -32,11 +32,10 @@ FAMILIES = ("TE", "TM")
 
 # Condition-number ceiling for a (column-equilibrated) per-mode system.
 COND_LIMIT = 1e12
-# The series tail `data_truncation_order` leaves, the seeded points on each
-# interface of `interface_residual`, the degrees `maxwell_eigenvalue_margin` scans.
+# The series tail `data_truncation_order` leaves, and the seeded points on
+# each interface of `interface_residual`.
 DATA_SERIES_TOL = 1e-8
 RESIDUAL_SAMPLES, RESIDUAL_SEED = 20, 0
-EIGEN_SCAN_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -375,28 +374,38 @@ def interface_residual(modes: ModeCoefficients, y: np.ndarray, p: np.ndarray) ->
 
 def maxwell_eigenvalue_margin(k: float, ball_radius: float) -> float:
     """Distance (in t = k rho) from k to the nearest Maxwell eigenvalue of the
-    measurement ball of radius rho.
+    measurement ball of radius rho, up to 2 pi.
 
-    TE eigenvalues satisfy j_n(k rho) = 0, TM eigenvalues psi_n'(k rho) = 0
-    (n = 1..``EIGEN_SCAN_ORDER``).  Zeros are located by sign-change scan of
-    j_n and psi_n'/t on [0, k rho + 2 pi], and all brackets are polished
-    together by bisection; if none fall in that window the window half-width
-    is returned, so the margin is a continuous, 1-Lipschitz function of k rho.
+    TE eigenvalues satisfy j_n(k rho) = 0, TM eigenvalues psi_n'(k rho) = 0,
+    with psi_n(t) = t j_n(t).  Below t = sqrt(n(n+1)) psi_n'' has the sign
+    of psi_n, which starts positive, so neither function has a zero there:
+    degrees 1..floor(k rho + 2 pi) (at most ``ORDER_CAP``) hold every zero
+    within 2 pi of k rho.  Zeros are located by sign-change scan of j_n and
+    psi_n'/t on [k rho - 2 pi, k rho + 2 pi], and the brackets that can hold
+    the nearest zero are polished together by bisection; if none fall in
+    that window the window half-width is returned, so the margin is a
+    continuous, 1-Lipschitz function of k rho.
     """
     check_wavenumber(k)
     if ball_radius <= 0:
         raise InvalidArgumentError("ball_radius must be positive")
     t0 = k * ball_radius
-    t_cap = t0 + 2 * np.pi
-    grid = np.linspace(1e-6, t_cap, max(64, int(t_cap / 0.02)))
+    t_lo, t_hi = max(1e-6, t0 - 2 * np.pi), t0 + 2 * np.pi
+    n_max = min(int(t_hi), sf.ORDER_CAP)
+    grid = np.linspace(t_lo, t_hi, max(64, int((t_hi - t_lo) / 0.02)))
     # Rows 0 and 2 of the radial table: j_n and psi_n'/t, (2, degrees, points).
-    sign = np.sign(sf._radial_table(EIGEN_SCAN_ORDER, 1, grid)[::2])
+    sign = np.sign(sf._radial_table(n_max, 1, grid)[::2])
     fam, deg, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+    # A bracket can hold the nearest zero only if its near end is no farther
+    # from t0 than the far end of every bracket.
+    near = np.maximum(np.maximum(grid[i] - t0, t0 - grid[i + 1]), 0.0)
+    far = np.maximum(t0 - grid[i], grid[i + 1] - t0)
+    fam, deg, i = (a[near <= np.min(far, initial=np.inf)] for a in (fam, deg, i))
     lo, hi, sign_lo = grid[i], grid[i + 1], sign[fam, deg, i]
     bracket = np.arange(i.size)
     for _ in range(64):  # halves every bracket down to adjacent doubles
         mid = 0.5 * (lo + hi)
-        sign_mid = np.sign(sf._radial_table(EIGEN_SCAN_ORDER, 1, mid)[2 * fam, deg, bracket])
+        sign_mid = np.sign(sf._radial_table(n_max, 1, mid)[2 * fam, deg, bracket])
         left = sign_mid != sign_lo
         lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
     return float(np.min(np.abs(t0 - lo), initial=2 * np.pi))

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -307,8 +308,8 @@ class TestCliWorkflow:
     @pytest.mark.parametrize("grid", ["n_theta = 6\nn_phi = 12", "n_theta = 5\nn_phi = 7"],
                              ids=["6x12", "5x7"])
     def test_simulate_files_match_serial_writes(self, tmp_path, grid):
-        # The clean and the noisy file are written on two threads; their
-        # bytes are those of the public functions called one after another.
+        # The files' bytes are those of the public functions called one
+        # after another.
         cfg = tmp_path / "run.ini"
         cfg.write_text(FAST_CONFIG.replace("n_theta = 6\nn_phi = 12", grid))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
@@ -325,7 +326,7 @@ class TestCliWorkflow:
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_simulate_write_failure_is_one_error_line(self, cfg_path, tmp_path, capsys,
                                                       monkeypatch, failing):
-        # A failed write on either thread, or on both, ends in one error line
+        # A failed write of either file, or of both, ends in one error line
         # and exit code 2, with no traceback and no manifest.
         write = cli.write_nearfield
 
@@ -341,6 +342,21 @@ class TestCliWorkflow:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no space left" in err and "Traceback" not in err
         assert not (out / "fast_manifest.txt").exists()
+
+    def test_simulate_memory_stays_near_the_output(self, tmp_path, capsys):
+        # At its peak simulate holds the clean matrix, the noise draws, the
+        # noisy matrix and one file buffer: about 3.4 times the matrix at
+        # 18x36.  A helper thread that adds the noise beside the clean write
+        # holds 4.3-4.7 times.
+        cfg = tmp_path / "fine.ini"
+        cfg.write_text(FAST_CONFIG.replace("n_theta = 6\nn_phi = 12", "n_theta = 18\nn_phi = 36"))
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * (2 * 18 * 36) ** 2 * 16
 
     def test_selfcheck_passes(self, cfg_path):
         assert main(["selfcheck", "--config", str(cfg_path)]) == 0
@@ -440,15 +456,16 @@ class TestCliWorkflow:
         pytest.param("0.75", 85, SERIES, id="85"),
         pytest.param("0.75", None, None, id="None"),
         pytest.param("4.4934094579", None, "eigenvalue margin", id="k=4.4934094579"),
+        pytest.param("27.0310618214", None, "eigenvalue margin", id="k=27.0310618214"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulate_and_selfcheck_agree(self, tmp_path, capsys, k, n_max, check):
         # simulate writes data exactly when selfcheck passes them.  At n_max
         # = 12 and 20 the series tail fails, and at 85 it is NaN (R_n is
         # finite only to degree 87), while the data and the interface
-        # residual are fine; None derives the order 34.  k = 4.4934094579 is
-        # a Maxwell eigenvalue of the measurement ball: the data are sound,
-        # and the eigenvalue margin fails.
+        # residual are fine; None derives the order 34.  k = 4.4934094579 and
+        # 27.0310618214 are Maxwell eigenvalues of the measurement ball, zeros
+        # of j_1 and j_21: the data are sound, and the eigenvalue margin fails.
         cfg = tmp_path / "run.ini"
         order = "" if n_max is None else f"\nn_max = {n_max}"
         cfg.write_text(FAST_CONFIG.replace("k = 0.75", f"k = {k}{order}"))
@@ -872,7 +889,8 @@ def test_reconstruct_into_closed_pipe(cfg_path, fast_data, tmp_path):
       for command in ("simulate", "selfcheck")],
     *[(command, key, value)
       for key, value in [("cavity_radius", "1e200"), ("polarization", "0 0 0"),
-                         ("polarization", "1e-300 0 0"), ("polarization", "1e300 0 0")]
+                         ("polarization", "1e-300 0 0"), ("polarization", "1e300 0 0"),
+                         ("n_phi", "20000")]
       for command in ("simulate", "reconstruct", "probe", "selfcheck")],
 ])
 def test_extreme_value_is_one_stderr_line(fast_data, tmp_path, command, key, value):
@@ -896,6 +914,11 @@ def test_extreme_value_is_one_stderr_line(fast_data, tmp_path, command, key, val
     if key == "rho":
         # Refused by its floor, not by the probe source it would place.
         assert "measurement.rho" in proc.stderr and "dipole" not in proc.stderr
+    if key == "n_phi":
+        # Refused by the grid cap when the config is read, long before the
+        # assembly would ask for a 920 GB matrix.
+        assert all(word in proc.stderr
+                   for word in ("measurement.n_theta", "measurement.n_phi", "120,000"))
     assert not out.exists()
 
 

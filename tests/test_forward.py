@@ -202,6 +202,17 @@ class TestEigenvalueMargin:
         assert root == pytest.approx(4.4934094579, abs=1e-9)
         assert maxwell_eigenvalue_margin(root, 1.0) < 1e-9
 
+    def test_degree_21_eigenvalue_detected(self):
+        # A zero of degree 21: the scan reaches every degree that can have a
+        # zero within 2 pi of k rho.
+        root = brentq(lambda t: spherical_jn(21, t), 26.0, 28.0, xtol=1e-12)
+        assert root == pytest.approx(27.0310618214, abs=1e-9)
+        assert maxwell_eigenvalue_margin(27.0310618214, 1.0) < 1e-6
+
+    def test_reference_margin_keeps_its_bits(self):
+        # The reference wavenumber's margin, as `selfcheck` prints it.
+        assert maxwell_eigenvalue_margin(0.75, 1.0) == 1.993707269992269
+
     def test_margin_continuity(self):
         # 1-Lipschitz in k rho: nearby wavenumbers give nearby margins.
         m1 = maxwell_eigenvalue_margin(0.75, 1.0)

@@ -38,6 +38,7 @@ from nfem.forward import (
 from nfem.measurement import (
     HEADER,
     MAGIC,
+    MAX_SPHERE_NODES,
     NearFieldMatrix,
     NoiseSpec,
     SphereGrid,
@@ -142,6 +143,16 @@ class TestGrid:
             build_sphere_grid(1, 16, 1.0)
         with pytest.raises(InvalidArgumentError):
             build_sphere_grid(8, 16, -1.0)
+
+    def test_grid_at_the_node_cap_builds(self):
+        assert build_sphere_grid(64, 64, 1.0).n_nodes == MAX_SPHERE_NODES
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(65, 64), (2, 2049), (2, 20000)])
+    def test_grid_past_the_node_cap_refused(self, monkeypatch, n_theta, n_phi):
+        # Refused before leggauss runs, which would fail here.
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        with pytest.raises(InvalidArgumentError, match=f"{n_theta * n_phi:,} nodes"):
+            build_sphere_grid(n_theta, n_phi, 1.0)
 
 
 class TestAssembly:
