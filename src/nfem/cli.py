@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -161,12 +162,21 @@ def _simulate(args) -> int:
         if not passed:
             print(f"error: {check} {reading}: {failure}; no file written", file=sys.stderr)
             return EXIT_INVARIANT
-    write_nearfield(clean, clean_path, cfg.k)
+    # A helper thread adds the noise and writes the noisy file while this one
+    # writes the clean file; run back to back on one core, the two halves
+    # made `fine_simulate` slower and its medians spread wider.  Leaving the
+    # block waits for both; a failed clean write raises there, and a failed
+    # noisy write at `result()`.
+    noisy = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        if cfg.noise_level > 0:
+            noisy_path = out / f"{cfg.prefix}_noisy.nfem"
+            noisy = helper.submit(lambda: write_nearfield(
+                add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)), noisy_path, cfg.k))
+        write_nearfield(clean, clean_path, cfg.k)
     paths = [clean_path]
-    if cfg.noise_level > 0:
-        noisy_path = out / f"{cfg.prefix}_noisy.nfem"
-        write_nearfield(add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)),
-                        noisy_path, cfg.k)
+    if noisy is not None:
+        noisy.result()
         paths.append(noisy_path)
     write_manifest(
         out / f"{cfg.prefix}_manifest.txt",

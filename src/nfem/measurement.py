@@ -47,7 +47,7 @@ HEADER = struct.Struct("<ddIBdQ")
 
 
 # Most nodes a measurement grid may hold.  The near-field matrix takes 64 n^2
-# bytes, 1.07 GB at the cap, and `simulate` peaks at about 3.4 times that.
+# bytes, 1.07 GB at the cap, and `simulate` peaks at about 4.8 times that.
 MAX_SPHERE_NODES = 4096
 
 
