@@ -43,7 +43,7 @@ b = rhs_vector(z, pol, grid, k)
 
 print(f"\nregularization sweep at sampling point {z.tolist()}:")
 print(f"  {'alpha':>10}  {'residual':>10}  {'||g||_w':>10}")
-for alpha in np.logspace(-10, 0, 6) * svd.norm2**2:
+for alpha in np.logspace(-10, 0, 6) * svd.s[0]**2:
     sol = regularized_solve(svd, b[:, None], alpha=alpha)
     print(f"  {alpha:10.2e}  {sol.discrepancy[0]:10.3e}  {sol.g_norm[0]:10.3e}")
 
@@ -54,7 +54,7 @@ for alpha in np.logspace(-10, 0, 6) * svd.norm2**2:
 # norm of the sphere, the norm the solve itself uses.
 alpha_star, flagged = morozov_alpha(svd, b, 0.02)
 sol = regularized_solve(svd, b[:, None], alpha=alpha_star)
-target = 0.02 * svd.norm2 * sol.g_norm[0]
+target = 0.02 * svd.s[0] * sol.g_norm[0]
 print(f"\ndiscrepancy-principle choice: alpha = {alpha_star:.3e}"
       + (" (flagged)" if flagged else ""))
 print(f"  residual {sol.discrepancy[0]:.4e} vs target {target:.4e}")

@@ -9,15 +9,11 @@ cavity boundary.
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    ChecksumError,
     ConfigError,
     DataFormatError,
     DegenerateConfigError,
-    DimensionMismatchError,
     InvalidArgumentError,
-    MalformedHeaderError,
     NfemError,
-    SingularPointError,
 )
 from .green import Dipole, curl_incident_field, green_apply, incident_field
 from .forward import (

@@ -13,13 +13,15 @@ and non-finite data), 4 a failed invariant check of the synthesized data:
 reciprocity, interface residual, series tail or eigenvalue margin
 (`selfcheck`, or `simulate` before writing), 141 standard output closed by
 its reader before the run finished printing (its files are written).  A
-failed run creates no output directory.
+failed run leaves no output directory it created.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -148,6 +150,19 @@ def _invariants(n_max: int, defect: float, residual: float, tail: float,
     )
 
 
+@contextlib.contextmanager
+def _removed_on_failure(out: Path):
+    """If the block raises, removes the outermost directory of ``out`` that
+    did not exist when it began, then re-raises: an existing ``out`` stays."""
+    missing = [path for path in (out, *out.parents) if not path.exists()]
+    try:
+        yield
+    except BaseException:
+        if missing:
+            shutil.rmtree(missing[-1], ignore_errors=True)
+        raise
+
+
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
@@ -165,35 +180,33 @@ def _simulate(args) -> int:
     # A helper thread adds the noise and writes the noisy file while this one
     # writes the clean file; run back to back on one core, the two halves
     # made `fine_simulate` slower and its medians spread wider.  Leaving the
-    # block waits for both; a failed clean write raises there, and a failed
-    # noisy write at `result()`.
-    noisy = None
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        if cfg.noise_level > 0:
-            noisy_path = out / f"{cfg.prefix}_noisy.nfem"
-            noisy = helper.submit(lambda: write_nearfield(
-                add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)), noisy_path, cfg.k))
-        write_nearfield(clean, clean_path, cfg.k)
+    # block waits for the helper, so a failed run's directory goes only after
+    # both writes have stopped; a failed noisy write raises at `result()`.
     paths = [clean_path]
-    if noisy is not None:
-        noisy.result()
-        paths.append(noisy_path)
-    write_manifest(
-        out / f"{cfg.prefix}_manifest.txt",
-        {
-            "tool": f"nfem {__version__}",
-            "k": cfg.k,
-            "cavity_radius": cfg.cavity_radius,
-            "shells": ";".join(f"{s.outer_radius} {s.A} {s.N}" for s in cfg.shells),
-            "n_max": config.n_max,
-            "rho": cfg.rho,
-            "n_theta": cfg.n_theta,
-            "n_phi": cfg.n_phi,
-            "noise_level": cfg.noise_level,
-            "seed": cfg.seed,
-            "files": ";".join(p.name for p in paths),
-        },
-    )
+    with _removed_on_failure(out), ThreadPoolExecutor(max_workers=1) as helper:
+        if cfg.noise_level > 0:
+            paths.append(out / f"{cfg.prefix}_noisy.nfem")
+            noisy = helper.submit(lambda: write_nearfield(
+                add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)), paths[1], cfg.k))
+        write_nearfield(clean, clean_path, cfg.k)
+        if cfg.noise_level > 0:
+            noisy.result()
+        write_manifest(
+            out / f"{cfg.prefix}_manifest.txt",
+            {
+                "tool": f"nfem {__version__}",
+                "k": cfg.k,
+                "cavity_radius": cfg.cavity_radius,
+                "shells": ";".join(f"{s.outer_radius} {s.A} {s.N}" for s in cfg.shells),
+                "n_max": config.n_max,
+                "rho": cfg.rho,
+                "n_theta": cfg.n_theta,
+                "n_phi": cfg.n_phi,
+                "noise_level": cfg.noise_level,
+                "seed": cfg.seed,
+                "files": ";".join(p.name for p in paths),
+            },
+        )
     print(f"assembled {clean.entries.shape[0]}x{clean.entries.shape[1]} "
           f"near-field matrix in {elapsed:.2f} s (n_max={config.n_max})")
     for _, check, reading, _ in invariants:
@@ -224,17 +237,18 @@ def _reconstruct(args) -> int:
         alpha=_fixed_alpha(cfg),
     )
     elapsed = time.perf_counter() - t0
-    out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in cfg.formats:
-        csv_path = out / f"{cfg.prefix}_imaging.csv"
-        write_imaging_csv(field, csv_path)
-        written.append(csv_path)
-        written.extend(Path(p) for p in write_cross_sections(field, out, cfg.prefix))
-    if "vtk" in cfg.formats:
-        vtk_path = out / f"{cfg.prefix}_imaging.vtk"
-        write_imaging_vtk(field, vtk_path)
-        written.append(vtk_path)
+    with _removed_on_failure(out):
+        out.mkdir(parents=True, exist_ok=True)
+        if "csv" in cfg.formats:
+            csv_path = out / f"{cfg.prefix}_imaging.csv"
+            write_imaging_csv(field, csv_path)
+            written.append(csv_path)
+            written.extend(Path(p) for p in write_cross_sections(field, out, cfg.prefix))
+        if "vtk" in cfg.formats:
+            vtk_path = out / f"{cfg.prefix}_imaging.vtk"
+            write_imaging_vtk(field, vtk_path)
+            written.append(vtk_path)
     # The summary comes after the files, so a reader of stdout that goes
     # away early loses only these lines.
     active = grid.active

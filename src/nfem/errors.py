@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  `cli.main` exits 3 on a
+DataFormatError and 2 on the others; each message names its defect."""
 
 
 class NfemError(Exception):
@@ -6,11 +7,7 @@ class NfemError(Exception):
 
 
 class InvalidArgumentError(NfemError, ValueError):
-    """An argument violates a documented precondition."""
-
-
-class SingularPointError(InvalidArgumentError):
-    """Evaluation requested at (or too close to) a kernel singularity."""
+    """An argument violates a documented precondition or hits a singularity."""
 
 
 class DegenerateConfigError(NfemError):
@@ -22,16 +19,5 @@ class ConfigError(NfemError):
 
 
 class DataFormatError(NfemError):
-    """Base class for near-field data file problems."""
-
-
-class MalformedHeaderError(DataFormatError):
-    """Magic string or header fields of a data file are invalid."""
-
-
-class DimensionMismatchError(DataFormatError):
-    """Declared sizes do not match the file contents."""
-
-
-class ChecksumError(DataFormatError):
-    """Payload checksum does not match the stored value."""
+    """A near-field data file or matrix is unusable: bad magic or header,
+    sizes that do not match, a checksum mismatch, or non-finite or all-zero contents."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularPointError
+from .errors import InvalidArgumentError
 
 # Below this separation the kernel is treated as singular; no regularized
 # evaluation is attempted.
@@ -65,7 +65,7 @@ def _green_scalars(r: np.ndarray, k: float):
     and the dyadic term stay in range out to the coordinate cap of 1e150."""
     k = check_wavenumber(k)
     if np.any(r < MIN_SEPARATION):
-        raise SingularPointError("evaluation point coincides with the source point")
+        raise InvalidArgumentError("evaluation point coincides with the source point")
     u = np.reciprocal(r)
     kr = r * k
     q = u * (1 / (4 * np.pi))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,21 +52,14 @@ MAX_COORDINATE = 1e150
 @dataclass(frozen=True)
 class SvdFactorization:
     """Full SVD A~ = U diag(s) V^H of the weighted operator W^1/2 S W^1/2,
-    with uhw = U^H W^1/2, which maps a right-hand side b to beta = U^H b~."""
+    kept as uhw = U^H W^1/2, which maps a right-hand side b to beta = U^H b~,
+    s, V^H and root = W^1/2 (sqrt(w_j), repeated per tangent)."""
 
-    u: np.ndarray
+    uhw: np.ndarray
     s: np.ndarray
     vh: np.ndarray
-    weights2: np.ndarray  # per-column quadrature weight (w_j repeated per tangent)
+    root: np.ndarray
     k: float | None = None
-    uhw: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "uhw", self.u.conj().T * np.sqrt(self.weights2))
-
-    @property
-    def norm2(self) -> float:
-        return float(self.s[0])
 
 
 def svd_factorize(matrix: NearFieldMatrix, k: float | None = None) -> SvdFactorization:
@@ -75,10 +68,9 @@ def svd_factorize(matrix: NearFieldMatrix, k: float | None = None) -> SvdFactori
         raise InvalidArgumentError("near-field matrix has non-finite entries")
     if not np.any(matrix.entries):
         raise DataFormatError("near-field data are all zero: no scattered field")
-    w2 = np.repeat(matrix.grid.weights, 2)
-    root = np.sqrt(w2)
+    root = np.sqrt(np.repeat(matrix.grid.weights, 2))
     u, s, vh = np.linalg.svd(root[:, None] * matrix.entries * root)
-    return SvdFactorization(u=u, s=s, vh=vh, weights2=w2, k=k)
+    return SvdFactorization(uhw=u.conj().T * root, s=s, vh=vh, root=root, k=k)
 
 
 def rhs_vector(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> np.ndarray:
@@ -223,7 +215,7 @@ def regularized_solve(
     g = None
     if want_g:
         x = beta * (svd.s / (s2 + a[:, None]))
-        g = (_matmul_rows(x, svd.vh.conj()) / np.sqrt(svd.weights2)).T
+        g = (_matmul_rows(x, svd.vh.conj()) / svd.root).T
     return RegularizedBatch(a, flagged, discrepancy, g_norm, g)
 
 

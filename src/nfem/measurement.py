@@ -31,13 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import specialfun as sf
-from .errors import (
-    ChecksumError,
-    DataFormatError,
-    DimensionMismatchError,
-    InvalidArgumentError,
-    MalformedHeaderError,
-)
+from .errors import DataFormatError, InvalidArgumentError
 from .forward import ModeCoefficients
 from .green import check_wavenumber
 
@@ -131,9 +125,8 @@ class NearFieldMatrix:
     def __post_init__(self):
         n2 = 2 * self.grid.n_nodes
         if self.entries.shape != (n2, n2):
-            raise DimensionMismatchError(
-                f"entries shape {self.entries.shape} does not match grid size {n2}"
-            )
+            raise DataFormatError(f"entries shape {self.entries.shape} does not match "
+                                  f"grid size {n2}")
 
 
 @dataclass(frozen=True)
@@ -394,23 +387,22 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise MalformedHeaderError(f"{path}: bad magic, not an NFEM1 file")
+        raise DataFormatError(f"{path}: bad magic, not an NFEM1 file")
     if len(blob) < len(MAGIC) + HEADER.size + 8:
-        raise MalformedHeaderError(f"{path}: file shorter than header")
+        raise DataFormatError(f"{path}: file shorter than header")
     payload, trailer = memoryview(blob)[len(MAGIC) : -8], blob[-8:]
     (stored_crc,) = struct.unpack("<Q", trailer)
     if crc64(payload) != stored_crc:
-        raise ChecksumError(f"{path}: CRC-64 mismatch, file truncated or corrupted")
+        raise DataFormatError(f"{path}: CRC-64 mismatch, file truncated or corrupted")
     k, radius, n, noisy, level, seed = HEADER.unpack_from(payload)
     if not (np.isfinite(k) and k > 0 and np.isfinite(radius) and radius > 0 and n > 0):
-        raise MalformedHeaderError(f"{path}: invalid header values k={k}, rho={radius}")
+        raise DataFormatError(f"{path}: invalid header values k={k}, rho={radius}")
     if noisy > 1 or not 0 <= level < np.inf:
-        raise MalformedHeaderError(f"{path}: invalid noise header: flag {noisy}, level {level}")
+        raise DataFormatError(f"{path}: invalid noise header: flag {noisy}, level {level}")
     expected = HEADER.size + n * 3 * 8 + (2 * n) * (2 * n) * 16
     if len(payload) != expected:
-        raise DimensionMismatchError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected} for n={n}"
-        )
+        raise DataFormatError(f"{path}: payload has {len(payload)} bytes, "
+                              f"expected {expected} for n={n}")
     nodes = np.frombuffer(payload, dtype="<f8", count=3 * n, offset=HEADER.size)
     theta, phi, weights = nodes.reshape(n, 3).T
     # Comparisons that NaN fails, so a NaN angle or weight is refused too.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularPointError
+from .errors import InvalidArgumentError
 from .green import check_wavenumber
 
 # Largest wavefunction degree.  `spherical_z` matches mpmath to 1e-13 up to
@@ -156,7 +156,7 @@ def _radial_table(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
     n = np.arange(n_max + 1)[:, None]
     small = t < 1e-6
     if kind == 3 and np.any(small):
-        raise SingularPointError("radiating wavefunction evaluated at the origin")
+        raise InvalidArgumentError("radiating wavefunction evaluated at the origin")
     # Every column goes through the kernel; those below 1e-6 are then
     # overwritten by the series.
     t_k = np.where(small, 1.0, t)
@@ -186,7 +186,9 @@ def vswf_fields(
     """Evaluate all M and N wavefunctions up to degree n_max at many points.
 
     Returns arrays of shape (n_modes, n_points, 3) in ``mode_index(n_max)``
-    order.
+    order, each one broadcast expression of per-mode scalars and per-point
+    unit vectors.  A call holds a few arrays of that size at once; the
+    package passes at most one meridian of the measurement grid per call.
     """
     if kind not in (1, 3):
         raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
@@ -195,7 +197,7 @@ def vswf_fields(
         raise InvalidArgumentError(f"n_max must be in [0, {ORDER_CAP}], got {n_max}")
     pts, r, cos_t, sin_t, phi, rhat, that, phat = _spherical_frame(points)
     if kind == 3 and np.any(r < 1e-12):
-        raise SingularPointError("radiating wavefunction evaluated at the origin")
+        raise InvalidArgumentError("radiating wavefunction evaluated at the origin")
     z, z_over_t, psip_over_t = _radial_table(n_max, kind, k * r)
     table = _legendre_table(cos_t, sin_t, n_max)
 
@@ -220,25 +222,12 @@ def vswf_fields(
     # s e^{im phi} (i pi, tau) = (a, b) give C = a that - b phat and
     # B = b that + a phat, with s = 1/sqrt(n(n+1)).
     root = np.sqrt(np.arange(1, n_max + 1) * np.arange(2, n_max + 2))[:, None]
-    a = m * t_nm * phase
+    # The per-mode scalars take a trailing axis against the unit vectors.
+    a = (m * t_nm * phase)[..., None]
     a *= 1j
-    b = tau * phase
-    y_rad = (z_over_t * root)[rows] * lam_p * phase
-    del t_nm, tau, lam_p, phase  # released before the outputs are allocated
-    z_s = (z / root)[rows]
-    psi_s = (psip_over_t / root)[rows]
-    shape = (deg.size, pts.shape[0], 3)
-    m_fields = np.empty(shape, dtype=complex)
-    n_fields = np.empty(shape, dtype=complex)
-    # One Cartesian component at a time bounds the temporaries to two.
-    acc, term = np.empty_like(a), np.empty_like(a)
-    for j in range(3):
-        np.multiply(a, that[:, j], out=acc)
-        acc -= np.multiply(b, phat[:, j], out=term)
-        np.multiply(acc, z_s, out=m_fields[:, :, j])
-        np.multiply(b, that[:, j], out=acc)
-        acc += np.multiply(a, phat[:, j], out=term)
-        acc *= psi_s
-        np.add(acc, np.multiply(y_rad, rhat[:, j], out=term), out=n_fields[:, :, j])
-    return m_fields, n_fields
+    b = (tau * phase)[..., None]
+    y_rad = ((z_over_t * root)[rows] * lam_p * phase)[..., None]
+    z_s = (z / root)[rows][..., None]
+    psi_s = (psip_over_t / root)[rows][..., None]
+    return (a * that - b * phat) * z_s, (b * that + a * phat) * psi_s + y_rad * rhat
 

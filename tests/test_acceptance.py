@@ -154,12 +154,12 @@ def test_regularization_contracts(noisy, svd, sphere):
         alpha_star, flagged = morozov_alpha(svd, b, NOISE)
         assert not flagged
         sol = regularized_solve(svd, b[:, None], alpha=alpha_star, want_g=True)
-        target = NOISE * svd.norm2 * np.linalg.norm(root * sol.g[:, 0])
+        target = NOISE * svd.s[0] * np.linalg.norm(root * sol.g[:, 0])
         worst_root = max(
             worst_root, abs(sol.discrepancy[0] - target) / np.linalg.norm(root * b)
         )
     b = rhs_vector(points[0], POL, sphere, K)
-    sweep = np.logspace(-12, 2, 10) * svd.norm2**2
+    sweep = np.logspace(-12, 2, 10) * svd.s[0]**2
     disc = [regularized_solve(svd, b[:, None], alpha=al).discrepancy[0] for al in sweep]
     monotone = all(y > x for x, y in zip(disc, disc[1:]))
     print(f"normal-equations residual {worst_ne:.3e} (limit 1e-10), "

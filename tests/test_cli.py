@@ -327,7 +327,8 @@ class TestCliWorkflow:
     def test_simulate_write_failure_is_one_error_line(self, cfg_path, tmp_path, capsys,
                                                       monkeypatch, failing):
         # A failed write on either thread, or on both, ends in one error line
-        # and exit code 2, with no traceback and no manifest.
+        # and exit code 2, with no traceback, and removes the output
+        # directory the run created, the other thread's file with it.
         write = cli.write_nearfield
 
         def flaky(matrix, path, k):
@@ -336,12 +337,52 @@ class TestCliWorkflow:
             write(matrix, path, k)
 
         monkeypatch.setattr(cli, "write_nearfield", flaky)
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no space left" in err and "Traceback" not in err
-        assert not (out / "fast_manifest.txt").exists()
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("writer", ["write_imaging_csv", "write_imaging_vtk"])
+    def test_reconstruct_write_failure_leaves_no_directory(self, cfg_path, fast_data,
+                                                           tmp_path, capsys, monkeypatch,
+                                                           writer):
+        # A writer that fails part way through its file, the first one or
+        # the last: one error line, exit code 2, and no directory left.
+        def partial(field, path):
+            Path(path).write_text("x,y,z\n0.0,")
+            raise OSError(f"{path}: file too large")
+
+        monkeypatch.setattr(cli, writer, partial)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(fast_data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "file too large" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_failed_write_keeps_an_existing_out(self, cfg_path, fast_data, tmp_path, capsys,
+                                                monkeypatch, command):
+        # An --out that existed before the run is never deleted, nor is what
+        # it held.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+
+        def failing(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_nearfield", failing)
+        monkeypatch.setattr(cli, "write_imaging_csv", failing)
+        args = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command == "reconstruct":
+            args += ["--data", str(fast_data)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (out / "keep.txt").read_text() == "kept"
 
     def test_simulate_memory_stays_near_the_output(self, tmp_path, capsys):
         # At its peak simulate holds the clean matrix, the clean file's buffer

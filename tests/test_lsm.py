@@ -62,7 +62,7 @@ def weighted_operator(matrix):
 class TestSvd:
     def test_reconstruction(self, noisy, svd):
         a, _ = weighted_operator(noisy)
-        back = (svd.u * svd.s) @ svd.vh
+        back = ((svd.uhw / svd.root).conj().T * svd.s) @ svd.vh
         assert np.max(np.abs(back - a)) < 1e-10 * svd.s[0]
 
     def test_operator_norm_hermitian_oracle(self, noisy, svd):
@@ -70,7 +70,7 @@ class TestSvd:
         # independent Hermitian eigensolver.
         a, _ = weighted_operator(noisy)
         top = np.linalg.eigvalsh(a.conj().T @ a)[-1]
-        assert svd.norm2 == pytest.approx(np.sqrt(top), rel=1e-8)
+        assert svd.s[0] == pytest.approx(np.sqrt(top), rel=1e-8)
 
     def test_zero_data_rejected(self, noisy):
         from dataclasses import replace
@@ -120,7 +120,7 @@ class TestTikhonov:
         # toward the least-squares floor.
         b = rhs_vector(np.array([1.5, 1.0, 0.3]), POL, sphere, K)
         big, small = (
-            regularized_solve(svd, b[:, None], alpha=a * svd.norm2**2, want_g=True)
+            regularized_solve(svd, b[:, None], alpha=a * svd.s[0]**2, want_g=True)
             for a in (1e6, 1e-14)
         )
         assert np.linalg.norm(big.g) < 1e-5 * np.linalg.norm(small.g)
@@ -135,7 +135,7 @@ class TestTikhonov:
 class TestMorozov:
     def test_discrepancy_monotone_in_alpha(self, svd, sphere):
         b = rhs_vector(np.array([1.7, 0.4, 0.8]), POL, sphere, K)
-        alphas = np.logspace(-12, 2, 10) * svd.norm2**2
+        alphas = np.logspace(-12, 2, 10) * svd.s[0]**2
         disc = [regularized_solve(svd, b[:, None], alpha=a).discrepancy[0] for a in alphas]
         assert all(y > x for x, y in zip(disc, disc[1:]))
 
@@ -146,18 +146,18 @@ class TestMorozov:
             alpha, flagged = morozov_alpha(svd, b, 0.02)
             assert not flagged
             sol = regularized_solve(svd, b[:, None], alpha=alpha, want_g=True)
-            target = 0.02 * svd.norm2 * np.linalg.norm(root * sol.g[:, 0])
+            target = 0.02 * svd.s[0] * np.linalg.norm(root * sol.g[:, 0])
             assert abs(sol.discrepancy[0] - target) < 1e-6 * np.linalg.norm(root * b)
 
     def test_zero_noise_flagged_at_bracket_floor(self, svd, sphere):
         b = rhs_vector(np.array([1.8, 0.3, -0.4]), POL, sphere, K)
         alpha, flagged = morozov_alpha(svd, b, 0.0)
         assert flagged
-        assert alpha == pytest.approx(1e-14 * svd.norm2**2, rel=1e-12)
+        assert alpha == pytest.approx(1e-14 * svd.s[0]**2, rel=1e-12)
 
     def test_zero_rhs_rejected(self, svd):
         with pytest.raises(InvalidArgumentError):
-            morozov_alpha(svd, np.zeros(svd.u.shape[0], dtype=complex), 0.02)
+            morozov_alpha(svd, np.zeros(svd.root.size, dtype=complex), 0.02)
 
     def test_non_finite_phi_flagged(self):
         # beta = 0 makes phi = ln(0/0) at both bracket ends: no root can be
@@ -221,21 +221,19 @@ def chunk_rhs(sphere):
 
 
 class TestRegularizedSolve:
-    def test_alpha_matches_bisection_oracle(self, noisy, svd, chunk_rhs):
-        _, root = weighted_operator(noisy)
-        beta_abs2 = np.abs(svd.u.conj().T @ (root[:, None] * chunk_rhs)) ** 2
+    def test_alpha_matches_bisection_oracle(self, svd, chunk_rhs):
+        beta_abs2 = np.abs(svd.uhw @ chunk_rhs) ** 2
         want, want_flagged = morozov_bisect_oracle(svd.s, beta_abs2, 0.02)
         got = regularized_solve(svd, chunk_rhs, 0.02)
         assert not np.any(want_flagged)
         assert np.array_equal(got.flagged, want_flagged)
         assert np.max(np.abs(got.alpha / want - 1)) < 1e-7
 
-    def test_converged_newton_step_kept(self, noisy, svd, chunk_rhs):
+    def test_converged_newton_step_kept(self, svd, chunk_rhs):
         # A Newton iterate that lands on the root makes itself a bracket
         # end; its converged step must be kept, not bisected away.  Every
         # root then agrees with a 1e-13-decade bisection to 1e-10.
-        _, root = weighted_operator(noisy)
-        beta_abs2 = np.abs(svd.u.conj().T @ (root[:, None] * chunk_rhs)) ** 2
+        beta_abs2 = np.abs(svd.uhw @ chunk_rhs) ** 2
         want, _ = morozov_bisect_oracle(svd.s, beta_abs2, 0.02, width=1e-13)
         got = regularized_solve(svd, chunk_rhs, 0.02)
         ok = ~got.flagged
@@ -276,14 +274,14 @@ class TestRegularizedSolve:
         b = chunk_rhs[:, :16]
         floor = regularized_solve(svd, b, 0.0)
         assert np.all(floor.flagged)
-        assert np.all(floor.alpha == ALPHA_LO_FACTOR * svd.norm2**2)
+        assert np.all(floor.alpha == ALPHA_LO_FACTOR * svd.s[0]**2)
         ceiling = regularized_solve(svd, b, 1e6)
         assert np.all(ceiling.flagged)
-        assert np.all(ceiling.alpha == svd.norm2**2)
+        assert np.all(ceiling.alpha == svd.s[0]**2)
 
     def test_weighted_norm(self, svd, chunk_rhs):
         sol = regularized_solve(svd, chunk_rhs[:, :4], 0.02, want_g=True)
-        direct = np.sqrt(np.sum(svd.weights2[:, None] * np.abs(sol.g) ** 2, axis=0))
+        direct = np.linalg.norm(svd.root[:, None] * sol.g, axis=0)
         assert np.allclose(sol.g_norm, direct, rtol=1e-12, atol=0)
 
     @settings(max_examples=150, deadline=None)
@@ -307,7 +305,7 @@ class TestRegularizedSolve:
         u = unitary(rank)
         beta = (rng.standard_normal((rank, n_z)) + 1j * rng.standard_normal((rank, n_z)))
         beta *= 10.0 ** rng.uniform(-6, 0, size=(rank, 1))
-        svd = SvdFactorization(u=u, s=s, vh=unitary(rank), weights2=np.ones(rank))
+        svd = SvdFactorization(uhw=u.conj().T, s=s, vh=unitary(rank), root=np.ones(rank))
         b = u @ beta
         sol = regularized_solve(svd, b, h)
         res, gn = spectral_sums(s, np.abs(beta) ** 2, sol.alpha)

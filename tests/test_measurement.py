@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from nfem.cli import main
 from nfem.config import default_config_text
-from nfem.errors import (
-    ChecksumError,
-    DataFormatError,
-    DimensionMismatchError,
-    InvalidArgumentError,
-    MalformedHeaderError,
-)
+from nfem.errors import DataFormatError, InvalidArgumentError
 from nfem import forward, measurement
 from nfem import specialfun as sf
 from nfem.forward import (
@@ -676,7 +670,7 @@ class TestFileFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nfem"
         path.write_bytes(b"GARBAGE" + b"\x00" * 64)
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(DataFormatError, match="bad magic"):
             read_nearfield(path)
 
     def test_truncation_detected(self, matrix, tmp_path):
@@ -684,7 +678,7 @@ class TestFileFormat:
         write_nearfield(matrix, path, BALL.k)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ChecksumError):
+        with pytest.raises(DataFormatError, match="CRC-64 mismatch"):
             read_nearfield(path)
 
     def test_corruption_detected(self, matrix, tmp_path):
@@ -693,7 +687,7 @@ class TestFileFormat:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumError):
+        with pytest.raises(DataFormatError, match="CRC-64 mismatch"):
             read_nearfield(path)
 
     def test_dimension_mismatch_detected(self, matrix, tmp_path):
@@ -708,7 +702,7 @@ class TestFileFormat:
         payload = bytes(blob[magic_len:-8])
         struct.pack_into("<Q", blob, len(blob) - 8, crc64(payload))
         path.write_bytes(bytes(blob))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataFormatError, match="payload has"):
             read_nearfield(path)
 
     def test_non_finite_entries_refused(self, matrix, tmp_path):
@@ -721,7 +715,7 @@ class TestFileFormat:
         assert not path.exists()
 
     def test_entries_shape_validated(self, grid):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataFormatError, match="does not match grid size"):
             NearFieldMatrix(grid=grid, entries=np.zeros((4, 4), dtype=complex))
 
 
