@@ -24,6 +24,7 @@ contraction to 1e-13 of the largest entry.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -378,8 +379,7 @@ def write_nearfield(matrix: NearFieldMatrix, path, k: float) -> None:
     entries.reshape(2 * n, 2 * n)[...] = matrix.entries
     struct.pack_into("<Q", buf, len(buf) - 8, crc64(memoryview(buf)[len(MAGIC) : -8]))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(buf)
+    write_whole(path, buf)
 
 
 def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
@@ -428,6 +428,20 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
 
 def write_manifest(path, pairs: dict) -> None:
     """Sidecar provenance manifest, plain key = value lines."""
-    with open(path, "w") as f:
-        for key, value in pairs.items():
-            f.write(f"{key} = {value}\n")
+    write_whole(path, "".join(f"{key} = {value}\n" for key, value in pairs.items()))
+
+
+def write_whole(path, data) -> None:
+    """Write data (bytes, or text as UTF-8 with its line ends kept) to a
+    temporary sibling of path, then rename it over path: path holds its old
+    contents or the whole new file, never a part.  A failed write removes
+    the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -2,7 +2,10 @@
 axis-plane cross-section CSVs.
 
 All numeric values are written with repr-faithful precision (%.17g) so the
-CSV and VTK outputs agree to rounding and reruns diff cleanly.
+CSV and VTK outputs agree to rounding and reruns diff cleanly.  Each value
+is formatted once, and each file is built as one string and written whole
+(``measurement.write_whole``): a failed write leaves any earlier file as it
+was.
 """
 
 from __future__ import annotations
@@ -10,24 +13,36 @@ from __future__ import annotations
 import numpy as np
 
 from .lsm import ImagingField
+from .measurement import write_whole
 
 _FMT = "%.17g"
 
 
-def _g(value: float) -> str:
-    return _FMT % value
+def _g(values) -> list[str]:
+    return list(map(_FMT.__mod__, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text of string columns, with CRLF row ends as RFC 4180 asks."""
+    return "\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n"
+
+
+def _masked(active: np.ndarray) -> list[str]:
+    return np.where(np.ravel(active), "0", "1").tolist()
 
 
 def write_imaging_csv(field: ImagingField, path) -> None:
     """One row per lattice point: position, indicator, log indicator, mask."""
     grid = field.grid
-    rows = np.column_stack(
-        [grid.points, field.indicator, field.log_indicator, ~grid.active]
-    )
-    # CRLF row ends, as RFC 4180 asks.
-    with open(path, "w", newline="") as f:
-        np.savetxt(f, rows, fmt=[_FMT] * 5 + ["%d"], delimiter=",", newline="\r\n",
-                   header="z_x,z_y,z_z,indicator,log10_indicator,masked", comments="")
+    nx, ny, nz = grid.shape
+    # The lattice is x-fastest: each axis's coordinates repeat row after row.
+    xs = _g(grid.points[:nx, 0])
+    ys = _g(grid.points[: nx * ny : nx, 1])
+    zs = _g(grid.points[:: nx * ny, 2])
+    points = [f"{x},{y},{z}" for z in zs for y in ys for x in xs]
+    write_whole(path, _csv("z_x,z_y,z_z,indicator,log10_indicator,masked",
+                           (points, _g(field.indicator), _g(field.log_indicator),
+                            _masked(grid.active))))
 
 
 def write_imaging_vtk(field: ImagingField, path) -> None:
@@ -38,22 +53,21 @@ def write_imaging_vtk(field: ImagingField, path) -> None:
     """
     grid = field.grid
     nx, ny, nz = grid.shape
-    origin = grid.bounds[:, 0]
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("cavity imaging indicator (log10, masked points = 0)\n")
-        f.write("ASCII\n")
-        f.write("DATASET STRUCTURED_POINTS\n")
-        f.write(f"DIMENSIONS {nx} {ny} {nz}\n")
-        f.write(f"ORIGIN {_g(origin[0])} {_g(origin[1])} {_g(origin[2])}\n")
-        f.write(
-            f"SPACING {_g(grid.spacing)} {_g(grid.spacing)} {_g(grid.spacing)}\n"
-        )
-        f.write(f"POINT_DATA {grid.n_points}\n")
-        f.write("SCALARS log10_indicator double 1\n")
-        f.write("LOOKUP_TABLE default\n")
-        for value in field.log_indicator:
-            f.write(_g(value) + "\n")
+    origin = " ".join(_g(grid.bounds[:, 0]))
+    spacing = " ".join(_g([grid.spacing] * 3))
+    write_whole(path, "\n".join([
+        "# vtk DataFile Version 3.0",
+        "cavity imaging indicator (log10, masked points = 0)",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {nx} {ny} {nz}",
+        f"ORIGIN {origin}",
+        f"SPACING {spacing}",
+        f"POINT_DATA {grid.n_points}",
+        "SCALARS log10_indicator double 1",
+        "LOOKUP_TABLE default",
+        *_g(field.log_indicator),
+    ]) + "\n")
 
 
 # Cross-sections through the origin: (plane name, in-plane axes, fixed axis).
@@ -82,16 +96,12 @@ def write_cross_sections(field: ImagingField, out_dir, prefix: str) -> list[str]
     for name, (ax1, ax2), fixed in _PLANES:
         level = int(np.argmin(np.abs(axes[fixed])))
         # Cube axis 2 - i is coordinate i, so the slice is (ax2, ax1) since ax1 < ax2.
-        c2, c1 = np.meshgrid(axes[ax2], axes[ax1], indexing="ij")
-        rows = np.column_stack([
-            c1.ravel(), c2.ravel(), np.take(log_cube, level, axis=2 - fixed).ravel(),
-            ~np.take(active_cube, level, axis=2 - fixed).ravel(),
-        ])
+        c1, c2 = _g(axes[ax1]), _g(axes[ax2])
         path = f"{out_dir}/{prefix}_slice_{name}.csv"
-        # CRLF rows, as in write_imaging_csv.
-        with open(path, "w", newline="") as f:
-            np.savetxt(f, rows, fmt=[_FMT] * 3 + ["%d"], delimiter=",", newline="\r\n",
-                       header=f"z_{'xyz'[ax1]},z_{'xyz'[ax2]},log10_indicator,masked",
-                       comments="")
+        write_whole(path, _csv(
+            f"z_{'xyz'[ax1]},z_{'xyz'[ax2]},log10_indicator,masked",
+            ([f"{a},{b}" for b in c2 for a in c1],
+             _g(np.take(log_cube, level, axis=2 - fixed)),
+             _masked(np.take(active_cube, level, axis=2 - fixed)))))
         paths.append(path)
     return paths

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from nfem import cli
 from nfem.cli import EXIT_PIPE, main
 from nfem.config import RunConfig, default_config_text, load_config
 from nfem.errors import ConfigError, InvalidArgumentError
-from nfem.lsm import build_sampling_grid, run_imaging
+from nfem.lsm import ImagingField, build_sampling_grid, run_imaging
 from nfem.measurement import (
     HEADER,
     MAGIC,
@@ -221,7 +222,64 @@ def field():
     return run_imaging(noisy, grid, pol, 0.02, k=0.75)
 
 
+def savetxt_oracle(field, out_dir):
+    """The writers as np.savetxt and a line loop wrote them: the imaging CSV,
+    the VTK and the three slices, as {file name: bytes}."""
+    grid = field.grid
+    nx, ny, nz = grid.shape
+    files = {}
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack([grid.points, field.indicator, field.log_indicator,
+                                     ~grid.active]),
+               fmt=["%.17g"] * 5 + ["%d"], delimiter=",", newline="\r\n",
+               header="z_x,z_y,z_z,indicator,log10_indicator,masked", comments="")
+    files["img.csv"] = buf.getvalue()
+    g = "%.17g".__mod__
+    head = ["# vtk DataFile Version 3.0",
+            "cavity imaging indicator (log10, masked points = 0)", "ASCII",
+            "DATASET STRUCTURED_POINTS", f"DIMENSIONS {nx} {ny} {nz}",
+            "ORIGIN " + " ".join(map(g, grid.bounds[:, 0])),
+            "SPACING " + " ".join([g(grid.spacing)] * 3), f"POINT_DATA {grid.n_points}",
+            "SCALARS log10_indicator double 1", "LOOKUP_TABLE default"]
+    files["img.vtk"] = "".join(line + "\n" for line in
+                               head + [g(v) for v in field.log_indicator]).encode()
+    axes = [grid.bounds[i, 0] + grid.spacing * np.arange(n) for i, n in enumerate((nx, ny, nz))]
+    cubes = field.log_indicator.reshape(nz, ny, nx), grid.active.reshape(nz, ny, nx)
+    for name, (ax1, ax2), fixed in (("xy", (0, 1), 2), ("yz", (1, 2), 0), ("xz", (0, 2), 1)):
+        level = int(np.argmin(np.abs(axes[fixed])))
+        c2, c1 = np.meshgrid(axes[ax2], axes[ax1], indexing="ij")
+        log_slice, active_slice = (np.take(c, level, axis=2 - fixed).ravel() for c in cubes)
+        buf = io.BytesIO()
+        np.savetxt(buf, np.column_stack([c1.ravel(), c2.ravel(), log_slice, ~active_slice]),
+                   fmt=["%.17g"] * 3 + ["%d"], delimiter=",", newline="\r\n",
+                   header=f"z_{'xyz'[ax1]},z_{'xyz'[ax2]},log10_indicator,masked",
+                   comments="")
+        files[f"img_slice_{name}.csv"] = buf.getvalue()
+    return files
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("spacing", [0.2, 0.3, 0.5])
+    def test_files_match_the_savetxt_oracle(self, tmp_path, spacing):
+        # Every byte of every file, on an indicator with exact zeros where
+        # masked, values over many decades and a box off the origin.
+        grid = build_sampling_grid(np.array([[-2.1, 1.9], [-1.7, 2.3], [-2.0, 2.0]]),
+                                   spacing, 1.0)
+        rng = np.random.default_rng(int(spacing * 10))
+        indicator = np.where(grid.active, 10.0 ** rng.uniform(-6, 0, grid.n_points), 0.0)
+        indicator[np.argmax(grid.active)] = 1.0
+        log_ind = np.zeros(grid.n_points)
+        log_ind[grid.active] = np.log10(indicator[grid.active])
+        field = ImagingField(grid, indicator, log_ind, np.zeros(grid.n_points),
+                             np.zeros(grid.n_points, bool))
+        write_imaging_csv(field, tmp_path / "img.csv")
+        write_imaging_vtk(field, tmp_path / "img.vtk")
+        write_cross_sections(field, tmp_path, "img")
+        want = savetxt_oracle(field, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
+        for name, data in want.items():
+            assert (tmp_path / name).read_bytes() == data, name
+
     def test_csv_contents(self, field, tmp_path):
         path = tmp_path / "img.csv"
         write_imaging_csv(field, path)
@@ -383,6 +441,23 @@ class TestCliWorkflow:
         assert main(args) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert (out / "keep.txt").read_text() == "kept"
+
+    def test_failed_overwrite_keeps_the_complete_file(self, cfg_path, fast_data, tmp_path):
+        # A rerun into the same --out whose CSV write is cut short by the
+        # file size limit exits 2 and leaves the earlier files whole, with
+        # no temporary file beside them.
+        out = tmp_path / "out"
+        args = [sys.executable, "-m", "nfem.cli", "reconstruct", "--config", str(cfg_path),
+                "--data", str(fast_data), "--out", str(out)]
+        subprocess.run(args, env=_package_env(), check=True, capture_output=True)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before["fast_imaging.csv"]) > 20_000
+        proc = subprocess.run(args, env=_package_env(), capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(
+                                  resource.RLIMIT_FSIZE, (20_000, 20_000)))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_simulate_memory_stays_near_the_output(self, tmp_path, capsys):
         # At its peak simulate holds the clean matrix, the clean file's buffer
@@ -898,6 +973,29 @@ def test_reader_refuses_file_defects(cfg_path, fast_data, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", [1e155, 1e300, 1.7e308])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_finite_noise_level_images_flagged(cfg_path, fast_data, tmp_path, capsys, level):
+    # A header noise level so large that h^2 overflows: no Morozov root lies
+    # in the bracket, so every point is clamped to sigma_1^2 and flagged,
+    # with no warning on the way.
+    blob = bytearray(fast_data.read_bytes())
+    struct.pack_into("<d", blob, LEVEL_AT, level)
+    struct.pack_into("<Q", blob, len(blob) - 8, crc64(bytes(blob[len(MAGIC):-8])))
+    data = tmp_path / "loud.nfem"
+    data.write_bytes(bytes(blob))
+    assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    n = re.search(r"swept (\d+) active", out.out).group(1)
+    assert f"alpha (morozov): {n} of {n} active points flagged" in out.out
+    assert main(["probe", "--config", str(cfg_path), "--data", str(data),
+                 "--z", "1.6,0,0"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "(flagged: bracket endpoint" in out.out
 
 
 def test_reconstruct_into_closed_pipe(cfg_path, fast_data, tmp_path):

@@ -2,6 +2,9 @@
 right-hand sides, and the imaging sweep."""
 
 import os
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -158,6 +161,37 @@ class TestMorozov:
     def test_zero_rhs_rejected(self, svd):
         with pytest.raises(InvalidArgumentError):
             morozov_alpha(svd, np.zeros(svd.root.size, dtype=complex), 0.02)
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    def test_root_in_an_end_interval_of_the_table(self, place):
+        # h is chosen so that the root sits 0.3 decades inside the first or
+        # the last interval of the alpha table: Newton starts in that
+        # interval and converges there, unflagged, to the chosen alpha.
+        rng = np.random.default_rng(11)
+        s = 10.0 ** np.linspace(0.5, -8, 40)  # s^2 spans the whole bracket
+        beta2 = np.abs(rng.standard_normal((1, 40)) + 1j * rng.standard_normal((1, 40))) ** 2
+        s2 = s * s
+        lo, hi = ALPHA_LO_FACTOR * s2[0], s2[0]
+        step = (hi / lo) ** (1 / (lsm.ALPHA_TABLE - 1))
+        assert step > 10**0.3
+        want = lo * 10**0.3 if place == "first" else hi / 10**0.3
+        res, gn = spectral_sums(s, beta2.T, np.array([want]))
+        h = float(res[0] / (s[0] * gn[0]))
+        alpha, flagged = _morozov_root(s2, beta2, h)
+        assert not flagged[0]
+        assert alpha[0] == pytest.approx(want, rel=1e-9)
+        oracle, _ = morozov_bisect_oracle(s, beta2.T, h)
+        assert alpha[0] == pytest.approx(oracle[0], rel=1e-7)
+
+    @pytest.mark.parametrize("h", [1e155, 1e300, 1.7e308])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_noise_level_clamps_to_ceiling_without_warnings(self, svd, chunk_rhs, h):
+        # phi is a difference of logs, so h^2 never forms: with no root
+        # below sigma_1^2, every row is clamped there and flagged.
+        sol = regularized_solve(svd, chunk_rhs[:, :64], h)
+        assert np.all(sol.flagged)
+        assert np.all(sol.alpha == svd.s[0] ** 2)
+        assert np.all(np.isfinite(sol.g_norm))
 
     def test_non_finite_phi_flagged(self):
         # beta = 0 makes phi = ln(0/0) at both bracket ends: no root can be
@@ -340,11 +374,11 @@ class TestRhs:
             assert np.array_equal(batch[:, t], rhs_vector(z, POL, sphere, K))
 
     def test_column_bits_independent_of_batch_size(self, sphere):
-        # One point's column is the same in batches of 1, 7 and 512 (the
-        # sweep's chunk), wherever it sits in the batch.
+        # One point's column is the same in batches of 1, 7 and the sweep's
+        # chunk, wherever it sits in the batch.
         rng = np.random.default_rng(5)
-        zs = rng.standard_normal((512, 3))
-        zs *= (rng.uniform(1.05, 4.0, 512) / np.linalg.norm(zs, axis=1))[:, None]
+        zs = rng.standard_normal((lsm._CHUNK, 3))
+        zs *= (rng.uniform(1.05, 4.0, lsm._CHUNK) / np.linalg.norm(zs, axis=1))[:, None]
         want = rhs_vector(zs[6], POL, sphere, K)
         assert np.array_equal(rhs_matrix(zs[:7], POL, sphere, K)[:, 6], want)
         assert np.array_equal(rhs_matrix(zs, POL, sphere, K)[:, 6], want)
@@ -447,6 +481,78 @@ class TestImagingSweep:
         f4 = image_with(4)
         assert np.array_equal(f1.indicator, f4.indicator)
         assert np.array_equal(f1.log_indicator, f4.log_indicator)
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_prefetch_of_none_or_all_chunks_keeps_the_bits(self, noisy, monkeypatch,
+                                                           threads):
+        # With two or more workers the SVD runs on one of them while this
+        # thread forms right-hand sides.  An SVD done before the sweep looks
+        # leaves every chunk to the workers; one that waits for the last
+        # chunk leaves every chunk to this thread.  Both match one worker
+        # bitwise, also with more workers than cores.
+        grid = build_sampling_grid(self.BOUNDS, 0.25, 1.0)
+        n_chunks = -(-int(np.sum(grid.active)) // lsm._CHUNK)
+        assert n_chunks > 4
+        monkeypatch.setenv("NFEM_THREADS", "1")
+        want = run_imaging(noisy, grid, POL, 0.02, k=K)
+        monkeypatch.setenv("NFEM_THREADS", threads)
+
+        main = threading.get_ident()
+        on_main, all_formed = [], threading.Event()
+        real_rhs, real_svd = lsm.rhs_matrix, lsm.svd_factorize
+
+        def rhs(*args):
+            on_main.append(threading.get_ident() == main)
+            if sum(on_main) == n_chunks:
+                all_formed.set()
+            return real_rhs(*args)
+
+        def waiting_svd(data, k):
+            assert all_formed.wait(60)
+            return real_svd(data, k=k)
+
+        class DoneAtOnce(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if fn is not real_svd:
+                    return super().submit(fn, *args, **kwargs)
+                done = Future()
+                done.set_result(fn(*args, **kwargs))
+                return done
+
+        monkeypatch.setattr(lsm, "rhs_matrix", rhs)
+        for svd_fn, pool, prefetched in ((real_svd, DoneAtOnce, 0),
+                                         (waiting_svd, ThreadPoolExecutor, n_chunks)):
+            on_main.clear()
+            monkeypatch.setattr(lsm, "svd_factorize", svd_fn)
+            monkeypatch.setattr(lsm, "ThreadPoolExecutor", pool)
+            got = run_imaging(noisy, grid, POL, 0.02, k=K)
+            assert len(on_main) == n_chunks and sum(on_main) == prefetched
+            for name in ("indicator", "log_indicator", "alpha", "flagged"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_prefetch_stops_at_its_byte_cap(self, noisy, monkeypatch):
+        # An SVD that waits longer than the right-hand sides take: this
+        # thread forms chunks only up to PREFETCH_BYTES, the workers the rest.
+        grid = build_sampling_grid(self.BOUNDS, 0.25, 1.0)
+        chunk_bytes = 2 * noisy.grid.n_nodes * 16 * lsm._CHUNK
+        monkeypatch.setattr(lsm, "PREFETCH_BYTES", 3 * chunk_bytes)
+        monkeypatch.setenv("NFEM_THREADS", "2")
+        main = threading.get_ident()
+        on_main = []
+        real_rhs, real_svd = lsm.rhs_matrix, lsm.svd_factorize
+
+        def rhs(*args):
+            on_main.append(threading.get_ident() == main)
+            return real_rhs(*args)
+
+        def waiting_svd(data, k):
+            time.sleep(1)
+            return real_svd(data, k=k)
+
+        monkeypatch.setattr(lsm, "rhs_matrix", rhs)
+        monkeypatch.setattr(lsm, "svd_factorize", waiting_svd)
+        run_imaging(noisy, grid, POL, 0.02, k=K)
+        assert sum(on_main) == 3 and on_main[:3] == [True] * 3
 
     def test_empty_active_set_rejected(self, noisy):
         grid = build_sampling_grid(np.array([[-0.2, 0.2]] * 3), 0.1, 1.0)
