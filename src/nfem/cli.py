@@ -61,12 +61,18 @@ from .measurement import (
     assemble_nearfield,
     block_column,
     build_sphere_grid,
+    noise_factor,
     read_nearfield,
     reciprocity_defect,
     write_manifest,
     write_nearfield,
 )
-from .output import write_cross_sections, write_imaging_csv, write_imaging_vtk
+from .output import (
+    format_log_indicator,
+    write_cross_sections,
+    write_imaging_csv,
+    write_imaging_vtk,
+)
 from .specialfun import ORDER_CAP
 
 EXIT_OK = 0
@@ -166,29 +172,33 @@ def _removed_on_failure(out: Path):
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
-    config, clean, elapsed, invariants = _synthesize(cfg)
-
-    clean_path = out / f"{cfg.prefix}_clean.nfem"
-    # Every check runs before the first file is written: finiteness (a data
-    # error), then the invariants.
-    if not np.all(np.isfinite(block_column(clean))):
-        raise DataFormatError(f"{clean_path}: refusing to write non-finite matrix entries")
-    for passed, check, reading, failure in invariants:
-        if not passed:
-            print(f"error: {check} {reading}: {failure}; no file written", file=sys.stderr)
-            return EXIT_INVARIANT
-    # A helper thread adds the noise and writes the noisy file while this one
-    # writes the clean file; run back to back on one core, the two halves
-    # made `fine_simulate` slower and its medians spread wider.  Leaving the
-    # block waits for the helper, so a failed run's directory goes only after
-    # both writes have stopped; a failed noisy write raises at `result()`.
-    paths = [clean_path]
+    noise = NoiseSpec(cfg.noise_level, cfg.seed)
+    paths = [out / f"{cfg.prefix}_clean.nfem"]
+    # The noise depends on the config alone, so a helper thread draws it while
+    # this one synthesizes the data.  Every check runs before the first file
+    # is written: finiteness (a data error), then the invariants.  Then the
+    # helper multiplies the draw in place into the noisy matrix and writes the
+    # noisy file while this thread writes the clean one; run back to back on
+    # one core, the two halves made `fine_simulate` slower and its medians
+    # spread wider.  Leaving the block waits for the helper, so a failed run's
+    # directory goes only after both writes have stopped; a failed noisy
+    # write raises at `result()`.
     with _removed_on_failure(out), ThreadPoolExecutor(max_workers=1) as helper:
         if cfg.noise_level > 0:
             paths.append(out / f"{cfg.prefix}_noisy.nfem")
+            size = 2 * cfg.n_theta * cfg.n_phi
+            drawn = helper.submit(noise_factor, (size, size), noise)
+        config, clean, elapsed, invariants = _synthesize(cfg)
+        if not np.all(np.isfinite(block_column(clean))):
+            raise DataFormatError(f"{paths[0]}: refusing to write non-finite matrix entries")
+        for passed, check, reading, failure in invariants:
+            if not passed:
+                print(f"error: {check} {reading}: {failure}; no file written", file=sys.stderr)
+                return EXIT_INVARIANT
+        if cfg.noise_level > 0:
             noisy = helper.submit(lambda: write_nearfield(
-                add_noise(clean, NoiseSpec(cfg.noise_level, cfg.seed)), paths[1], cfg.k))
-        write_nearfield(clean, clean_path, cfg.k)
+                add_noise(clean, noise, drawn.result()), paths[1], cfg.k))
+        write_nearfield(clean, paths[0], cfg.k)
         if cfg.noise_level > 0:
             noisy.result()
         write_manifest(
@@ -240,14 +250,16 @@ def _reconstruct(args) -> int:
     written = []
     with _removed_on_failure(out):
         out.mkdir(parents=True, exist_ok=True)
+        # The CSV and the VTK file print the same log10 column.
+        log_text = format_log_indicator(field)
         if "csv" in cfg.formats:
             csv_path = out / f"{cfg.prefix}_imaging.csv"
-            write_imaging_csv(field, csv_path)
+            write_imaging_csv(field, csv_path, log_text=log_text)
             written.append(csv_path)
             written.extend(Path(p) for p in write_cross_sections(field, out, cfg.prefix))
         if "vtk" in cfg.formats:
             vtk_path = out / f"{cfg.prefix}_imaging.vtk"
-            write_imaging_vtk(field, vtk_path)
+            write_imaging_vtk(field, vtk_path, log_text=log_text)
             written.append(vtk_path)
     # The summary comes after the files, so a reader of stdout that goes
     # away early loses only these lines.

@@ -306,36 +306,57 @@ def scattered_field(
     if np.any(np.linalg.norm(pts, axis=1) >= config.cavity_radius):
         raise InvalidArgumentError("evaluation points must lie inside the cavity")
     c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
-    out = _region_field(pts, 0, modes, c)[0]
+    out = _region_fields(pts, (0,), modes, c)[0][0]
     return out.reshape(x.shape) if x.ndim > 1 else out[0]
 
 
-def _region_field(
-    points: np.ndarray, region: int, modes: ModeCoefficients, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(E, curl E) of the region's modal field for source coefficients c,
-    excluding the closed-form incident field in the cavity."""
+def _region_fields(
+    points: np.ndarray, regions: tuple[int, ...], modes: ModeCoefficients, c: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(E, curl E) of each region's modal field at the points for source
+    coefficients c, excluding the closed-form incident field in the cavity.
+
+    A region's coefficients depend on the degree only, so each field is
+    sum_n of its radial factors times the sums over m of the angular ones
+    weighted by c, for the unit vectors that, phat and rhat; the regions and
+    both kinds share those sums and one Legendre table.  With the sums
+    A_f, B_f, Y_f of a, b and lambda P e^{im phi} (``specialfun``) weighted
+    by c_f, and family coefficients e_f of one kind,
+    sum_m c_f M_nm = z/s (A_f that - B_f phat) and
+    sum_m c_f N_nm = psi'/t/s (B_f that + A_f phat) + s z/t Y_f rhat,
+    and curl M = k N, curl N = k M.
+    """
     n_max = modes.config.n_max
-    deg, _ = sf.mode_index(n_max)
-    k_med = modes.config.media()[region][0]
-    e = np.zeros((points.shape[0], 3), dtype=complex)
-    curl = np.zeros_like(e)
-    for col, kind in enumerate((1, 3)):
-        coef = modes.table[region, :, col]
-        if not np.any(coef):
-            continue
-        # Degrees past y_n's overflow, or whose coefficients overflowed, make
-        # the fields NaN, which the callers report; the warnings on the way
-        # say nothing more.
-        with np.errstate(over="ignore", invalid="ignore"):
-            m_f, n_f = sf.vswf_fields(points, k_med, n_max, kind)
-            w = coef[:, deg - 1] * c
-            e += np.einsum("q,qij->ij", w[0], m_f) + np.einsum("q,qij->ij", w[1], n_f)
-            # curl M = k N, curl N = k M
-            curl += k_med * (
-                np.einsum("q,qij->ij", w[0], n_f) + np.einsum("q,qij->ij", w[1], m_f)
-            )
-    return e, curl
+    ang = sf.angular_factors(points, n_max)
+    # Degree n holds mode rows n^2 - 1 .. n^2 + 2n - 1.
+    starts = np.arange(1, n_max + 1) ** 2 - 1
+    angular = np.stack([ang.a, ang.b, ang.lam_p * ang.phase])
+    (a_te, b_te, y_te), (a_tm, b_tm, y_tm) = (
+        np.add.reduceat(angular * c_f[:, None], starts, axis=1) for c_f in c)
+    frame = np.stack([ang.that, ang.phat, ang.rhat], axis=1)
+    out = []
+    for region in regions:
+        k_med = modes.config.media()[region][0]
+        e = np.zeros((3, points.shape[0]), dtype=complex)
+        curl = np.zeros_like(e)
+        for col, kind in enumerate((1, 3)):
+            coef = modes.table[region, :, col, :, None]
+            if not np.any(coef):
+                continue
+            te, tm = coef
+            # Degrees past y_n's overflow, or whose coefficients overflowed,
+            # make the fields NaN, which the callers report; the warnings on
+            # the way say nothing more.
+            with np.errstate(over="ignore", invalid="ignore"):
+                z_s, psi_s, z_t = sf.radial_factors(n_max, kind, k_med, ang.r)
+                m_te, n_te = te * z_s, te * psi_s
+                m_tm, n_tm = tm * z_s, tm * psi_s
+                e += np.sum([m_te * a_te + n_tm * b_tm, n_tm * a_tm - m_te * b_te,
+                             tm * z_t * y_tm], axis=1)
+                curl += k_med * np.sum([n_te * b_te + m_tm * a_tm, n_te * a_te - m_tm * b_tm,
+                                        te * z_t * y_te], axis=1)
+        out.append((np.einsum("cp,pcj->pj", e, frame), np.einsum("cp,pcj->pj", curl, frame)))
+    return out
 
 
 def interface_residual(modes: ModeCoefficients, y: np.ndarray, p: np.ndarray) -> float:
@@ -351,11 +372,10 @@ def interface_residual(modes: ModeCoefficients, y: np.ndarray, p: np.ndarray) ->
         dirs = rng.normal(size=(RESIDUAL_SAMPLES, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = r * dirs
-        e_in, curl_in = _region_field(pts, q, modes, c)
+        (e_in, curl_in), (e_out, curl_out) = _region_fields(pts, (q, q + 1), modes, c)
         if q == 0:
             e_in = e_in + incident_field(pts, dip, config.k)
             curl_in = curl_in + curl_incident_field(pts, dip, config.k)
-        e_out, curl_out = _region_field(pts, q + 1, modes, c)
         a_in, a_out = media[q][1], media[q + 1][1]
         for f_in, f_out in ((e_in, e_out), (a_in * curl_in, a_out * curl_out)):
             t_in = np.cross(dirs, f_in)

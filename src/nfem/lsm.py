@@ -328,11 +328,17 @@ class ImagingField:
 
 
 def _worker_count() -> int:
+    """NFEM_THREADS, or by default up to 4, but never more than the CPUs
+    this process may run on: each worker beyond them only adds a thread."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
     try:
         n = int(os.environ.get("NFEM_THREADS", "0"))
     except ValueError:
         n = 0
-    return n if n > 0 else min(4, os.cpu_count() or 1)
+    return min(n if n > 0 else 4, usable)
 
 
 def run_imaging(

@@ -3,7 +3,9 @@ axis-plane cross-section CSVs.
 
 All numeric values are written with repr-faithful precision (%.17g) so the
 CSV and VTK outputs agree to rounding and reruns diff cleanly.  Each value
-is formatted once, and each file is built as one string and written whole
+is formatted once, the log10 column once for both the CSV and the VTK file
+when the caller passes ``format_log_indicator``'s strings to both, and each
+file is built as one string and written whole
 (``measurement.write_whole``): a failed write leaves any earlier file as it
 was.
 """
@@ -31,8 +33,14 @@ def _masked(active: np.ndarray) -> list[str]:
     return np.where(np.ravel(active), "0", "1").tolist()
 
 
-def write_imaging_csv(field: ImagingField, path) -> None:
-    """One row per lattice point: position, indicator, log indicator, mask."""
+def format_log_indicator(field: ImagingField) -> list[str]:
+    """The log10 indicator as the writers print it, one string per point."""
+    return _g(field.log_indicator)
+
+
+def write_imaging_csv(field: ImagingField, path, log_text: list[str] | None = None) -> None:
+    """One row per lattice point: position, indicator, log indicator, mask.
+    ``log_text``, if given, is ``format_log_indicator(field)``."""
     grid = field.grid
     nx, ny, nz = grid.shape
     # The lattice is x-fastest: each axis's coordinates repeat row after row.
@@ -41,15 +49,17 @@ def write_imaging_csv(field: ImagingField, path) -> None:
     zs = _g(grid.points[:: nx * ny, 2])
     points = [f"{x},{y},{z}" for z in zs for y in ys for x in xs]
     write_whole(path, _csv("z_x,z_y,z_z,indicator,log10_indicator,masked",
-                           (points, _g(field.indicator), _g(field.log_indicator),
+                           (points, _g(field.indicator),
+                            format_log_indicator(field) if log_text is None else log_text,
                             _masked(grid.active))))
 
 
-def write_imaging_vtk(field: ImagingField, path) -> None:
+def write_imaging_vtk(field: ImagingField, path, log_text: list[str] | None = None) -> None:
     """Legacy ASCII VTK STRUCTURED_POINTS of the masked log indicator.
 
     The lattice is stored x-fastest, matching VTK's point ordering, so the
     scalar list is exactly ``field.log_indicator`` in storage order.
+    ``log_text``, if given, is ``format_log_indicator(field)``.
     """
     grid = field.grid
     nx, ny, nz = grid.shape
@@ -66,7 +76,7 @@ def write_imaging_vtk(field: ImagingField, path) -> None:
         f"POINT_DATA {grid.n_points}",
         "SCALARS log10_indicator double 1",
         "LOOKUP_TABLE default",
-        *_g(field.log_indicator),
+        *(format_log_indicator(field) if log_text is None else log_text),
     ]) + "\n")
 
 

@@ -26,6 +26,8 @@ curl N = k M, and both families are divergence free.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -180,25 +182,35 @@ def _radial_table(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def vswf_fields(
-    points: np.ndarray, k: float, n_max: int, kind: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate all M and N wavefunctions up to degree n_max at many points.
+@dataclass(frozen=True)
+class AngularFactors:
+    """The per-point frame and the per-mode angular factors of every
+    wavefunction of degree 1..n_max, which depend on the points only.
 
-    Returns arrays of shape (n_modes, n_points, 3) in ``mode_index(n_max)``
-    order, each one broadcast expression of per-mode scalars and per-point
-    unit vectors.  A call holds a few arrays of that size at once; the
-    package passes at most one meridian of the measurement grid per call.
+    ``r`` and the unit vectors ``rhat``, ``that``, ``phat`` (points, 3) are
+    those of ``_spherical_frame``.  The factors, of shape (n_modes, points) in
+    ``mode_index(n_max)`` order, are a = i pi e^{im phi} and b = tau e^{im phi}
+    with the Legendre sign on the phase, and ``lam_p`` and ``phase``, whose
+    product is lambda_nm P_n^m e^{im phi}.
     """
-    if kind not in (1, 3):
-        raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
-    check_wavenumber(k)
+
+    r: np.ndarray
+    rhat: np.ndarray
+    that: np.ndarray
+    phat: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lam_p: np.ndarray
+    phase: np.ndarray
+
+
+def angular_factors(points: np.ndarray, n_max: int) -> AngularFactors:
+    """The frame and angular factors of every wavefunction up to degree n_max
+    at the points, from one Legendre table; both kinds and every wavenumber
+    share them."""
     if not 0 <= n_max <= ORDER_CAP:
         raise InvalidArgumentError(f"n_max must be in [0, {ORDER_CAP}], got {n_max}")
-    pts, r, cos_t, sin_t, phi, rhat, that, phat = _spherical_frame(points)
-    if kind == 3 and np.any(r < 1e-12):
-        raise InvalidArgumentError("radiating wavefunction evaluated at the origin")
-    z, z_over_t, psip_over_t = _radial_table(n_max, kind, k * r)
+    _, r, cos_t, sin_t, phi, rhat, that, phat = _spherical_frame(points)
     table = _legendre_table(cos_t, sin_t, n_max)
 
     deg, order = mode_index(n_max)
@@ -218,16 +230,46 @@ def vswf_fields(
     m_range = np.arange(-n_max, n_max + 1)
     sign = np.where((m_range < 0) & (m_range % 2 == 1), -1.0, 1.0)
     phase = (sign[:, None] * np.exp(1j * m_range[:, None] * phi))[order + n_max]
+    a = m * t_nm * phase
+    a *= 1j
+    return AngularFactors(r, rhat, that, phat, a, tau * phase, lam_p, phase)
+
+
+def radial_factors(n_max: int, kind: int, k: float,
+                   r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z_n(t)/s, (psi_n'(t)/t)/s and s z_n(t)/t at t = k r for n = 1..n_max,
+    s = sqrt(n(n+1)), each of shape (n_max, points): the factors by which
+    M_nm and N_nm scale the angular ones (rows of ``_radial_table``)."""
+    if kind not in (1, 3):
+        raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
+    check_wavenumber(k)
+    if kind == 3 and np.any(r < 1e-12):
+        raise InvalidArgumentError("radiating wavefunction evaluated at the origin")
+    z, z_over_t, psip_over_t = _radial_table(n_max, kind, k * r)
+    root = np.sqrt(np.arange(1, n_max + 1) * np.arange(2, n_max + 2))[:, None]
+    return z / root, psip_over_t / root, z_over_t * root
+
+
+def vswf_fields(
+    points: np.ndarray, k: float, n_max: int, kind: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate all M and N wavefunctions up to degree n_max at many points.
+
+    Returns arrays of shape (n_modes, n_points, 3) in ``mode_index(n_max)``
+    order, the Cartesian composition of ``angular_factors`` and
+    ``radial_factors`` with the unit vectors.  A call holds a few arrays of
+    that size at once; the package passes at most one meridian of the
+    measurement grid per call.
+    """
+    ang = angular_factors(points, n_max)
+    z_s, psi_s, z_t = radial_factors(n_max, kind, k, ang.r)
+    rows = mode_index(n_max)[0] - 1
     # M = z C and N = sqrt(n(n+1)) z/t Y rhat + psi'/t B, where
     # s e^{im phi} (i pi, tau) = (a, b) give C = a that - b phat and
-    # B = b that + a phat, with s = 1/sqrt(n(n+1)).
-    root = np.sqrt(np.arange(1, n_max + 1) * np.arange(2, n_max + 2))[:, None]
-    # The per-mode scalars take a trailing axis against the unit vectors.
-    a = (m * t_nm * phase)[..., None]
-    a *= 1j
-    b = (tau * phase)[..., None]
-    y_rad = ((z_over_t * root)[rows] * lam_p * phase)[..., None]
-    z_s = (z / root)[rows][..., None]
-    psi_s = (psip_over_t / root)[rows][..., None]
-    return (a * that - b * phat) * z_s, (b * that + a * phat) * psi_s + y_rad * rhat
-
+    # B = b that + a phat, with s = 1/sqrt(n(n+1)).  The per-mode scalars
+    # take a trailing axis against the unit vectors.
+    a, b = ang.a[..., None], ang.b[..., None]
+    y_rad = (z_t[rows] * ang.lam_p * ang.phase)[..., None]
+    z_s, psi_s = z_s[rows][..., None], psi_s[rows][..., None]
+    return ((a * ang.that - b * ang.phat) * z_s,
+            (b * ang.that + a * ang.phat) * psi_s + y_rad * ang.rhat)

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -402,13 +403,51 @@ class TestCliWorkflow:
         assert "no space left" in err and "Traceback" not in err
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_invariant_failure_while_the_noise_is_drawn(self, tmp_path, capsys, monkeypatch):
+        # The helper draws the noise while this thread synthesizes the data.
+        # Here the draw is still running when an invariant fails (n_max = 3,
+        # exit 4): the run waits for it, prints one error line and leaves no
+        # output directory.
+        drawing, reported = threading.Event(), threading.Event()
+        real_factor, real_synthesize = cli.noise_factor, cli._synthesize
+        seen = {}
+
+        def slow_factor(shape, spec):
+            drawing.set()
+            reported.wait(60)
+            seen["drawn"] = True
+            return real_factor(shape, spec)
+
+        def synthesize(cfg):
+            assert drawing.wait(60)
+            return real_synthesize(cfg)
+
+        def noting_print(*args, **kwargs):
+            if kwargs.get("file") is sys.stderr:
+                seen["in_flight"] = "drawn" not in seen
+                reported.set()
+            print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "noise_factor", slow_factor)
+        monkeypatch.setattr(cli, "_synthesize", synthesize)
+        monkeypatch.setattr(cli, "print", noting_print, raising=False)
+        bad = tmp_path / "low_order.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 3"))
+        out = tmp_path / "new" / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: interface residual") and err.count("\n") == 1
+        assert seen == {"in_flight": True, "drawn": True}
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("writer", ["write_imaging_csv", "write_imaging_vtk"])
     def test_reconstruct_write_failure_leaves_no_directory(self, cfg_path, fast_data,
                                                            tmp_path, capsys, monkeypatch,
                                                            writer):
         # A writer that fails part way through its file, the first one or
         # the last: one error line, exit code 2, and no directory left.
-        def partial(field, path):
+        def partial(field, path, **_):
             Path(path).write_text("x,y,z\n0.0,")
             raise OSError(f"{path}: file too large")
 
@@ -430,7 +469,7 @@ class TestCliWorkflow:
         out.mkdir()
         (out / "keep.txt").write_text("kept")
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(cli, "write_nearfield", failing)
@@ -461,9 +500,10 @@ class TestCliWorkflow:
 
     def test_simulate_memory_stays_near_the_output(self, tmp_path, capsys):
         # At its peak simulate holds the clean matrix, the clean file's buffer
-        # and CRC rows on the main thread, and the noise draws and the noisy
-        # matrix on the helper: 4.4-4.8 times the matrix at 18x36, as the two
-        # threads interleave.  One more full copy would pass 5.
+        # and CRC rows on the main thread, and the noisy matrix (the noise
+        # draw, multiplied in place) and its file's buffer on the helper:
+        # 4.4-4.8 times the matrix at 18x36, as the two threads interleave.
+        # One more full copy would pass 5.
         cfg = tmp_path / "fine.ini"
         cfg.write_text(FAST_CONFIG.replace("n_theta = 6\nn_phi = 12", "n_theta = 18\nn_phi = 36"))
         tracemalloc.start()

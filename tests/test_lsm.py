@@ -54,6 +54,11 @@ def svd(noisy):
     return svd_factorize(noisy, k=K)
 
 
+def usable_cpus(monkeypatch, n):
+    """Make the sweep see n CPUs it may run on, whatever the host has."""
+    monkeypatch.setattr(lsm.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def weighted_operator(matrix):
     """The oracle's own L^2 operator A~ = W^1/2 S W^1/2 and the diagonal of
     W^1/2, built from the entries and the quadrature weights: densities and
@@ -489,7 +494,8 @@ class TestImagingSweep:
         # thread forms right-hand sides.  An SVD done before the sweep looks
         # leaves every chunk to the workers; one that waits for the last
         # chunk leaves every chunk to this thread.  Both match one worker
-        # bitwise, also with more workers than cores.
+        # bitwise, on a host with CPUs for every worker.
+        usable_cpus(monkeypatch, 4)
         grid = build_sampling_grid(self.BOUNDS, 0.25, 1.0)
         n_chunks = -(-int(np.sum(grid.active)) // lsm._CHUNK)
         assert n_chunks > 4
@@ -536,6 +542,7 @@ class TestImagingSweep:
         grid = build_sampling_grid(self.BOUNDS, 0.25, 1.0)
         chunk_bytes = 2 * noisy.grid.n_nodes * 16 * lsm._CHUNK
         monkeypatch.setattr(lsm, "PREFETCH_BYTES", 3 * chunk_bytes)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setenv("NFEM_THREADS", "2")
         main = threading.get_ident()
         on_main = []
@@ -553,6 +560,25 @@ class TestImagingSweep:
         monkeypatch.setattr(lsm, "svd_factorize", waiting_svd)
         run_imaging(noisy, grid, POL, 0.02, k=K)
         assert sum(on_main) == 3 and on_main[:3] == [True] * 3
+
+    @pytest.mark.parametrize("threads, usable, want", [
+        (None, 2, 2), (None, 16, 4), ("1000", 3, 3), ("1000", 1, 1), ("1", 8, 1),
+        ("6", 16, 6), ("0", 16, 4), ("-2", 16, 4), ("many", 2, 2),
+    ])
+    def test_worker_count_stops_at_the_usable_cpus(self, monkeypatch, threads, usable, want):
+        # NFEM_THREADS above the CPUs this process may run on would start a
+        # thread per chunk; only the environment and the affinity are set
+        # here, and no pool is started.
+        if threads is None:
+            monkeypatch.delenv("NFEM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NFEM_THREADS", threads)
+        usable_cpus(monkeypatch, usable)
+        assert lsm._worker_count() == want
+        # Without an affinity call the CPU count caps it.
+        monkeypatch.delattr(lsm.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(lsm.os, "cpu_count", lambda: usable)
+        assert lsm._worker_count() == want
 
     def test_empty_active_set_rejected(self, noisy):
         grid = build_sampling_grid(np.array([[-0.2, 0.2]] * 3), 0.1, 1.0)

@@ -41,6 +41,7 @@ from nfem.measurement import (
     block_column,
     build_sphere_grid,
     crc64,
+    noise_factor,
     read_nearfield,
     reciprocity_defect,
     ring_size,
@@ -457,6 +458,31 @@ class TestNoise:
         c = add_noise(matrix, NoiseSpec(0.02, 12))
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(5, 7), (6, 12)])
+    def test_product_is_factor_times_entries(self, n_theta, n_phi):
+        # numpy's complex multiply rounds a b and b a differently; the noisy
+        # entries are factor x entries at every size, below numpy's 256 KiB
+        # temporary elision (5x7) and above it (6x12), and drawing the factor
+        # ahead gives the same bits.
+        clean = assemble_nearfield(solve_modes(BALL), build_sphere_grid(n_theta, n_phi, 1.0))
+        spec = NoiseSpec(0.02, 7)
+        want = noise_factor(clean.entries.shape, spec) * clean.entries
+        assert np.array_equal(add_noise(clean, spec).entries, want)
+        drawn = noise_factor(clean.entries.shape, spec)
+        assert np.array_equal(add_noise(clean, spec, drawn).entries, want)
+
+    @pytest.mark.parametrize("shape, level, seed", [
+        ((70, 70), 0.02, 7), ((144, 144), 0.3, 11), ((1296, 1296), 0.02, 7), ((9, 4), 1e-300, 3),
+    ])
+    def test_factor_matches_the_complex_expression(self, shape, level, seed):
+        # The factor is formed part by part, bit for bit as numpy forms it
+        # from a complex zeta.
+        rng = np.random.default_rng(seed)
+        zeta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = 1.0 + level * zeta / np.sqrt(2.0)
+        got = noise_factor(shape, NoiseSpec(level, seed))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_zero_level_is_identity(self, matrix):
         assert add_noise(matrix, NoiseSpec(0.0, 11)).entries is matrix.entries
