@@ -17,10 +17,8 @@ from nfem import (
     add_noise,
     assemble_nearfield,
     build_sphere_grid,
-    morozov_alpha,
     regularized_solve,
     rhs_matrix,
-    rhs_vector,
     solve_modes,
     svd_factorize,
 )
@@ -39,12 +37,12 @@ for i in (0, 10, 50, 100, 200, 350):
 # ----------------------------------------------------- parameter sweep
 pol = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
 z = np.array([2.0, 0.5, -0.3])  # a sampling point outside the cavity
-b = rhs_vector(z, pol, grid, k)
+b = rhs_matrix(z[None], pol, grid, k)  # one column: a batch of one point
 
 print(f"\nregularization sweep at sampling point {z.tolist()}:")
 print(f"  {'alpha':>10}  {'residual':>10}  {'||g||_w':>10}")
 for alpha in np.logspace(-10, 0, 6) * svd.s[0]**2:
-    sol = regularized_solve(svd, b[:, None], alpha=alpha)
+    sol = regularized_solve(svd, b, alpha=alpha)
     print(f"  {alpha:10.2e}  {sol.discrepancy[0]:10.3e}  {sol.g_norm[0]:10.3e}")
 
 # Small alpha: tiny residual, huge solution (noise amplified).
@@ -52,8 +50,9 @@ for alpha in np.logspace(-10, 0, 6) * svd.s[0]**2:
 # principle picks the crossover where the residual matches the noise level.
 # Residual and density are both measured in the quadrature-weighted L^2
 # norm of the sphere, the norm the solve itself uses.
-alpha_star, flagged = morozov_alpha(svd, b, 0.02)
-sol = regularized_solve(svd, b[:, None], alpha=alpha_star)
+morozov = regularized_solve(svd, b, h_noise=0.02)
+alpha_star, flagged = morozov.alpha[0], morozov.flagged[0]
+sol = regularized_solve(svd, b, alpha=alpha_star)
 target = 0.02 * svd.s[0] * sol.g_norm[0]
 print(f"\ndiscrepancy-principle choice: alpha = {alpha_star:.3e}"
       + (" (flagged)" if flagged else ""))

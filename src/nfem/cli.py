@@ -49,7 +49,7 @@ from .lsm import (
     MAX_COORDINATE,
     build_sampling_grid,
     regularized_solve,
-    rhs_vector,
+    rhs_matrix,
     run_imaging,
     single_layer_eval,
     svd_factorize,
@@ -311,9 +311,8 @@ def _probe(args) -> int:
         return EXIT_OK
 
     svd = svd_factorize(matrix, k=cfg.k)
-    b = rhs_vector(z, np.asarray(cfg.polarization), matrix.grid, cfg.k)
-    sol = regularized_solve(svd, b[:, None], matrix.noise_level, _fixed_alpha(cfg),
-                            want_g=True)
+    b = rhs_matrix(z[None], np.asarray(cfg.polarization), matrix.grid, cfg.k)
+    sol = regularized_solve(svd, b, matrix.noise_level, _fixed_alpha(cfg), want_g=True)
     print(f"sampling point: {z.tolist()}")
     print(f"regularization alpha: {sol.alpha[0]:.6e}"
           + ("  (flagged: bracket endpoint or unconverged)" if sol.flagged[0] else ""))

@@ -11,6 +11,7 @@ sampling box [-3, 3]^3 at spacing 0.1.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -19,8 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidArgumentError
 from .forward import LayeredCavityConfig, Shell, data_truncation_order
 from .lsm import MAX_COORDINATE, lattice_shape
-from .measurement import MAX_SPHERE_NODES
-from .specialfun import ORDER_CAP
+from .measurement import NoiseSpec, build_sphere_grid
 
 # Smallest measurement radius: the interface-residual check draws its probe
 # source at rho/100 or more from the origin, which must stay clear of the
@@ -60,13 +60,7 @@ def _finites(count: int):
 
 
 def _shells(text: str) -> tuple[Shell, ...]:
-    shells = tuple(
-        Shell(*_finites(3)(part)) for part in text.split(";") if part.strip()
-    )
-    radii = [s.outer_radius for s in shells]
-    if radii != sorted(radii) or len(set(radii)) != len(radii):
-        raise ValueError("outer radii must be strictly increasing")
-    return shells
+    return tuple(Shell(*_finites(3)(part)) for part in text.split(";") if part.strip())
 
 
 def _words(text: str) -> tuple[str, ...]:
@@ -76,6 +70,18 @@ def _words(text: str) -> tuple[str, ...]:
 def _key(section: str, parse, default):
     """A config key: its INI section, the parser of its value and its default."""
     return field(default=default, metadata={"section": section, "parse": parse})
+
+
+@contextlib.contextmanager
+def _naming(*names: str):
+    """Turns an InvalidArgumentError raised in the block, by the constructor
+    that owns a rule, into one ConfigError line naming the keys it read."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        keys = [f"{_KEYS[name]['section']}.{name}" for name in names]
+        listed = " and ".join(filter(None, (", ".join(keys[:-1]), keys[-1])))
+        raise ConfigError(f"{listed}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -104,27 +110,22 @@ class RunConfig:
     formats: tuple[str, ...] = _key("output", _words, ("csv", "vtk"))
 
     def validate(self) -> "RunConfig":
+        """Checks the rules that belong to the run as a whole, and builds the
+        objects that own the others; each failure is one ConfigError line
+        naming the keys it read."""
         if self.rho >= self.cavity_radius:
-            raise ConfigError(
-                "measurement.rho must be smaller than forward.cavity_radius"
-            )
+            raise ConfigError("measurement.rho must be smaller than forward.cavity_radius")
         if not self.rho >= RHO_FLOOR:
             raise ConfigError(f"measurement.rho must be at least {RHO_FLOOR:g}")
-        if self.n_theta < 2 or self.n_phi < 4:
-            raise ConfigError("measurement.n_theta must be >= 2 and n_phi >= 4")
-        if self.n_theta * self.n_phi > MAX_SPHERE_NODES:
-            raise ConfigError(
-                f"measurement.n_theta x measurement.n_phi = {self.n_theta * self.n_phi:,} "
-                f"nodes, above the cap of {MAX_SPHERE_NODES:,}")
-        if self.noise_level < 0:
-            raise ConfigError("measurement.noise_level must be nonnegative")
+        with _naming("n_theta", "n_phi", "rho"):
+            build_sphere_grid(self.n_theta, self.n_phi, self.rho)
+        with _naming("noise_level", "seed"):
+            NoiseSpec(self.noise_level, self.seed)
         if self.mask_radius < self.rho:
             raise ConfigError(
                 "lsm.mask_radius must be at least measurement.rho: sampling "
                 "points on the measurement sphere have a singular right-hand side"
             )
-        if self.spacing <= 0:
-            raise ConfigError("lsm.spacing must be positive")
         # Outside this range the dipole's fields and the sampling right-hand
         # side underflow or overflow on the way to the checks and the image.
         if not 1e-100 <= max(abs(v) for v in self.polarization) <= 1e100:
@@ -136,10 +137,8 @@ class RunConfig:
             raise ConfigError("lsm.alpha_fixed must be positive")
         if any(self.box[2 * i] >= self.box[2 * i + 1] for i in range(3)):
             raise ConfigError("lsm.box must be six numbers lo hi per axis, lo < hi")
-        try:
+        with _naming("box", "spacing"):
             lattice_shape(self.box, self.spacing)
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"lsm.box and lsm.spacing: {exc}") from exc
         if any(abs(v) >= MAX_COORDINATE for v in self.box):
             raise ConfigError(f"lsm.box entries must be below {MAX_COORDINATE:g} in magnitude")
         if any(sep in self.prefix for sep in ("/", "\\")):
@@ -147,35 +146,20 @@ class RunConfig:
         bad = [f for f in self.formats if f not in ("csv", "vtk")]
         if bad:
             raise ConfigError(f"output.formats entries must be csv/vtk, got {bad}")
-        try:
+        # The series order is n_max when set, else derived from rho.
+        with _naming("cavity_radius", "shells", "k",
+                     "n_max" if self.n_max is not None else "rho"):
             self.cavity_config()
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"invalid forward section: {exc}") from exc
         return self
 
     def cavity_config(self) -> LayeredCavityConfig:
         """The forward config that synthesizes this run's data: n_max, or by
         default the series order converged for sources and receivers on the
-        measurement sphere."""
+        measurement sphere.  Either order meets LayeredCavityConfig's cap."""
         n_max = self.n_max
         if n_max is None:
-            n_max = data_truncation_order(
-                self.cavity_radius, self.shells, self.k, self.rho
-            )
-            if n_max > ORDER_CAP:
-                raise ConfigError(
-                    f"measurement.rho = {self.rho} needs series order {n_max} "
-                    f"to converge, above the cap of {ORDER_CAP}; move the "
-                    "measurement sphere away from the cavity wall"
-                )
-        return LayeredCavityConfig(
-            cavity_radius=self.cavity_radius,
-            shells=self.shells,
-            k=self.k,
-            n_max=n_max,
-        )
+            n_max = data_truncation_order(self.cavity_radius, self.shells, self.k, self.rho)
+        return LayeredCavityConfig(self.cavity_radius, self.shells, self.k, n_max)
 
 
 _KEYS = {f.name: f.metadata for f in fields(RunConfig)}

@@ -20,6 +20,7 @@ where c_nm are the radiating-expansion coefficients of the dipole field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,12 +67,13 @@ class LayeredCavityConfig:
         check_wavenumber(self.k)
         if self.cavity_radius <= 0:
             raise InvalidArgumentError("cavity_radius must be positive")
-        if self.n_max < 1:
-            raise InvalidArgumentError("truncation order n_max must be >= 1")
+        if not 1 <= self.n_max <= sf.ORDER_CAP:
+            raise InvalidArgumentError(f"series order {self.n_max} is outside [1, {sf.ORDER_CAP}]")
         radii = [self.cavity_radius] + [s.outer_radius for s in self.shells]
         if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
             raise InvalidArgumentError("shell radii must be strictly increasing")
         object.__setattr__(self, "shells", tuple(self.shells))
+        self.media()  # refuses a shell whose effective wavenumber is not finite
 
     @property
     def interface_radii(self) -> np.ndarray:
@@ -86,18 +88,22 @@ class LayeredCavityConfig:
 
 
 def effective_wavenumber(A: float, N: float, k: float) -> float:
-    """k sqrt(N/A) for a constant isotropic medium."""
+    """k sqrt(N/A) for a constant isotropic medium, which must be finite."""
     if A <= 0 or N <= 0:
         raise InvalidArgumentError("A and N must be positive")
-    check_wavenumber(k)
-    return k * np.sqrt(N / A)
+    k_eff = check_wavenumber(k) * math.sqrt(N / A)  # Python floats: inf, not a warning
+    if not math.isfinite(k_eff):
+        raise InvalidArgumentError(f"k sqrt(N/A) is not finite at A = {A}, N = {N}")
+    return k_eff
 
 
 def truncation_order(cavity_radius: float, shells: tuple[Shell, ...], k: float) -> int:
     """Default series order: ceil(max effective wavenumber * outer radius) + 8."""
     k_eff = max([k] + [effective_wavenumber(s.A, s.N, k) for s in shells])
     r_max = shells[-1].outer_radius if shells else cavity_radius
-    return int(np.ceil(k_eff * r_max)) + 8
+    if not math.isfinite(k_eff * r_max):
+        raise InvalidArgumentError(f"k sqrt(N/A) r is not finite at r = {r_max}")
+    return math.ceil(k_eff * r_max) + 8
 
 
 def data_truncation_order(
@@ -118,6 +124,8 @@ def data_truncation_order(
         raise InvalidArgumentError("measurement radius must be inside the cavity")
     # A difference of logs: (rho/a)^2 itself underflows below rho/a ~ 1e-154.
     log_ratio = 2 * (np.log(measurement_radius) - np.log(cavity_radius))
+    if log_ratio == 0:
+        raise InvalidArgumentError(f"log(rho/a) rounds to 0 at rho = {measurement_radius!r}")
     extra = int(np.ceil(np.log(DATA_SERIES_TOL) / log_ratio))
     return base + max(extra, 0)
 

@@ -274,8 +274,11 @@ class SamplingGrid:
 def lattice_shape(bounds, spacing: float) -> tuple[int, int, int]:
     """Points per axis of the lattice lo, lo + spacing, ... over each (lo, hi)
     row of bounds (3, 2), its last point nearest hi.  Raises
-    InvalidArgumentError when the lattice has more than MAX_SAMPLING_POINTS
-    points, before anything that size is allocated."""
+    InvalidArgumentError when the spacing is not positive, or when the
+    lattice has more than MAX_SAMPLING_POINTS points, before anything that
+    size is allocated."""
+    if not spacing > 0:
+        raise InvalidArgumentError("spacing must be positive")
     # Python floats, so a span past the double range is inf without a
     # warning; an axis past the cap on its own stays a float (floor(inf) raises).
     steps = [(hi - lo) / float(spacing)
@@ -297,8 +300,6 @@ def build_sampling_grid(
     measurement sphere to rounding error count as masked rather than hitting
     the singular right-hand side.
     """
-    if spacing <= 0:
-        raise InvalidArgumentError("spacing must be positive")
     bounds = np.asarray(bounds, dtype=float).reshape(3, 2)
     shape = lattice_shape(bounds, spacing)
     axes = [lo + spacing * np.arange(n) for (lo, _), n in zip(bounds, shape)]

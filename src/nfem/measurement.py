@@ -95,15 +95,16 @@ def build_sphere_grid(n_theta: int, n_phi: int, radius: float) -> SphereGrid:
     to the exact sphere area and smooth integrands converge spectrally.  GL
     nodes keep every point off the poles, where the phi tangent is undefined.
     More than ``MAX_SPHERE_NODES`` nodes raise InvalidArgumentError before
-    anything is allocated.
+    anything is allocated, and so does a radius whose square, in the
+    weights, would leave the double range.
     """
     if n_theta < 2 or n_phi < 4:
         raise InvalidArgumentError("need n_theta >= 2 and n_phi >= 4")
     if n_theta * n_phi > MAX_SPHERE_NODES:
         raise InvalidArgumentError(f"the measurement grid would have {n_theta * n_phi:,} "
                                    f"nodes, above the cap of {MAX_SPHERE_NODES:,}")
-    if radius <= 0:
-        raise InvalidArgumentError("grid radius must be positive")
+    if not 0 < radius < 1e154:
+        raise InvalidArgumentError(f"grid radius must be positive and below 1e154, got {radius}")
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta_1d = np.arccos(x)
     phi_1d = 2 * np.pi * np.arange(n_phi) / n_phi

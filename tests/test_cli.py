@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfem
-from nfem import cli
+from nfem import cli, measurement
 from nfem.cli import EXIT_PIPE, main
 from nfem.config import RunConfig, default_config_text, load_config
 from nfem.errors import ConfigError, InvalidArgumentError
@@ -67,6 +67,11 @@ alpha_mode = morozov
 prefix = fast
 formats = csv,vtk
 """
+
+
+# The template's polarization line.
+POLARIZATION = ("polarization = 0.5773502691896258 -0.5773502691896258 "
+                "0.5773502691896258")
 
 
 def read_vtk_scalars(path) -> np.ndarray:
@@ -441,6 +446,19 @@ class TestCliWorkflow:
         assert seen == {"in_flight": True, "drawn": True}
         assert not (tmp_path / "new").exists()
 
+    def test_config_refused_at_load_draws_no_noise(self, tmp_path, capsys, monkeypatch):
+        # An order past the cap is refused when the config is read, before
+        # simulate hands the noise draw to its helper thread.
+        calls = []
+        for module in (cli, measurement):
+            monkeypatch.setattr(module, "noise_factor", lambda *args: calls.append(args))
+        bad = tmp_path / "past_cap.ini"
+        bad.write_text(FAST_CONFIG.replace("k = 0.75", "k = 0.75\nn_max = 1000"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert "forward.n_max" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("writer", ["write_imaging_csv", "write_imaging_vtk"])
     def test_reconstruct_write_failure_leaves_no_directory(self, cfg_path, fast_data,
                                                            tmp_path, capsys, monkeypatch,
@@ -760,35 +778,103 @@ class TestCliWorkflow:
             assert "flagged" not in text
         assert images[0] != images[1]
 
-    @pytest.mark.parametrize("command, edits", [
-        ("simulate", [("n_theta = 6", "n_theta = 1")]),
-        ("reconstruct", [("mask_radius = 1.0", "mask_radius = 0.5")]),
-        ("simulate", [("prefix = fast", "prefix = out/fast")]),
-        ("reconstruct", [("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = nan")]),
-        ("reconstruct", [("box = -2 2 -2 2 -2 2", "box = -0.5 0.5 -0.5 0.5 -0.5 0.5")]),
+    # Rejected configs: (command, the key the error line must name, edits),
+    # one boundary value for each rule RunConfig.validate checks itself or
+    # through the constructor that owns it.
+    REJECTED = {
+        # validate's own rules
+        "rho_at_cavity_radius": ("simulate", "measurement.rho",
+                                 [("rho = 1.0", "rho = 1.5"),
+                                  ("mask_radius = 1.0", "mask_radius = 1.5")]),
+        "rho_below_floor": ("simulate", "measurement.rho", [("rho = 1.0", "rho = 9.99e-10")]),
+        "mask_radius": ("reconstruct", "lsm.mask_radius",
+                        [("mask_radius = 1.0", "mask_radius = 0.9999999999999999")]),
+        "polarization_small": ("reconstruct", "lsm.polarization",
+                               [(POLARIZATION, "polarization = 9.99e-101 0 0")]),
+        "polarization_large": ("reconstruct", "lsm.polarization",
+                               [(POLARIZATION, "polarization = 1.01e100 0 0")]),
+        "alpha_mode": ("reconstruct", "lsm.alpha_mode",
+                       [("alpha_mode = morozov", "alpha_mode = tikhonov")]),
+        "alpha_fixed": ("reconstruct", "lsm.alpha_fixed",
+                        [("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = nan")]),
+        "alpha_fixed_zero": ("reconstruct", "lsm.alpha_fixed",
+                             [("alpha_mode = morozov", "alpha_mode = fixed\nalpha_fixed = 0")]),
+        "box_order": ("reconstruct", "lsm.box", [("box = -2 2 -2 2 -2 2", "box = -2 2 2 2 -2 2")]),
+        "box_coordinate": ("reconstruct", "lsm.box",
+                           [("box = -2 2 -2 2 -2 2", "box = 1e150 2e150 1e150 2e150 1e150 2e150"),
+                            ("spacing = 0.5", "spacing = 1e150")]),
+        "prefix": ("simulate", "output.prefix", [("prefix = fast", "prefix = out/fast")]),
+        "formats": ("reconstruct", "output.formats", [("formats = csv,vtk", "formats = csv,png")]),
+        # build_sphere_grid
+        "n_theta": ("simulate", "measurement.n_theta", [("n_theta = 6", "n_theta = 1")]),
+        "n_phi": ("simulate", "measurement.n_phi", [("n_phi = 12", "n_phi = 3")]),
+        "grid_cap": ("simulate", "measurement.n_phi",
+                     [("n_theta = 6", "n_theta = 17"), ("n_phi = 12", "n_phi = 241")]),
+        "grid_radius": ("simulate", "measurement.rho",
+                        [("cavity_radius = 1.5", "cavity_radius = 1e155"),
+                         ("shells = 2.5 1.0 2.0", "shells = 2e155 1.0 2.0"),
+                         ("k = 0.75", "k = 0.75\nn_max = 10"), ("rho = 1.0", "rho = 1e154"),
+                         ("mask_radius = 1.0", "mask_radius = 1e154")]),
+        # NoiseSpec
+        "noise_level": ("simulate", "measurement.noise_level",
+                        [("noise_level = 0.02", "noise_level = -5e-324")]),
+        # lattice_shape
+        "spacing": ("reconstruct", "lsm.spacing", [("spacing = 0.5", "spacing = 0")]),
+        "lattice_cap": ("reconstruct", "lsm.spacing",
+                        [("box = -2 2 -2 2 -2 2", "box = 0 10 0 909090 0 0.1"),
+                         ("spacing = 0.5", "spacing = 1")]),
+        # RunConfig.cavity_config, LayeredCavityConfig and the series order
+        "n_max_zero": ("simulate", "forward.n_max", [("k = 0.75", "k = 0.75\nn_max = 0")]),
+        **{f"n_max_201-{command}": (command, "forward.n_max",
+                                    [("k = 0.75", "k = 0.75\nn_max = 201")])
+           for command in ("simulate", "reconstruct", "probe", "selfcheck")},
+        "shell_order": ("simulate", "forward.shells",
+                        [("shells = 2.5 1.0 2.0", "shells = 1.5 1.0 2.0")]),
+        "wavenumber": ("simulate", "forward.k", [("k = 0.75", "k = 0")]),
+        "overflowing_shell": ("simulate", "forward.shells",
+                              [("shells = 2.5 1.0 2.0", "shells = 2.5 1e-300 1e300")]),
+        "overflowing_order": ("selfcheck", "forward.k",
+                              [("cavity_radius = 1.5", "cavity_radius = 1e200"),
+                               ("shells = 2.5 1.0 2.0", "shells = 2e200 1.0 1.0"),
+                               ("k = 0.75", "k = 1e200")]),
+        "rho_one_ulp": ("simulate", "forward.cavity_radius",
+                        [("cavity_radius = 1.5", "cavity_radius = 1e10"),
+                         ("shells = 2.5 1.0 2.0", "shells = 2e10 1.0 2.0"),
+                         ("rho = 1.0", "rho = 9999999999.999998"),
+                         ("mask_radius = 1.0", "mask_radius = 1e10")]),
         # The data series order for rho = 1.45 is 283, past the wavefunction
         # order cap of 200, so the config is refused naming measurement.rho.
-        ("simulate", [("rho = 1.0", "rho = 1.45"), ("mask_radius = 1.0", "mask_radius = 1.45")]),
-    ], ids=["n_theta", "mask_radius", "prefix", "alpha_fixed", "no_active_points",
-            "degenerate"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_rejected_config_exit_code(self, cfg_path, tmp_path, capsys, command, edits):
+        "degenerate": ("simulate", "measurement.rho",
+                       [("rho = 1.0", "rho = 1.45"), ("mask_radius = 1.0", "mask_radius = 1.45")]),
+        # Not a config rule: the sweep finds every sampling point masked.
+        "no_active_points": ("reconstruct", "no active points",
+                             [("box = -2 2 -2 2 -2 2", "box = -0.5 0.5 -0.5 0.5 -0.5 0.5")]),
+    }
+
+    @pytest.mark.parametrize("command, where, edits", REJECTED.values(), ids=REJECTED.keys())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejected_config_exit_code(self, fast_data, tmp_path, capsys, command, where,
+                                       edits):
         # Configs the parser reads but the run cannot honour end in one
-        # error line and exit code 2, never in a traceback or a finished run.
+        # error line naming the key and exit code 2: never a traceback, a
+        # numpy warning, a finished run or an output directory.
         text = FAST_CONFIG
         for old, new in edits:
+            assert old in text
             text = text.replace(old, new)
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
-        args = ["--config", str(bad), "--out", str(tmp_path / "new")]
-        if command == "reconstruct":
-            out = tmp_path / "out"
-            main(["simulate", "--config", str(cfg_path), "--out", str(out)])
-            args += ["--data", str(out / "fast_noisy.nfem")]
+        out = tmp_path / "new"
+        extra = {"simulate": ["--out", str(out)],
+                 "reconstruct": ["--data", str(fast_data), "--out", str(out)],
+                 "probe": ["--data", str(fast_data), "--z", "1.6,0,0"],
+                 "selfcheck": []}[command]
         capsys.readouterr()
-        assert main([command, *args]) == 2
+        assert main([command, "--config", str(bad), *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, where, value", [
         ("simulate", "measurement.seed", "-1"),
@@ -800,8 +886,14 @@ class TestCliWorkflow:
         ("reconstruct", "lsm.polarization", "nan 0 0"),
         ("simulate", "measurement.noise_level", "inf"),
         ("simulate", "forward.k", "nan"),
+        ("simulate", "measurement.n_theta", "-1"),
+        ("simulate", "forward.shells", "2.5 0 2.0"),
+        ("simulate", "forward.shells", "2.5 1.0 0"),
+        ("simulate", "forward.shells", "0 1.0 2.0"),
+        ("reconstruct", "lsm.box", "-2 2 -2 2 -2"),
     ], ids=["seed_negative", "seed_2_64", "box_inf", "rho_nan", "spacing_inf",
-            "shell_nan", "polarization_nan", "noise_inf", "k_nan"])
+            "shell_nan", "polarization_nan", "noise_inf", "k_nan", "count_negative",
+            "shell_A_zero", "shell_N_zero", "shell_radius_zero", "box_five_numbers"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_value_exit_code(self, fast_data, tmp_path, capsys,
                                           command, where, value):
@@ -825,13 +917,13 @@ class TestCliWorkflow:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, edit, code", [
-        # An order past the wavefunction order cap of 200 is refused, naming
-        # n_max, before anything is written.
+        # An order past the wavefunction order cap of 200 is refused when the
+        # config is read, naming forward.n_max, before anything is written.
         ("simulate", ("k = 0.75", "k = 0.75\nn_max = 1000"), 2),
         ("simulate", ("k = 0.75", "k = 0.75\nn_max = 90"), 3),
         ("reconstruct", ("polarization = 0.5773502691896258 -0.5773502691896258 "
                          "0.5773502691896258", "polarization = 0 0 0"), 2),
-    ], ids=["singular_system", "non_finite_data", "zero_rhs"])
+    ], ids=["order_past_cap", "non_finite_data", "zero_rhs"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_run_leaves_no_output_dir(self, fast_data, tmp_path, capsys,
                                              command, edit, code):
@@ -1073,9 +1165,8 @@ def test_reconstruct_into_closed_pipe(cfg_path, fast_data, tmp_path):
       for command in ("simulate", "reconstruct", "probe", "selfcheck")],
 ])
 def test_extreme_value_is_one_stderr_line(fast_data, tmp_path, command, key, value):
-    # A child interpreter that shows every warning: under -W error, the
-    # broad except in RunConfig.validate would turn a warning raised while
-    # the config is checked into the one error line and hide it.
+    # A child interpreter that shows every warning, so a warning on the way
+    # to the error line shows as a second stderr line.
     text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", FAST_CONFIG, flags=re.M)
     assert count == 1
     cfg = tmp_path / "extreme.ini"
@@ -1162,8 +1253,8 @@ def run_under_contract(argv):
     """Run one command in process and hold what every run must meet: a
     documented exit code, at most one stderr line, an `error:` one, no
     RuntimeWarning, and no NaN or inf printed on success.  Warnings are
-    recorded, not raised: under -W error the broad except in
-    RunConfig.validate would turn one into the error line and hide it."""
+    recorded, not raised, so the run reaches its exit code and a warning
+    fails the contract with its message."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -59,6 +59,24 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             data_truncation_order(1.5, (), 0.75, 1.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_rules(self):
+        # The order cap, a finite k sqrt(N/A) and a measurement radius whose
+        # log ratio to the cavity radius is nonzero: one InvalidArgumentError
+        # each, never an OverflowError or a numpy warning.
+        shells = (Shell(2.5, 1.0, 2.0),)
+        assert LayeredCavityConfig(1.5, shells, 0.75, sf.ORDER_CAP).n_max == sf.ORDER_CAP
+        with pytest.raises(InvalidArgumentError, match=r"outside \[1, 200\]"):
+            LayeredCavityConfig(1.5, shells, 0.75, sf.ORDER_CAP + 1)
+        with pytest.raises(InvalidArgumentError, match="sqrt"):
+            effective_wavenumber(1e-300, 1e300, 0.75)
+        with pytest.raises(InvalidArgumentError, match="sqrt"):
+            LayeredCavityConfig(1.5, (Shell(2.5, 1e-300, 1e300),), 0.75, 10)
+        with pytest.raises(InvalidArgumentError, match="r is not finite"):
+            truncation_order(1e200, (Shell(2e200, 1.0, 1.0),), 1e200)
+        with pytest.raises(InvalidArgumentError, match="rounds to 0"):
+            data_truncation_order(1e10, (), 0.75, np.nextafter(1e10, 0))
+
     def test_bad_radii_rejected(self):
         with pytest.raises(InvalidArgumentError):
             LayeredCavityConfig(1.5, (Shell(1.4, 1.0, 1.0),), 0.75, 8)
