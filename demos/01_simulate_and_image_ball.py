@@ -56,7 +56,7 @@ sampling = build_sampling_grid(
 )
 
 t0 = time.perf_counter()
-field = run_imaging(noisy, sampling, pol, h_noise=0.02, k=k)
+field = run_imaging(noisy, sampling, pol)
 print(f"swept {int(np.sum(sampling.active))} sampling points "
       f"in {time.perf_counter() - t0:.1f} s")
 

@@ -27,7 +27,7 @@ k = 0.75
 config = LayeredCavityConfig(1.5, (Shell(2.5, 1.0, 2.0),), k, 34)
 grid = build_sphere_grid(10, 20, 1.0)
 noisy = add_noise(assemble_nearfield(solve_modes(config), grid), NoiseSpec(0.02, 7))
-svd = svd_factorize(noisy, k=k)
+svd = svd_factorize(noisy)
 
 # ------------------------------------------------------ singular values
 print("singular-value decay of the weighted data matrix:")

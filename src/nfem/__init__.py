@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 from .errors import (
     ConfigError,
     DataFormatError,
-    DegenerateConfigError,
     InvalidArgumentError,
     NfemError,
 )

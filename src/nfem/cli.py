@@ -31,12 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config_text, load_config
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DegenerateConfigError,
-    InvalidArgumentError,
-)
+from .errors import ConfigError, DataFormatError, InvalidArgumentError
 from .forward import (
     DATA_SERIES_TOL,
     interface_residual,
@@ -112,14 +107,13 @@ def _probe_source(cfg: RunConfig) -> np.ndarray:
     return y * (np.clip(r, 0.01 * cfg.rho, 0.5 * cfg.rho) / r)
 
 
-def _synthesize(cfg: RunConfig) -> tuple:
-    """Clean data for the run's config and the checks made on it: (forward
-    config, clean matrix, seconds spent in the mode solve and the assembly,
-    the ``_invariants`` table)."""
-    config = cfg.cavity_config()
+def _synthesize(cfg: RunConfig, modes) -> tuple:
+    """Clean data from the modes solved for the run's config and the checks
+    made on it: (clean matrix, seconds spent in the assembly, the
+    ``_invariants`` table)."""
+    config = modes.config
     grid = build_sphere_grid(cfg.n_theta, cfg.n_phi, cfg.rho)
     t0 = time.perf_counter()
-    modes = solve_modes(config)
     clean = assemble_nearfield(modes, grid)
     elapsed = time.perf_counter() - t0
     residual = interface_residual(modes, _probe_source(cfg), np.asarray(cfg.polarization))
@@ -128,7 +122,7 @@ def _synthesize(cfg: RunConfig) -> tuple:
     tail = series_tail(config, cfg.rho) / scale
     margin = maxwell_eigenvalue_margin(cfg.k, cfg.rho)
     table = _invariants(config.n_max, defect, residual, tail, margin)
-    return config, clean, elapsed, table
+    return clean, elapsed, table
 
 
 def _invariants(n_max: int, defect: float, residual: float, tail: float,
@@ -174,9 +168,10 @@ def _simulate(args) -> int:
     out = Path(args.out)
     noise = NoiseSpec(cfg.noise_level, cfg.seed)
     paths = [out / f"{cfg.prefix}_clean.nfem"]
-    # The noise depends on the config alone, so a helper thread draws it while
-    # this one synthesizes the data.  Every check runs before the first file
-    # is written: finiteness (a data error), then the invariants.  Then the
+    # The noise depends on the config alone, so once the modes are solved a
+    # helper thread draws it while this one assembles the data: a failed
+    # solve waits for no draw.  Every check runs before the first file is
+    # written: finiteness (a data error), then the invariants.  Then the
     # helper multiplies the draw in place into the noisy matrix and writes the
     # noisy file while this thread writes the clean one; run back to back on
     # one core, the two halves made `fine_simulate` slower and its medians
@@ -184,11 +179,14 @@ def _simulate(args) -> int:
     # directory goes only after both writes have stopped; a failed noisy
     # write raises at `result()`.
     with _removed_on_failure(out), ThreadPoolExecutor(max_workers=1) as helper:
+        t0 = time.perf_counter()
+        modes = solve_modes(cfg.cavity_config())
+        solved = time.perf_counter() - t0
         if cfg.noise_level > 0:
             paths.append(out / f"{cfg.prefix}_noisy.nfem")
             size = 2 * cfg.n_theta * cfg.n_phi
             drawn = helper.submit(noise_factor, (size, size), noise)
-        config, clean, elapsed, invariants = _synthesize(cfg)
+        clean, assembled, invariants = _synthesize(cfg, modes)
         if not np.all(np.isfinite(block_column(clean))):
             raise DataFormatError(f"{paths[0]}: refusing to write non-finite matrix entries")
         for passed, check, reading, failure in invariants:
@@ -197,8 +195,8 @@ def _simulate(args) -> int:
                 return EXIT_INVARIANT
         if cfg.noise_level > 0:
             noisy = helper.submit(lambda: write_nearfield(
-                add_noise(clean, noise, drawn.result()), paths[1], cfg.k))
-        write_nearfield(clean, paths[0], cfg.k)
+                add_noise(clean, noise, drawn.result()), paths[1]))
+        write_nearfield(clean, paths[0])
         if cfg.noise_level > 0:
             noisy.result()
         write_manifest(
@@ -208,7 +206,7 @@ def _simulate(args) -> int:
                 "k": cfg.k,
                 "cavity_radius": cfg.cavity_radius,
                 "shells": ";".join(f"{s.outer_radius} {s.A} {s.N}" for s in cfg.shells),
-                "n_max": config.n_max,
+                "n_max": modes.config.n_max,
                 "rho": cfg.rho,
                 "n_theta": cfg.n_theta,
                 "n_phi": cfg.n_phi,
@@ -218,7 +216,7 @@ def _simulate(args) -> int:
             },
         )
     print(f"assembled {clean.entries.shape[0]}x{clean.entries.shape[1]} "
-          f"near-field matrix in {elapsed:.2f} s (n_max={config.n_max})")
+          f"near-field matrix in {solved + assembled:.2f} s (n_max={modes.config.n_max})")
     for _, check, reading, _ in invariants:
         print(f"{check}: {reading}")
     for p in paths:
@@ -227,12 +225,13 @@ def _simulate(args) -> int:
 
 
 def _load_data(args) -> tuple[RunConfig, NearFieldMatrix]:
-    """The run's config and data file, which must agree on the wavenumber."""
+    """The run's config and data file, whose wavenumbers must differ by at
+    most 1e-12 max(1, k); the run images at the file's."""
     cfg = load_config(args.config)
-    matrix, k_data = read_nearfield(args.data)
-    if abs(k_data - cfg.k) > 1e-12 * max(1.0, cfg.k):
+    matrix, _ = read_nearfield(args.data)
+    if abs(matrix.k - cfg.k) > 1e-12 * max(1.0, cfg.k):
         raise ConfigError(
-            f"wavenumber mismatch: data file has k={k_data}, config has k={cfg.k}"
+            f"wavenumber mismatch: data file has k={matrix.k}, config has k={cfg.k}"
         )
     return cfg, matrix
 
@@ -242,10 +241,7 @@ def _reconstruct(args) -> int:
     out = Path(args.out)
     grid = build_sampling_grid(cfg.box, cfg.spacing, cfg.mask_radius)
     t0 = time.perf_counter()
-    field = run_imaging(
-        matrix, grid, np.asarray(cfg.polarization), matrix.noise_level, k=cfg.k,
-        alpha=_fixed_alpha(cfg),
-    )
+    field = run_imaging(matrix, grid, np.asarray(cfg.polarization), alpha=_fixed_alpha(cfg))
     elapsed = time.perf_counter() - t0
     written = []
     with _removed_on_failure(out):
@@ -280,7 +276,7 @@ def _reconstruct(args) -> int:
 def _selfcheck(args) -> int:
     cfg = load_config(args.config)
     failures = []
-    *_, invariants = _synthesize(cfg)
+    *_, invariants = _synthesize(cfg, solve_modes(cfg.cavity_config()))
     for passed, check, reading, failure in invariants:
         print(f"[{'PASS' if passed else 'FAIL'}] {check}: {reading}")
         if not passed:
@@ -310,8 +306,8 @@ def _probe(args) -> int:
               f"(|z| <= {cfg.mask_radius}); the indicator is masked there")
         return EXIT_OK
 
-    svd = svd_factorize(matrix, k=cfg.k)
-    b = rhs_matrix(z[None], np.asarray(cfg.polarization), matrix.grid, cfg.k)
+    svd = svd_factorize(matrix)
+    b = rhs_matrix(z[None], np.asarray(cfg.polarization), matrix.grid, matrix.k)
     sol = regularized_solve(svd, b, matrix.noise_level, _fixed_alpha(cfg), want_g=True)
     print(f"sampling point: {z.tolist()}")
     print(f"regularization alpha: {sol.alpha[0]:.6e}"
@@ -325,7 +321,7 @@ def _probe(args) -> int:
     print("single-layer field magnitude along outward ray:")
     for step in (0.0, 0.1, 0.2):
         x = z + step * direction
-        val = single_layer_eval(sol.g[:, 0], x, matrix.grid, cfg.k)
+        val = single_layer_eval(sol.g[:, 0], x, matrix.grid, matrix.k)
         print(f"  |V g|({np.linalg.norm(x):.3f}) = {np.linalg.norm(val):.6e}")
     return EXIT_OK
 
@@ -378,7 +374,7 @@ def main(argv=None) -> int:
         # does not fail again (the Python docs' note on SIGPIPE).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ConfigError, InvalidArgumentError, DegenerateConfigError, OSError) as exc:
+    except (ConfigError, InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataFormatError as exc:

@@ -10,10 +10,6 @@ class InvalidArgumentError(NfemError, ValueError):
     """An argument violates a documented precondition or hits a singularity."""
 
 
-class DegenerateConfigError(NfemError):
-    """A per-mode transmission system is numerically singular."""
-
-
 class ConfigError(NfemError):
     """Run configuration file is malformed or inconsistent."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateConfigError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .green import check_wavenumber, incident_field, curl_incident_field, Dipole
 from . import specialfun as sf
 
@@ -88,12 +88,14 @@ class LayeredCavityConfig:
 
 
 def effective_wavenumber(A: float, N: float, k: float) -> float:
-    """k sqrt(N/A) for a constant isotropic medium, which must be finite."""
+    """k sqrt(N/A) for a constant isotropic medium, which must be a positive
+    finite number: N/A may overflow to inf or underflow to 0."""
     if A <= 0 or N <= 0:
         raise InvalidArgumentError("A and N must be positive")
     k_eff = check_wavenumber(k) * math.sqrt(N / A)  # Python floats: inf, not a warning
-    if not math.isfinite(k_eff):
-        raise InvalidArgumentError(f"k sqrt(N/A) is not finite at A = {A}, N = {N}")
+    if not 0 < k_eff < math.inf:
+        raise InvalidArgumentError(
+            f"k sqrt(N/A) = {k_eff} is not positive and finite at A = {A}, N = {N}")
     return k_eff
 
 
@@ -271,7 +273,7 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     if singular:
         # The lowest failing degree, TE before TM within one degree.
         n, _, fam = min(singular)
-        raise DegenerateConfigError(
+        raise InvalidArgumentError(
             f"singular transmission system at degree n={n}, family {fam}"
         )
     return ModeCoefficients(config, table)

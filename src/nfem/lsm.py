@@ -66,18 +66,19 @@ class SvdFactorization:
     s: np.ndarray
     vh: np.ndarray
     root: np.ndarray
-    k: float | None = None
 
 
-def svd_factorize(matrix: NearFieldMatrix, k: float | None = None) -> SvdFactorization:
-    """SVD of A~[(i,l),(j,m)] = sqrt(w_i) S[(i,l),(j,m)] sqrt(w_j)."""
+def svd_factorize(matrix: NearFieldMatrix, *, k: float | None = None) -> SvdFactorization:
+    """SVD of A~[(i,l),(j,m)] = sqrt(w_i) S[(i,l),(j,m)] sqrt(w_j).  The
+    keyword k is ignored: the benchmark's ``perfbench/child.py`` still
+    passes it, and it goes when that file changes."""
     if not np.all(np.isfinite(matrix.entries)):
         raise InvalidArgumentError("near-field matrix has non-finite entries")
     if not np.any(matrix.entries):
         raise DataFormatError("near-field data are all zero: no scattered field")
     root = np.sqrt(np.repeat(matrix.grid.weights, 2))
     u, s, vh = np.linalg.svd(root[:, None] * matrix.entries * root)
-    return SvdFactorization(uhw=u.conj().T * root, s=s, vh=vh, root=root, k=k)
+    return SvdFactorization(uhw=u.conj().T * root, s=s, vh=vh, root=root)
 
 
 def rhs_vector(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> np.ndarray:
@@ -261,7 +262,6 @@ class SamplingGrid:
 
     bounds: np.ndarray  # (3, 2)
     spacing: float
-    mask_radius: float
     points: np.ndarray  # (P, 3), x fastest
     shape: tuple[int, int, int]  # (nx, ny, nz)
     active: np.ndarray  # (P,) bool, True outside the mask
@@ -309,7 +309,6 @@ def build_sampling_grid(
     return SamplingGrid(
         bounds=bounds,
         spacing=float(spacing),
-        mask_radius=float(mask_radius),
         points=points,
         shape=shape,
         active=active,
@@ -343,12 +342,13 @@ def _worker_count() -> int:
 
 
 def run_imaging(
-    data: NearFieldMatrix, grid: SamplingGrid, h_pol: np.ndarray, h_noise: float,
-    k: float, alpha: float | None = None,
+    data: NearFieldMatrix, grid: SamplingGrid, h_pol: np.ndarray,
+    alpha: float | None = None,
 ) -> ImagingField:
-    """Full indicator sweep: I = 1/||g_z|| normalized to max 1 over active
-    points, log10(I) with masked points set to 0.  alpha is the Morozov root
-    for noise level h_noise, or fixed when given.
+    """Full indicator sweep at the data's wavenumber: I = 1/||g_z||
+    normalized to max 1 over active points, log10(I) with masked points set
+    to 0.  alpha is the Morozov root for the data's noise level, or fixed
+    when given.
 
     The SVD is computed once and shared by every sampling point.  With two
     or more workers it runs on one of them while this thread forms the first
@@ -367,17 +367,17 @@ def run_imaging(
     ready = [None] * len(chunks)  # right-hand sides formed while the SVD runs
 
     def rhs(i):
-        return rhs_matrix(grid.points[chunks[i]], h_pol, data.grid, k)
+        return rhs_matrix(grid.points[chunks[i]], h_pol, data.grid, data.k)
 
     def work(i):
         b, ready[i] = ready[i], None
         b = rhs(i) if b is None else b
-        return chunks[i], regularized_solve(svd, b, h_noise, alpha)
+        return chunks[i], regularized_solve(svd, b, data.noise_level, alpha)
 
     workers = max(1, min(_worker_count(), len(chunks)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         if workers > 1:
-            factoring = pool.submit(svd_factorize, data, k=k)
+            factoring = pool.submit(svd_factorize, data)
             ahead = PREFETCH_BYTES // (32 * data.grid.n_nodes * _CHUNK)  # complex (2n, chunk)
             for i in range(min(len(chunks), ahead)):
                 if factoring.done():
@@ -385,7 +385,7 @@ def run_imaging(
                 ready[i] = rhs(i)
             svd = factoring.result()
         else:
-            svd = svd_factorize(data, k=k)
+            svd = svd_factorize(data)
         for idx, sol in pool.map(work, range(len(chunks))):
             raw[idx], alphas[idx], flagged[idx] = 1.0 / sol.g_norm, sol.alpha, sol.flagged
     indicator = raw / np.max(raw)  # masked points hold 0, active ones > 0

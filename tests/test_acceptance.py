@@ -76,7 +76,7 @@ def noisy(clean):
 
 @pytest.fixture(scope="module")
 def svd(noisy):
-    return svd_factorize(noisy, k=K)
+    return svd_factorize(noisy)
 
 
 def test_noiseless_data_is_reciprocal(clean):
@@ -176,7 +176,7 @@ def full_image(noisy):
         np.array([[-3, 3], [-3, 3], [-3, 3]]), 0.1, RHO
     )
     t0 = time.perf_counter()
-    field = run_imaging(noisy, grid, POL, NOISE, k=K)
+    field = run_imaging(noisy, grid, POL)
     return field, time.perf_counter() - t0
 
 
@@ -218,7 +218,7 @@ def test_separation_holds_at_other_wavenumbers(k, sphere):
     """
     config = LayeredCavityConfig(CAVITY_RADIUS, SHELLS, k, DATA_ORDER + 1)
     noisy_k = add_noise(assemble_nearfield(solve_modes(config), sphere), NoiseSpec(NOISE, SEED))
-    svd_k = svd_factorize(noisy_k, k=k)
+    svd_k = svd_factorize(noisy_k)
     grid = build_sampling_grid(np.array([[-3, 3]] * 3), 0.1, RHO)
     radii = np.linalg.norm(grid.points, axis=1)
     band = ((radii >= 1.15) & (radii <= 1.35)) | ((radii >= 1.7) & (radii <= 2.2))
@@ -247,19 +247,19 @@ def test_determinism_and_round_trips(clean, noisy, tmp_path, monkeypatch):
 
     # Binary data file round-trip is lossless and rewrite-stable.
     path1, path2 = tmp_path / "a.nfem", tmp_path / "b.nfem"
-    write_nearfield(noisy, path1, K)
+    write_nearfield(noisy, path1)
     back, k_back = read_nearfield(path1)
     assert k_back == K
     assert np.array_equal(back.entries, noisy.entries)
-    write_nearfield(back, path2, k_back)
+    write_nearfield(back, path2)
     assert path1.read_bytes() == path2.read_bytes()
 
     # Imaging is invariant under the worker count.
     grid = build_sampling_grid(np.array([[-2, 2]] * 3), 0.5, RHO)
     monkeypatch.setenv("NFEM_THREADS", "1")
-    f1 = run_imaging(noisy, grid, POL, NOISE, k=K)
+    f1 = run_imaging(noisy, grid, POL)
     monkeypatch.setenv("NFEM_THREADS", "4")
-    f4 = run_imaging(noisy, grid, POL, NOISE, k=K)
+    f4 = run_imaging(noisy, grid, POL)
     assert np.array_equal(f1.log_indicator, f4.log_indicator)
 
     # CSV and VTK report the same scalar field.

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfem
-from nfem import cli, measurement
+from nfem import cli, lsm, measurement
 from nfem.cli import EXIT_PIPE, main
 from nfem.config import RunConfig, default_config_text, load_config
 from nfem.errors import ConfigError, InvalidArgumentError
@@ -225,7 +225,7 @@ def field():
     noisy = add_noise(assemble_nearfield(solve_modes(ball), sphere), NoiseSpec(0.02, 7))
     grid = build_sampling_grid(np.array([[-2, 2]] * 3), 0.5, 1.0)
     pol = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
-    return run_imaging(noisy, grid, pol, 0.02, k=0.75)
+    return run_imaging(noisy, grid, pol)
 
 
 def savetxt_oracle(field, out_dir):
@@ -382,7 +382,7 @@ class TestCliWorkflow:
                                    build_sphere_grid(run.n_theta, run.n_phi, run.rho))
         noisy = add_noise(clean, NoiseSpec(run.noise_level, run.seed))
         for name, matrix in (("clean", clean), ("noisy", noisy)):
-            write_nearfield(matrix, tmp_path / "serial" / name, run.k)
+            write_nearfield(matrix, tmp_path / "serial" / name)
             assert (tmp_path / "run" / f"fast_{name}.nfem").read_bytes() == (
                 tmp_path / "serial" / name).read_bytes()
 
@@ -395,10 +395,10 @@ class TestCliWorkflow:
         # directory the run created, the other thread's file with it.
         write = cli.write_nearfield
 
-        def flaky(matrix, path, k):
+        def flaky(matrix, path):
             if Path(path).stem.split("_")[-1] in failing.split():
                 raise OSError(f"{path}: no space left on device")
-            write(matrix, path, k)
+            write(matrix, path)
 
         monkeypatch.setattr(cli, "write_nearfield", flaky)
         out = tmp_path / "new" / "out"
@@ -424,9 +424,9 @@ class TestCliWorkflow:
             seen["drawn"] = True
             return real_factor(shape, spec)
 
-        def synthesize(cfg):
+        def synthesize(cfg, modes):
             assert drawing.wait(60)
-            return real_synthesize(cfg)
+            return real_synthesize(cfg, modes)
 
         def noting_print(*args, **kwargs):
             if kwargs.get("file") is sys.stderr:
@@ -445,6 +445,23 @@ class TestCliWorkflow:
         assert err.startswith("error: interface residual") and err.count("\n") == 1
         assert seen == {"in_flight": True, "drawn": True}
         assert not (tmp_path / "new").exists()
+
+    def test_failed_solve_draws_no_noise(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # simulate hands the noise draw to its helper only once the modes are
+        # solved, so a solve that fails waits for no draw: one error line,
+        # exit 2 and no output directory.
+        calls = []
+        monkeypatch.setattr(cli, "noise_factor", lambda *args: calls.append(args))
+
+        def failing(config):
+            raise InvalidArgumentError("singular transmission system at degree n=5, family TM")
+
+        monkeypatch.setattr(cli, "solve_modes", failing)
+        out = tmp_path / "new" / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: singular transmission system at degree n=5, family TM\n")
+        assert calls == [] and not (tmp_path / "new").exists()
 
     def test_config_refused_at_load_draws_no_noise(self, tmp_path, capsys, monkeypatch):
         # An order past the cap is refused when the config is read, before
@@ -757,6 +774,28 @@ class TestCliWorkflow:
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "probe"])
+    def test_data_within_tolerance_images_at_the_files_k(self, cfg_path, fast_data,
+                                                          tmp_path, monkeypatch, command):
+        # A file whose k is 4e-13 relative off the config's passes the check,
+        # and every right-hand side is formed at the file's k.
+        matrix, _ = read_nearfield(fast_data)
+        k_file = 0.75 * (1 + 4e-13)
+        near = tmp_path / "near.nfem"
+        write_nearfield(dataclasses.replace(matrix, k=k_file), near)
+        seen = []
+
+        def spy(z, h_pol, grid, k, real=lsm.rhs_matrix):
+            seen.append(k)
+            return real(z, h_pol, grid, k)
+
+        monkeypatch.setattr(lsm, "rhs_matrix", spy)  # the sweep's binding
+        monkeypatch.setattr(cli, "rhs_matrix", spy)  # probe's
+        extra = {"reconstruct": ["--out", str(tmp_path / "out")],
+                 "probe": ["--z", "1.6,0,0"]}[command]
+        assert main([command, "--config", str(cfg_path), "--data", str(near), *extra]) == 0
+        assert seen and set(seen) == {k_file}
+
     def test_fixed_alpha_is_used(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
@@ -833,6 +872,11 @@ class TestCliWorkflow:
         "wavenumber": ("simulate", "forward.k", [("k = 0.75", "k = 0")]),
         "overflowing_shell": ("simulate", "forward.shells",
                               [("shells = 2.5 1.0 2.0", "shells = 2.5 1e-300 1e300")]),
+        # k sqrt(N/A) = k sqrt(1e-600) underflows to 0.
+        **{f"underflowing_shell-{command}": (command, "forward.shells",
+                                             [("shells = 2.5 1.0 2.0",
+                                               "shells = 2.5 1e300 1e-300")])
+           for command in ("simulate", "reconstruct", "probe", "selfcheck")},
         "overflowing_order": ("selfcheck", "forward.k",
                               [("cavity_radius = 1.5", "cavity_radius = 1e200"),
                                ("shells = 2.5 1.0 2.0", "shells = 2e200 1.0 1.0"),

@@ -11,7 +11,7 @@ from scipy.special import spherical_jn
 
 from nfem import forward
 from nfem import specialfun as sf
-from nfem.errors import DegenerateConfigError, InvalidArgumentError
+from nfem.errors import InvalidArgumentError
 from nfem.forward import (
     COND_LIMIT,
     FAMILIES,
@@ -334,7 +334,7 @@ def solve_modes_oracle(config):
             det = t1[0] * vec[1] - vec[0] * t1[1]
             scale = max(np.abs(t1).max(), 1e-300) * max(np.abs(vec).max(), 1e-300)
             if abs(det) < scale / COND_LIMIT:
-                raise DegenerateConfigError(
+                raise InvalidArgumentError(
                     f"singular transmission system at degree n={n}, family {fam}"
                 )
             x = _inv2_apply_scalar(t1, tr(3, 0, radii[0]), vec)
@@ -392,7 +392,7 @@ class TestVectorizedSolve:
                 return out
 
             monkeypatch.setattr(forward, "_trace_pair", stub)
-            with pytest.raises(DegenerateConfigError, match=message):
+            with pytest.raises(InvalidArgumentError, match=message):
                 solve_modes(cfg)
         monkeypatch.undo()
         assert np.all(solve_modes(cfg).reflection == 0.0)

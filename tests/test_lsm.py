@@ -51,7 +51,7 @@ def noisy(sphere):
 
 @pytest.fixture(scope="module")
 def svd(noisy):
-    return svd_factorize(noisy, k=K)
+    return svd_factorize(noisy)
 
 
 def usable_cpus(monkeypatch, n):
@@ -84,7 +84,7 @@ class TestSvd:
         from dataclasses import replace
 
         with pytest.raises(DataFormatError, match="zero"):
-            svd_factorize(replace(noisy, entries=np.zeros_like(noisy.entries)), k=K)
+            svd_factorize(replace(noisy, entries=np.zeros_like(noisy.entries)))
 
 
 class TestTikhonov:
@@ -422,8 +422,8 @@ class TestIndicator:
         from dataclasses import replace
 
         scaled = replace(noisy, entries=noisy.entries * 7.5)
-        svd1 = svd_factorize(noisy, k=K)
-        svd2 = svd_factorize(scaled, k=K)
+        svd1 = svd_factorize(noisy)
+        svd2 = svd_factorize(scaled)
         b = rhs_matrix(np.array([[1.3, 0.4, 0.0], [2.1, 0.0, 0.3]]), POL, sphere, K)
         vals1 = 1.0 / regularized_solve(svd1, b, 0.02).g_norm
         vals2 = 1.0 / regularized_solve(svd2, b, 0.02).g_norm
@@ -468,7 +468,7 @@ class TestImagingSweep:
 
     def test_normalization_and_masking(self, noisy):
         grid = build_sampling_grid(self.BOUNDS, 0.5, 1.0)
-        field = run_imaging(noisy, grid, POL, 0.02, k=K)
+        field = run_imaging(noisy, grid, POL)
         active = grid.active
         assert np.max(field.indicator[active]) == pytest.approx(1.0, rel=1e-15)
         assert np.all(field.indicator[~active] == 0.0)
@@ -480,7 +480,7 @@ class TestImagingSweep:
 
         def image_with(threads):
             monkeypatch.setenv("NFEM_THREADS", str(threads))
-            return run_imaging(noisy, grid, POL, 0.02, k=K)
+            return run_imaging(noisy, grid, POL)
 
         f1 = image_with(1)
         f4 = image_with(4)
@@ -500,7 +500,7 @@ class TestImagingSweep:
         n_chunks = -(-int(np.sum(grid.active)) // lsm._CHUNK)
         assert n_chunks > 4
         monkeypatch.setenv("NFEM_THREADS", "1")
-        want = run_imaging(noisy, grid, POL, 0.02, k=K)
+        want = run_imaging(noisy, grid, POL)
         monkeypatch.setenv("NFEM_THREADS", threads)
 
         main = threading.get_ident()
@@ -513,9 +513,9 @@ class TestImagingSweep:
                 all_formed.set()
             return real_rhs(*args)
 
-        def waiting_svd(data, k):
+        def waiting_svd(data):
             assert all_formed.wait(60)
-            return real_svd(data, k=k)
+            return real_svd(data)
 
         class DoneAtOnce(ThreadPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
@@ -531,7 +531,7 @@ class TestImagingSweep:
             on_main.clear()
             monkeypatch.setattr(lsm, "svd_factorize", svd_fn)
             monkeypatch.setattr(lsm, "ThreadPoolExecutor", pool)
-            got = run_imaging(noisy, grid, POL, 0.02, k=K)
+            got = run_imaging(noisy, grid, POL)
             assert len(on_main) == n_chunks and sum(on_main) == prefetched
             for name in ("indicator", "log_indicator", "alpha", "flagged"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -552,13 +552,13 @@ class TestImagingSweep:
             on_main.append(threading.get_ident() == main)
             return real_rhs(*args)
 
-        def waiting_svd(data, k):
+        def waiting_svd(data):
             time.sleep(1)
-            return real_svd(data, k=k)
+            return real_svd(data)
 
         monkeypatch.setattr(lsm, "rhs_matrix", rhs)
         monkeypatch.setattr(lsm, "svd_factorize", waiting_svd)
-        run_imaging(noisy, grid, POL, 0.02, k=K)
+        run_imaging(noisy, grid, POL)
         assert sum(on_main) == 3 and on_main[:3] == [True] * 3
 
     @pytest.mark.parametrize("threads, usable, want", [
@@ -583,7 +583,7 @@ class TestImagingSweep:
     def test_empty_active_set_rejected(self, noisy):
         grid = build_sampling_grid(np.array([[-0.2, 0.2]] * 3), 0.1, 1.0)
         with pytest.raises(InvalidArgumentError):
-            run_imaging(noisy, grid, POL, 0.02, k=K)
+            run_imaging(noisy, grid, POL)
 
 
 class TestSingleLayer:

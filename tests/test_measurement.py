@@ -251,7 +251,7 @@ class TestBlockCirculant:
 
     def test_file_grid_keeps_the_layout(self, matrix, tmp_path):
         path = tmp_path / "ring.nfem"
-        write_nearfield(matrix, path, BALL.k)
+        write_nearfield(matrix, path)
         back, _ = read_nearfield(path)
         assert ring_size(back.grid) == 16
         assert np.array_equal(assemble_nearfield(solve_modes(BALL), back.grid).entries,
@@ -333,7 +333,7 @@ class TestReciprocityDefect:
     def gathered(cls, n_theta, n_phi, **kwargs):
         column = cls.gathered_column(n_theta, n_phi, **kwargs)
         return NearFieldMatrix(grid=build_sphere_grid(n_theta, n_phi, 1.0),
-                               entries=gather_column(column, n_theta, n_phi))
+                               entries=gather_column(column, n_theta, n_phi), k=BALL.k)
 
 
 class TestSeriesTail:
@@ -654,7 +654,7 @@ class TestFileFormat:
     def test_roundtrip_bitwise(self, matrix, tmp_path):
         path = tmp_path / "data.nfem"
         noisy = add_noise(matrix, NoiseSpec(0.02, 5))
-        write_nearfield(noisy, path, BALL.k)
+        write_nearfield(noisy, path)
         back, k = read_nearfield(path)
         assert k == BALL.k
         assert np.array_equal(back.entries, noisy.entries)
@@ -663,18 +663,18 @@ class TestFileFormat:
         assert back.noisy and back.noise_level == 0.02 and back.seed == 5
         # Writing the read-back matrix reproduces the file byte for byte.
         path2 = tmp_path / "data2.nfem"
-        write_nearfield(back, path2, k)
+        write_nearfield(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_roundtrip_clean(self, matrix, tmp_path):
         # A clean matrix reads back as written: not noisy, level 0, no seed.
         path = tmp_path / "clean.nfem"
-        write_nearfield(matrix, path, BALL.k)
+        write_nearfield(matrix, path)
         back, _ = read_nearfield(path)
         assert np.array_equal(back.entries, matrix.entries)
         assert (back.noisy, back.noise_level, back.seed) == (False, 0.0, None)
         path2 = tmp_path / "clean2.nfem"
-        write_nearfield(back, path2, BALL.k)
+        write_nearfield(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(0.02, 5)], ids=["clean", "noisy"])
@@ -683,7 +683,7 @@ class TestFileFormat:
         # the byte-at-a-time CRC of the payload.
         m = matrix if noise is None else add_noise(matrix, noise)
         path = tmp_path / "layout.nfem"
-        write_nearfield(m, path, BALL.k)
+        write_nearfield(m, path)
         g = m.grid
         payload = (
             HEADER.pack(BALL.k, g.radius, g.n_nodes, int(m.noisy), m.noise_level,
@@ -701,7 +701,7 @@ class TestFileFormat:
 
     def test_truncation_detected(self, matrix, tmp_path):
         path = tmp_path / "trunc.nfem"
-        write_nearfield(matrix, path, BALL.k)
+        write_nearfield(matrix, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataFormatError, match="CRC-64 mismatch"):
@@ -709,7 +709,7 @@ class TestFileFormat:
 
     def test_corruption_detected(self, matrix, tmp_path):
         path = tmp_path / "flip.nfem"
-        write_nearfield(matrix, path, BALL.k)
+        write_nearfield(matrix, path)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         path.write_bytes(bytes(blob))
@@ -718,7 +718,7 @@ class TestFileFormat:
 
     def test_dimension_mismatch_detected(self, matrix, tmp_path):
         path = tmp_path / "dim.nfem"
-        write_nearfield(matrix, path, BALL.k)
+        write_nearfield(matrix, path)
         blob = bytearray(path.read_bytes())
         # Overstate the node count in the header, then fix the CRC so the
         # size check (not the checksum) reports the problem.
@@ -735,14 +735,29 @@ class TestFileFormat:
         path = tmp_path / "nan.nfem"
         entries = matrix.entries.copy()
         entries[1, 2] = np.inf
-        bad = NearFieldMatrix(grid=matrix.grid, entries=entries)
+        bad = NearFieldMatrix(grid=matrix.grid, entries=entries, k=BALL.k)
         with pytest.raises(DataFormatError, match="non-finite"):
-            write_nearfield(bad, path, BALL.k)
+            write_nearfield(bad, path)
         assert not path.exists()
+
+    def test_read_returns_the_written_k(self, matrix, tmp_path):
+        # The matrix carries its wavenumber from the assembly through the
+        # noise, the file and back; the pair's second item repeats it.
+        assert add_noise(matrix, NoiseSpec(0.02, 5)).k == matrix.k == BALL.k
+        k = float(np.nextafter(BALL.k, 1.0))
+        path = tmp_path / "k.nfem"
+        write_nearfield(dataclasses.replace(matrix, k=k), path)
+        back, k_back = read_nearfield(path)
+        assert struct.pack("<dd", back.k, k_back) == struct.pack("<dd", k, k)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_checked_in_constructor(self, matrix, k):
+        with pytest.raises(InvalidArgumentError, match="wavenumber must be positive"):
+            NearFieldMatrix(grid=matrix.grid, entries=matrix.entries, k=k)
 
     def test_entries_shape_validated(self, grid):
         with pytest.raises(DataFormatError, match="does not match grid size"):
-            NearFieldMatrix(grid=grid, entries=np.zeros((4, 4), dtype=complex))
+            NearFieldMatrix(grid=grid, entries=np.zeros((4, 4), dtype=complex), k=BALL.k)
 
 
 @pytest.fixture(scope="module")
@@ -752,8 +767,8 @@ def small_file(tmp_path_factory):
     root = tmp_path_factory.mktemp("corrupt")
     rng = np.random.default_rng(11)
     entries = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    write_nearfield(NearFieldMatrix(build_sphere_grid(2, 4, 1.0), entries),
-                    root / "small.nfem", 0.75)
+    write_nearfield(NearFieldMatrix(build_sphere_grid(2, 4, 1.0), entries, 0.75),
+                    root / "small.nfem")
     (root / "run.ini").write_text(default_config_text())
     return root, (root / "small.nfem").read_bytes()
 
