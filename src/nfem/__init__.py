@@ -14,7 +14,7 @@ from .errors import (
     InvalidArgumentError,
     NfemError,
 )
-from .green import Dipole, curl_incident_field, green_apply, incident_field
+from .green import curl_incident_field, green_apply
 from .forward import (
     LayeredCavityConfig,
     ModeCoefficients,

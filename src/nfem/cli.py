@@ -43,6 +43,7 @@ from .forward import (
 from .lsm import (
     MAX_COORDINATE,
     build_sampling_grid,
+    mask_active,
     regularized_solve,
     rhs_matrix,
     run_imaging,
@@ -225,11 +226,11 @@ def _simulate(args) -> int:
 
 
 def _load_data(args) -> tuple[RunConfig, NearFieldMatrix]:
-    """The run's config and data file, whose wavenumbers must differ by at
-    most 1e-12 max(1, k); the run images at the file's."""
+    """The run's config and data file, whose wavenumbers may differ by at
+    most 1e-12 times the config's k; the run images at the file's."""
     cfg = load_config(args.config)
     matrix, _ = read_nearfield(args.data)
-    if abs(matrix.k - cfg.k) > 1e-12 * max(1.0, cfg.k):
+    if abs(matrix.k - cfg.k) > 1e-12 * cfg.k:
         raise ConfigError(
             f"wavenumber mismatch: data file has k={matrix.k}, config has k={cfg.k}"
         )
@@ -301,7 +302,7 @@ def _probe(args) -> int:
         raise ConfigError(f"--z must be finite and below {MAX_COORDINATE:g} in magnitude, "
                           f"got {args.z}")
 
-    if np.linalg.norm(z) <= cfg.mask_radius + 1e-9:
+    if not mask_active(z, cfg.mask_radius):
         print(f"point {z.tolist()} lies inside the measurement ball "
               f"(|z| <= {cfg.mask_radius}); the indicator is masked there")
         return EXIT_OK

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .green import check_wavenumber, incident_field, curl_incident_field, Dipole
+from .green import check_wavenumber, curl_incident_field, green_apply
 from . import specialfun as sf
 
 FAMILIES = ("TE", "TM")
@@ -290,10 +290,15 @@ def source_expansion(
 
     Returns c[family] over the modes in ``specialfun.mode_index(n_max)``
     order, an array of shape (2, n_modes) with families in ``FAMILIES`` order:
-    c_nm = -k^2 conj(regular VSWF at y) . p.
+    c_nm = -k^2 conj(regular VSWF at y) . p.  The dipole's location y and
+    polarization p must be finite 3-vectors.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(p, dtype=float)
+    if y.shape != (3,) or p.shape != (3,):
+        raise InvalidArgumentError("dipole location/polarization must be 3-vectors")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
+        raise InvalidArgumentError("dipole location/polarization must be finite")
     check_wavenumber(k)
     r = np.linalg.norm(y)
     if r < 1e-12:
@@ -376,7 +381,6 @@ def interface_residual(modes: ModeCoefficients, y: np.ndarray, p: np.ndarray) ->
     c = source_expansion(y, p, config.k, config.n_max, config.cavity_radius)
     rng = np.random.default_rng(RESIDUAL_SEED)
     media = config.media()
-    dip = Dipole(np.asarray(y, dtype=float), np.asarray(p, dtype=float))
     worst = 0.0
     for q, r in enumerate(config.interface_radii):
         dirs = rng.normal(size=(RESIDUAL_SAMPLES, 3))
@@ -384,8 +388,8 @@ def interface_residual(modes: ModeCoefficients, y: np.ndarray, p: np.ndarray) ->
         pts = r * dirs
         (e_in, curl_in), (e_out, curl_out) = _region_fields(pts, (q, q + 1), modes, c)
         if q == 0:
-            e_in = e_in + incident_field(pts, dip, config.k)
-            curl_in = curl_in + curl_incident_field(pts, dip, config.k)
+            e_in = e_in + green_apply(pts, y, p, config.k)
+            curl_in = curl_in + curl_incident_field(pts, y, p, config.k)
         a_in, a_out = media[q][1], media[q + 1][1]
         for f_in, f_out in ((e_in, e_out), (a_in * curl_in, a_out * curl_out)):
             t_in = np.cross(dirs, f_in)

@@ -2,15 +2,16 @@
 
 The incident field of an electric dipole at y with polarization p is
 
-    E_i(x) = (i/k) curl curl (Phi(x, y) p),   Phi(x, y) = e^{ik|x-y|} / (4 pi |x-y|).
+    E_i(x) = (i/k) curl curl (Phi(x, y) p) = G(x, y) p,
+    Phi(x, y) = e^{ik|x-y|} / (4 pi |x-y|),
+
+which is ``green_apply(x, y, p, k)``; its curl is ``curl_incident_field(x, y, p, k)``.
 
 All gradients and Hessians of Phi are closed forms; finite differences are
 used only in the tests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,24 +20,6 @@ from .errors import InvalidArgumentError
 # Below this separation the kernel is treated as singular; no regularized
 # evaluation is attempted.
 MIN_SEPARATION = 1e-8
-
-
-@dataclass(frozen=True)
-class Dipole:
-    """Point electric dipole: location and (real) polarization vector."""
-
-    location: np.ndarray
-    polarization: np.ndarray
-
-    def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float)
-        pol = np.asarray(self.polarization, dtype=float)
-        if loc.shape != (3,) or pol.shape != (3,):
-            raise InvalidArgumentError("dipole location/polarization must be 3-vectors")
-        if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(pol))):
-            raise InvalidArgumentError("dipole location/polarization must be finite")
-        object.__setattr__(self, "location", loc)
-        object.__setattr__(self, "polarization", pol)
 
 
 def check_wavenumber(k: float) -> float:
@@ -93,15 +76,10 @@ def green_apply(x: np.ndarray, z: np.ndarray, h_pol: np.ndarray, k: float) -> np
     return a[..., None] * h_pol + (b * np.einsum("...c,...c->...", rhat, h_pol))[..., None] * rhat
 
 
-def incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
-    """Electric dipole field G(x, y) p at x of shape (..., 3)."""
-    return green_apply(x, d.location, d.polarization, k)
-
-
-def curl_incident_field(x: np.ndarray, d: Dipole, k: float) -> np.ndarray:
-    """curl_x of the dipole field, i k grad Phi x p = i k Phi' (rhat x p), at x
-    of shape (..., 3)."""
-    diff, r = _separation(x, d.location)
+def curl_incident_field(x: np.ndarray, y: np.ndarray, p: np.ndarray, k: float) -> np.ndarray:
+    """curl_x of the field G(x, y) p of the dipole at y with polarization p,
+    i k grad Phi x p = i k Phi' (rhat x p), at x of shape (..., 3)."""
+    diff, r = _separation(x, y)
     u, (p_re, p_im), _, _ = _green_scalars(r, k)
     phi1 = (p_re + 1j * p_im) * (1j * k - u)  # Phi'(r)
-    return 1j * k * np.cross(phi1[..., None] * (diff * u[..., None]), d.polarization)
+    return 1j * k * np.cross(phi1[..., None] * (diff * u[..., None]), p)

@@ -55,6 +55,11 @@ MAX_SAMPLING_POINTS = 10_000_000
 # |x - z|^2 leaves the double range and the Green kernel turns to NaN.
 MAX_COORDINATE = 1e150
 
+# Points within this distance of the measurement sphere count as on it: the
+# right-hand side and the single layer are singular there, and the mask
+# (``mask_active``) takes such lattice points in.
+SPHERE_GUARD = 1e-9
+
 
 @dataclass(frozen=True)
 class SvdFactorization:
@@ -95,7 +100,7 @@ def rhs_matrix(z: np.ndarray, h_pol: np.ndarray, grid: SphereGrid, k: float) -> 
     a column's bits do not depend on the batch it is in.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    if np.any(np.abs(np.linalg.norm(z, axis=1) - grid.radius) <= 1e-9):
+    if np.any(np.abs(np.linalg.norm(z, axis=1) - grid.radius) <= SPHERE_GUARD):
         raise InvalidArgumentError(
             "sampling point lies on the measurement sphere; rhs is singular"
         )
@@ -260,11 +265,15 @@ def morozov_alpha(svd: SvdFactorization, b: np.ndarray, h: float) -> tuple[float
 class SamplingGrid:
     """Axis-aligned lattice of sampling points with a spherical mask."""
 
-    bounds: np.ndarray  # (3, 2)
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]  # coordinates along x, y, z
     spacing: float
     points: np.ndarray  # (P, 3), x fastest
-    shape: tuple[int, int, int]  # (nx, ny, nz)
     active: np.ndarray  # (P,) bool, True outside the mask
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(nx, ny, nz)."""
+        return tuple(len(a) for a in self.axes)
 
     @property
     def n_points(self) -> int:
@@ -294,25 +303,26 @@ def lattice_shape(bounds, spacing: float) -> tuple[int, int, int]:
 def build_sampling_grid(
     bounds, spacing: float, mask_radius: float
 ) -> SamplingGrid:
-    """Lattice over the box; points with |z| <= mask_radius are masked.
-
-    The mask carries a 1e-9 guard band so lattice points that land on the
-    measurement sphere to rounding error count as masked rather than hitting
-    the singular right-hand side.
-    """
+    """Lattice over the box; the points ``mask_active`` rejects are masked."""
     bounds = np.asarray(bounds, dtype=float).reshape(3, 2)
     shape = lattice_shape(bounds, spacing)
-    axes = [lo + spacing * np.arange(n) for (lo, _), n in zip(bounds, shape)]
+    axes = tuple(lo + spacing * np.arange(n) for (lo, _), n in zip(bounds, shape))
     zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     points = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    active = np.linalg.norm(points, axis=1) > mask_radius + 1e-9
     return SamplingGrid(
-        bounds=bounds,
+        axes=axes,
         spacing=float(spacing),
         points=points,
-        shape=shape,
-        active=active,
+        active=mask_active(points, mask_radius),
     )
+
+
+def mask_active(points: np.ndarray, mask_radius: float) -> np.ndarray:
+    """True at the points (..., 3) the sweep images, |z| > mask_radius +
+    SPHERE_GUARD: the guard band masks lattice points that land on the
+    measurement sphere to rounding error rather than let them hit the
+    singular right-hand side."""
+    return np.linalg.norm(points, axis=-1) > mask_radius + SPHERE_GUARD
 
 
 @dataclass(frozen=True)
@@ -399,7 +409,7 @@ def single_layer_eval(
 ) -> np.ndarray:
     """Electric single layer potential sum_j w_j G(x, y_j) g(y_j), g tangential."""
     x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - grid.radius) <= 1e-9:
+    if abs(np.linalg.norm(x) - grid.radius) <= SPHERE_GUARD:
         raise InvalidArgumentError("evaluation point lies on the measurement sphere")
     g = np.asarray(g).reshape(grid.n_nodes, 2)
     density = g[:, 0, None] * grid.e1 + g[:, 1, None] * grid.e2

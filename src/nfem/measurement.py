@@ -50,8 +50,8 @@ MAX_SPHERE_NODES = 4096
 class SphereGrid:
     """Quadrature nodes, weights, and orthonormal tangent frames on a sphere.
 
-    ``e1``/``e2`` are the unit vectors of increasing theta/phi and ``normal``
-    is the outward radial direction, so e1 x e2 = normal at every node.
+    ``e1``/``e2`` are the unit vectors of increasing theta/phi, so e1 x e2 is
+    the outward normal nodes / radius at every node.
     """
 
     radius: float
@@ -61,7 +61,6 @@ class SphereGrid:
     nodes: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    normal: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -84,7 +83,6 @@ def _grid_from_angles(theta: np.ndarray, phi: np.ndarray, weights: np.ndarray,
         nodes=radius * normal,
         e1=e1,
         e2=e2,
-        normal=normal,
     )
 
 
@@ -122,7 +120,6 @@ class NearFieldMatrix:
     grid: SphereGrid
     entries: np.ndarray
     k: float
-    noisy: bool = False
     noise_level: float = 0.0
     seed: int | None = None
 
@@ -280,9 +277,7 @@ def add_noise(matrix: NearFieldMatrix, spec: NoiseSpec,
     # temporary elision turned entries * factor into factor * entries only
     # from 256 KiB on; the one order, at every size, keeps the noisy bytes.
     entries = np.multiply(factor, matrix.entries, out=factor)
-    return replace(
-        matrix, entries=entries, noisy=True, noise_level=spec.level, seed=spec.seed
-    )
+    return replace(matrix, entries=entries, noise_level=spec.level, seed=spec.seed)
 
 
 # CRC-64/ECMA-182 of the payload guards against truncation and bit rot:
@@ -399,7 +394,7 @@ def write_nearfield(matrix: NearFieldMatrix, path) -> None:
         matrix.k,
         float(grid.radius),
         n,
-        1 if matrix.noisy else 0,
+        1 if matrix.noise_level > 0 else 0,
         float(matrix.noise_level),
         matrix.seed if matrix.seed is not None else 0,
     )
@@ -431,6 +426,8 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
         raise DataFormatError(f"{path}: invalid header values k={k}, rho={radius}")
     if noisy > 1 or not 0 <= level < np.inf:
         raise DataFormatError(f"{path}: invalid noise header: flag {noisy}, level {level}")
+    if noisy != (level > 0):
+        raise DataFormatError(f"{path}: noise flag {noisy} disagrees with noise level {level}")
     expected = HEADER.size + n * 3 * 8 + (2 * n) * (2 * n) * 16
     if len(payload) != expected:
         raise DataFormatError(f"{path}: payload has {len(payload)} bytes, "
@@ -452,9 +449,8 @@ def read_nearfield(path) -> tuple[NearFieldMatrix, float]:
         grid=grid,
         entries=entries.copy(),
         k=k,
-        noisy=bool(noisy),
         noise_level=level,
-        seed=seed if noisy else None,
+        seed=seed if level > 0 else None,
     )
     return matrix, matrix.k
 

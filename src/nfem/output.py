@@ -42,11 +42,8 @@ def write_imaging_csv(field: ImagingField, path, log_text: list[str] | None = No
     """One row per lattice point: position, indicator, log indicator, mask.
     ``log_text``, if given, is ``format_log_indicator(field)``."""
     grid = field.grid
-    nx, ny, nz = grid.shape
-    # The lattice is x-fastest: each axis's coordinates repeat row after row.
-    xs = _g(grid.points[:nx, 0])
-    ys = _g(grid.points[: nx * ny : nx, 1])
-    zs = _g(grid.points[:: nx * ny, 2])
+    # The lattice is x-fastest, so z is the outer loop.
+    xs, ys, zs = map(_g, grid.axes)
     points = [f"{x},{y},{z}" for z in zs for y in ys for x in xs]
     write_whole(path, _csv("z_x,z_y,z_z,indicator,log10_indicator,masked",
                            (points, _g(field.indicator),
@@ -63,7 +60,7 @@ def write_imaging_vtk(field: ImagingField, path, log_text: list[str] | None = No
     """
     grid = field.grid
     nx, ny, nz = grid.shape
-    origin = " ".join(_g(grid.bounds[:, 0]))
+    origin = " ".join(_g([a[0] for a in grid.axes]))
     spacing = " ".join(_g([grid.spacing] * 3))
     write_whole(path, "\n".join([
         "# vtk DataFile Version 3.0",
@@ -98,15 +95,11 @@ def write_cross_sections(field: ImagingField, out_dir, prefix: str) -> list[str]
     nx, ny, nz = grid.shape
     log_cube = field.log_indicator.reshape(nz, ny, nx)  # z outer, x inner
     active_cube = grid.active.reshape(nz, ny, nx)
-    axes = [
-        grid.bounds[i, 0] + grid.spacing * np.arange(n)
-        for i, n in enumerate((nx, ny, nz))
-    ]
     paths = []
     for name, (ax1, ax2), fixed in _PLANES:
-        level = int(np.argmin(np.abs(axes[fixed])))
+        level = int(np.argmin(np.abs(grid.axes[fixed])))
         # Cube axis 2 - i is coordinate i, so the slice is (ax2, ax1) since ax1 < ax2.
-        c1, c2 = _g(axes[ax1]), _g(axes[ax2])
+        c1, c2 = _g(grid.axes[ax1]), _g(grid.axes[ax2])
         path = f"{out_dir}/{prefix}_slice_{name}.csv"
         write_whole(path, _csv(
             f"z_{'xyz'[ax1]},z_{'xyz'[ax2]},log10_indicator,masked",

@@ -244,12 +244,12 @@ def savetxt_oracle(field, out_dir):
     head = ["# vtk DataFile Version 3.0",
             "cavity imaging indicator (log10, masked points = 0)", "ASCII",
             "DATASET STRUCTURED_POINTS", f"DIMENSIONS {nx} {ny} {nz}",
-            "ORIGIN " + " ".join(map(g, grid.bounds[:, 0])),
+            "ORIGIN " + " ".join(g(axis[0]) for axis in grid.axes),
             "SPACING " + " ".join([g(grid.spacing)] * 3), f"POINT_DATA {grid.n_points}",
             "SCALARS log10_indicator double 1", "LOOKUP_TABLE default"]
     files["img.vtk"] = "".join(line + "\n" for line in
                                head + [g(v) for v in field.log_indicator]).encode()
-    axes = [grid.bounds[i, 0] + grid.spacing * np.arange(n) for i, n in enumerate((nx, ny, nz))]
+    axes = grid.axes
     cubes = field.log_indicator.reshape(nz, ny, nx), grid.active.reshape(nz, ny, nx)
     for name, (ax1, ax2), fixed in (("xy", (0, 1), 2), ("yz", (1, 2), 0), ("xz", (0, 2), 1)):
         level = int(np.argmin(np.abs(axes[fixed])))
@@ -285,6 +285,20 @@ class TestOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
         for name, data in want.items():
             assert (tmp_path / name).read_bytes() == data, name
+
+    def test_negative_zero_box_origin_matches_the_csv(self, tmp_path):
+        # A box whose low end is -0 prints that coordinate as 0 in both files.
+        grid = build_sampling_grid(np.array([[-0.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]]),
+                                   0.5, 1.0)
+        n = grid.n_points
+        field = ImagingField(grid, np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n, bool))
+        write_imaging_csv(field, tmp_path / "img.csv")
+        write_imaging_vtk(field, tmp_path / "img.vtk")
+        with open(tmp_path / "img.csv", newline="") as f:
+            first = list(csv.reader(f))[1][:3]
+        origin = next(line for line in (tmp_path / "img.vtk").read_text().splitlines()
+                      if line.startswith("ORIGIN "))
+        assert origin == "ORIGIN " + " ".join(first) == "ORIGIN 0 -2 -2"
 
     def test_csv_contents(self, field, tmp_path):
         path = tmp_path / "img.csv"
@@ -775,6 +789,24 @@ class TestCliWorkflow:
         assert "mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["reconstruct", "probe"])
+    def test_small_wavenumber_mismatch_rejected(self, fast_data, tmp_path, capsys, command):
+        # Below k = 1 the check is relative too: a file at k = 5e-13 does not
+        # pass for a config at k = 1e-13.
+        matrix, _ = read_nearfield(fast_data)
+        far = tmp_path / "far.nfem"
+        write_nearfield(dataclasses.replace(matrix, k=5e-13), far)
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(FAST_CONFIG.replace("k = 0.75", "k = 1e-13"))
+        out = tmp_path / "out"
+        extra = {"reconstruct": ["--out", str(out)], "probe": ["--z", "1.6,0,0"]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--data", str(far), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "k=5e-13" in captured.err and "k=1e-13" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "probe"])
     def test_data_within_tolerance_images_at_the_files_k(self, cfg_path, fast_data,
                                                           tmp_path, monkeypatch, command):
         # A file whose k is 4e-13 relative off the config's passes the check,
@@ -1082,6 +1114,21 @@ class TestCliWorkflow:
         ) == 0
         assert "masked" in capsys.readouterr().out
 
+    def test_probe_masks_what_the_lattice_masks(self, cfg_path, fast_data, capsys):
+        # On both sides of the guard band past mask_radius = 1, probe calls a
+        # point masked exactly where the one-point lattice there is inactive.
+        edge = 1.0 + lsm.SPHERE_GUARD
+        seen = set()
+        for x in (1.0 + 0.5e-9, np.nextafter(edge, 0), edge, np.nextafter(edge, 2),
+                  1.0 + 2e-9, -1.0 - 0.5e-9, -1.0 - 2e-9):
+            active = build_sampling_grid(np.array([[x, x], [0, 0], [0, 0]]), 1.0,
+                                         1.0).active
+            assert main(["probe", "--data", str(fast_data), "--config", str(cfg_path),
+                         f"--z={float(x)!r},0,0"]) == 0
+            assert ("masked" in capsys.readouterr().out) == (not active[0]), x
+            seen.add(bool(active[0]))
+        assert seen == {False, True}
+
     def test_init_prints_template(self, capsys):
         assert main(["init"]) == 0
         assert "[forward]" in capsys.readouterr().out
@@ -1128,10 +1175,10 @@ NODE_AT = len(MAGIC) + HEADER.size + 5 * 24
     (NODE_AT + 16, "<d", np.inf), (NODE_AT, "<d", np.inf), (NODE_AT, "<d", -0.1),
     (NODE_AT, "<d", 3.2), (NODE_AT + 8, "<d", np.nan), (NODE_AT + 8, "<d", -np.inf),
     (LEVEL_AT, "<d", np.nan), (LEVEL_AT, "<d", np.inf), (LEVEL_AT, "<d", -0.1),
-    (FLAG_AT, "<B", 2),
+    (LEVEL_AT, "<d", 0.0), (FLAG_AT, "<B", 2), (FLAG_AT, "<B", 0),
 ], ids=["weight_nan", "weight_negative", "weight_zero", "weight_inf", "theta_inf",
         "theta_negative", "theta_past_pi", "phi_nan", "phi_inf", "level_nan", "level_inf",
-        "level_negative", "noisy_flag_2"])
+        "level_negative", "level_zero", "noisy_flag_2", "noisy_flag_0"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reader_refuses_file_defects(cfg_path, fast_data, tmp_path, capsys, command,
                                      offset, fmt, value):

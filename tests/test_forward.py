@@ -27,7 +27,7 @@ from nfem.forward import (
     source_expansion,
     truncation_order,
 )
-from nfem.green import Dipole, incident_field
+from nfem.green import green_apply
 
 BALL = LayeredCavityConfig(
     cavity_radius=1.5, shells=(Shell(2.5, 1.0, 2.0),), k=0.75, n_max=16
@@ -229,12 +229,26 @@ class TestSourceExpansion:
         x = np.array([0.9, 0.3, -0.4])
         m3, n3 = sf.vswf_fields(x[None, :], k, n_max, 3)
         series = c[0] @ m3[:, 0, :] + c[1] @ n3[:, 0, :]
-        closed = incident_field(x, Dipole(y, p), k)
+        closed = green_apply(x, y, p, k)
         assert np.max(np.abs(series - closed)) < 1e-6 * np.max(np.abs(closed))
 
     def test_origin_source_rejected(self):
         with pytest.raises(InvalidArgumentError):
             source_expansion(np.zeros(3), P_SRC, 0.75, 8, 1.5)
+
+    def test_dipole_validation(self):
+        # The dipole's location and polarization enter the forward model
+        # through source_expansion, which needs finite 3-vectors.
+        modes = solve_modes(BALL)
+        x = np.array([0.9, 0.3, -0.4])
+        for y, p in ((np.zeros(2), P_SRC), (Y_SRC, np.array([np.inf, 0, 0])),
+                     (Y_SRC, np.array([np.nan, 0, 0]))):
+            with pytest.raises(InvalidArgumentError, match="dipole"):
+                source_expansion(y, p, 0.75, 8, 1.5)
+            with pytest.raises(InvalidArgumentError, match="dipole"):
+                interface_residual(modes, y, p)
+            with pytest.raises(InvalidArgumentError, match="dipole"):
+                scattered_field(x, y, p, modes)
 
     def test_scattered_field_linear_in_polarization(self):
         coeffs = solve_modes(BALL)

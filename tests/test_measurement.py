@@ -93,7 +93,7 @@ def permuted(grid, order):
     """The same nodes, weights and frames, listed in another order."""
     return SphereGrid(
         grid.radius, *(getattr(grid, f)[order] for f in
-                       ("theta", "phi", "weights", "nodes", "e1", "e2", "normal"))
+                       ("theta", "phi", "weights", "nodes", "e1", "e2"))
     )
 
 
@@ -125,10 +125,11 @@ class TestGrid:
         assert np.sum(grid.weights * z4) == pytest.approx(4 * np.pi / 5, rel=1e-13)
 
     def test_frames_orthonormal_right_handed(self, grid):
-        for a, b in [(grid.e1, grid.e1), (grid.e2, grid.e2), (grid.normal, grid.normal)]:
+        normal = grid.nodes / grid.radius
+        for a, b in [(grid.e1, grid.e1), (grid.e2, grid.e2), (normal, normal)]:
             assert np.allclose(np.einsum("ij,ij->i", a, b), 1.0, atol=1e-14)
         assert np.allclose(np.einsum("ij,ij->i", grid.e1, grid.e2), 0.0, atol=1e-14)
-        assert np.allclose(np.cross(grid.e1, grid.e2), grid.normal, atol=1e-14)
+        assert np.allclose(np.cross(grid.e1, grid.e2), normal, atol=1e-14)
 
     def test_nodes_off_poles(self, grid):
         assert np.all(np.sin(grid.theta) > 1e-3)
@@ -660,19 +661,19 @@ class TestFileFormat:
         assert np.array_equal(back.entries, noisy.entries)
         assert np.array_equal(back.grid.nodes, noisy.grid.nodes)
         assert np.array_equal(back.grid.weights, noisy.grid.weights)
-        assert back.noisy and back.noise_level == 0.02 and back.seed == 5
+        assert back.noise_level == 0.02 and back.seed == 5
         # Writing the read-back matrix reproduces the file byte for byte.
         path2 = tmp_path / "data2.nfem"
         write_nearfield(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_roundtrip_clean(self, matrix, tmp_path):
-        # A clean matrix reads back as written: not noisy, level 0, no seed.
+        # A clean matrix reads back as written: level 0, no seed.
         path = tmp_path / "clean.nfem"
         write_nearfield(matrix, path)
         back, _ = read_nearfield(path)
         assert np.array_equal(back.entries, matrix.entries)
-        assert (back.noisy, back.noise_level, back.seed) == (False, 0.0, None)
+        assert (back.noise_level, back.seed) == (0.0, None)
         path2 = tmp_path / "clean2.nfem"
         write_nearfield(back, path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -686,7 +687,7 @@ class TestFileFormat:
         write_nearfield(m, path)
         g = m.grid
         payload = (
-            HEADER.pack(BALL.k, g.radius, g.n_nodes, int(m.noisy), m.noise_level,
+            HEADER.pack(BALL.k, g.radius, g.n_nodes, int(noise is not None), m.noise_level,
                         m.seed if m.seed is not None else 0)
             + np.stack([g.theta, g.phi, g.weights], axis=1).astype("<f8").tobytes()
             + m.entries.astype("<c16").tobytes()
