@@ -42,6 +42,7 @@ from .forward import (
 )
 from .lsm import (
     MAX_COORDINATE,
+    SPHERE_GUARD,
     build_sampling_grid,
     mask_active,
     regularized_solve,
@@ -226,14 +227,15 @@ def _simulate(args) -> int:
 
 
 def _load_data(args) -> tuple[RunConfig, NearFieldMatrix]:
-    """The run's config and data file, whose wavenumbers may differ by at
-    most 1e-12 times the config's k; the run images at the file's."""
+    """The run's config and data file, whose wavenumbers and measurement radii
+    may each differ by at most 1e-12 times the config's; the run images at the file's."""
     cfg = load_config(args.config)
     matrix, _ = read_nearfield(args.data)
-    if abs(matrix.k - cfg.k) > 1e-12 * cfg.k:
-        raise ConfigError(
-            f"wavenumber mismatch: data file has k={matrix.k}, config has k={cfg.k}"
-        )
+    for name, key, got, want in (("wavenumber", "k", matrix.k, cfg.k),
+                                 ("measurement radius", "rho", matrix.grid.radius, cfg.rho)):
+        if abs(got - want) > 1e-12 * want:
+            raise ConfigError(
+                f"{name} mismatch: data file has {key}={got}, config has {key}={want}")
     return cfg, matrix
 
 
@@ -303,8 +305,8 @@ def _probe(args) -> int:
                           f"got {args.z}")
 
     if not mask_active(z, cfg.mask_radius):
-        print(f"point {z.tolist()} lies inside the measurement ball "
-              f"(|z| <= {cfg.mask_radius}); the indicator is masked there")
+        print(f"point {z.tolist()} lies inside the masked ball (|z| <= mask_radius + guard = "
+              f"{cfg.mask_radius + SPHERE_GUARD!r}); the indicator is masked there")
         return EXIT_OK
 
     svd = svd_factorize(matrix)

@@ -157,9 +157,9 @@ def series_tail(config: LayeredCavityConfig, radius: float) -> float:
     reflection = np.abs(solve_modes(replace(config, n_max=top)).reflection[:, n_max:])
     if not np.all(np.isfinite(reflection)):  # before the sum, which would warn
         return float("nan")
-    # Rows 0 and 2 of the radial table, j_n and psi_n'/t, pair with TE and TM.
+    j, _, psip_t = sf.radial_table(top, 1, np.array([config.k * radius]))[:, n_max:, 0]
     # |R_n| z_n first: R_n grows as z_n^2 falls, and z_n^2 alone may underflow.
-    z = np.abs(sf._radial_table(top, 1, np.array([config.k * radius]))[::2, n_max:, 0])
+    z = np.abs([j, psip_t])
     weight = (2 * np.arange(n_max + 1, top + 1) + 1) / (8 * np.pi)
     return float(config.k**2 * np.sum(weight * (reflection * z * z)))
 
@@ -186,20 +186,19 @@ class ModeCoefficients:
         return self.table[0, :, 0]
 
 
-def _trace_pair(family: str, kind: int, h: np.ndarray, t: float, k_med: float, A: float):
+def _trace_pair(family: str, kind: int, z: np.ndarray, psip_t: np.ndarray, t: float,
+                k_med: float, A: float):
     """(tangential E, tangential A curl E) radial factors at t = k_med r for
-    degrees 1..n_max, as a complex array of shape (2, n_max).  h holds
-    h_0..h_{n_max}(t); the regular kind (1) takes its real part, j_n.
+    degrees 1..n_max, as a complex array of shape (2, n_max).  z and psip_t
+    hold the radiating rows h_n(t) and psi_n'(t)/t of ``specialfun.radial_table``;
+    the regular kind (1) takes their real parts.
 
     Common geometric factors shared by both sides of an interface are
     dropped; only ratios across the interface matter.
     """
-    z = h if kind == 3 else h.real
-    n = np.arange(1, z.shape[0])
-    zn = z[1:]
-    zp = z[:-1] - (n + 1) * zn / t
-    psip = zn + t * zp
-    pair = (zn, A * psip) if family == "TE" else (psip / k_med, A * k_med * zn)
+    z, psip_t = (z, psip_t) if kind == 3 else (z.real, psip_t.real)
+    psip = t * psip_t
+    pair = (z, A * psip) if family == "TE" else (psip / k_med, A * k_med * z)
     return np.array(pair, dtype=complex)
 
 
@@ -234,18 +233,18 @@ def solve_modes(config: LayeredCavityConfig) -> ModeCoefficients:
     n_shells = len(config.shells)
     degrees = np.arange(1, config.n_max + 1)
     table = np.zeros((n_shells + 2, len(FAMILIES), 2, config.n_max), dtype=complex)
-    # Region q meets radii q - 1 and q.  One kernel call gives h_n, and with
-    # its real part j_n, at every (region, radius) the sweep visits.
+    # Region q meets radii q - 1 and q.  One radial table of h_n, and its
+    # real part, gives the traces at every (region, radius) the sweep visits.
     visits = [(q, i) for q in range(n_shells + 2) for i in (q - 1, q)
               if 0 <= i <= n_shells]
     t = np.array([media[q][0] * radii[i] for q, i in visits])
-    h = sf.spherical_z(config.n_max, 3, t)
+    z, _, psip_t = sf.radial_table(config.n_max, 3, t)
     singular = []
     for f, fam in enumerate(FAMILIES):
 
         def trace(kind, region, i):
             col = visits.index((region, i))
-            return _trace_pair(fam, kind, h[:, col], t[col], *media[region])
+            return _trace_pair(fam, kind, z[:, col], psip_t[:, col], t[col], *media[region])
 
         # y_n overflows at high degree, and the inf and NaN it makes spread
         # through the transfer steps into R_n, where the callers report them.
@@ -343,8 +342,8 @@ def _region_fields(
     """
     n_max = modes.config.n_max
     ang = sf.angular_factors(points, n_max)
-    # Degree n holds mode rows n^2 - 1 .. n^2 + 2n - 1.
-    starts = np.arange(1, n_max + 1) ** 2 - 1
+    # The first mode row of each degree.
+    starts = np.flatnonzero(np.diff(sf.mode_index(n_max)[0], prepend=0))
     angular = np.stack([ang.a, ang.b, ang.lam_p * ang.phase])
     (a_te, b_te, y_te), (a_tm, b_tm, y_tm) = (
         np.add.reduceat(angular * c_f[:, None], starts, axis=1) for c_f in c)
@@ -427,8 +426,8 @@ def maxwell_eigenvalue_margin(k: float, ball_radius: float) -> float:
     t_lo, t_hi = max(1e-6, t0 - 2 * np.pi), t0 + 2 * np.pi
     n_max = min(int(t_hi), sf.ORDER_CAP)
     grid = np.linspace(t_lo, t_hi, max(64, int((t_hi - t_lo) / 0.02)))
-    # Rows 0 and 2 of the radial table: j_n and psi_n'/t, (2, degrees, points).
-    sign = np.sign(sf._radial_table(n_max, 1, grid)[::2])
+    j, _, psip_t = sf.radial_table(n_max, 1, grid)
+    sign = np.sign([j, psip_t])  # TE and TM, (2, degrees, points)
     fam, deg, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
     # A bracket can hold the nearest zero only if its near end is no farther
     # from t0 than the far end of every bracket.
@@ -439,7 +438,8 @@ def maxwell_eigenvalue_margin(k: float, ball_radius: float) -> float:
     bracket = np.arange(i.size)
     for _ in range(64):  # halves every bracket down to adjacent doubles
         mid = 0.5 * (lo + hi)
-        sign_mid = np.sign(sf._radial_table(n_max, 1, mid)[2 * fam, deg, bracket])
+        j, _, psip_t = sf.radial_table(n_max, 1, mid)
+        sign_mid = np.sign(np.array([j, psip_t])[fam, deg, bracket])
         left = sign_mid != sign_lo
         lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
     return float(np.min(np.abs(t0 - lo), initial=2 * np.pi))

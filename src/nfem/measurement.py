@@ -70,11 +70,7 @@ class SphereGrid:
 def _grid_from_angles(theta: np.ndarray, phi: np.ndarray, weights: np.ndarray,
                       radius: float) -> SphereGrid:
     """Shared constructor so files round-trip bitwise identical grids."""
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    sin_p, cos_p = np.sin(phi), np.cos(phi)
-    normal = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=1)
-    e1 = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
-    e2 = np.stack([-sin_p, cos_p, np.zeros_like(phi)], axis=1)
+    normal, e1, e2 = sf.unit_vectors(np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi))
     return SphereGrid(
         radius=float(radius),
         theta=theta,

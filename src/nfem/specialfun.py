@@ -39,6 +39,15 @@ from .green import check_wavenumber
 ORDER_CAP = 200
 
 
+def unit_vectors(cos_t: np.ndarray, sin_t: np.ndarray, cos_p: np.ndarray,
+                 sin_p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rhat, thetahat and phihat, each of shape (points, 3), from the cosines
+    and sines of theta and phi at each point."""
+    return (np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=1),
+            np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1),
+            np.stack([-sin_p, cos_p, np.zeros_like(sin_p)], axis=1))
+
+
 def _spherical_frame(points: np.ndarray) -> tuple[np.ndarray, ...]:
     """r, cos/sin theta, cos/sin phi and the local unit vectors at each point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -50,9 +59,7 @@ def _spherical_frame(points: np.ndarray) -> tuple[np.ndarray, ...]:
     on_axis = rho < 1e-300
     cos_p = np.where(on_axis, 1.0, pts[:, 0] / np.where(on_axis, 1.0, rho))
     sin_p = np.where(on_axis, 0.0, pts[:, 1] / np.where(on_axis, 1.0, rho))
-    rhat = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=1)
-    that = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
-    phat = np.stack([-sin_p, cos_p, np.zeros_like(sin_p)], axis=1)
+    rhat, that, phat = unit_vectors(cos_t, sin_t, cos_p, sin_p)
     # On the axis phi = 0 matches the frame above; arctan2 gives pi for x = -0.0.
     phi = np.where(on_axis, 0.0, np.arctan2(pts[:, 1], pts[:, 0]))
     return pts, r, cos_t, sin_t, phi, rhat, that, phat
@@ -91,8 +98,8 @@ def _legendre_table(cos_t: np.ndarray, sin_t: np.ndarray, n_max: int) -> np.ndar
 
 
 def spherical_z(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
-    """z_n(t) for n = 0..n_max at every t > 0, shape (n_max + 1, t.size):
-    j_n for kind 1, real, and h_n^(1) = j_n + i y_n for kind 3, complex.
+    """Real rows j_n(t) and, for kind 3, y_n(t) of h_n^(1) = j_n + i y_n, for
+    n = 0..n_max at every t > 0: shape (1 + (kind == 3), n_max + 1, t.size).
 
     Both satisfy z_{n+1} = (2n+1)/t z_n - z_{n-1}.  y_n takes it upward from
     y_0 = -cos t/t and y_1, the direction in which it dominates; where it
@@ -133,38 +140,31 @@ def spherical_z(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
     anchor = last.astype(int)
     down = np.arange(n_max + 1)[:, None] > anchor
     ratio[~down] = 1.0
-    j = np.where(down, np.cumprod(ratio, axis=0) * up[0, anchor, np.arange(t.size)],
-                 up[0])
-    if kind == 1:
-        return j
-    y = up[1]
-    y[np.isnan(y)] = -np.inf  # -inf - (-inf) after the overflow
-    h = np.empty(j.shape, dtype=complex)
-    h.real, h.imag = j, y
-    return h
+    up[0] = np.where(down, np.cumprod(ratio, axis=0) * up[0, anchor, np.arange(t.size)],
+                     up[0])
+    up[1:][np.isnan(up[1:])] = -np.inf  # -inf - (-inf) after the overflow
+    return up
 
 
-def _radial_table(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
-    """z_n(t), z_n(t)/t and psi_n'(t)/t for n = 1..n_max, shape (3, n_max, points).
+def radial_table(n_max: int, kind: int, t: np.ndarray) -> np.ndarray:
+    """z_n(t), z_n(t)/t and psi_n'(t)/t for n = 1..n_max, shape (3, n_max, points),
+    real for kind 1 and complex for kind 3.
 
     z_n comes from `spherical_z`, and psi_n'/t = z_{n-1} - n z_n/t.  Real and
     imaginary parts are formed apart, so an overflowed y_n = -inf stays a
     clean infinity (psi_n'/t = +inf, its leading term) instead of turning
     complex arithmetic into NaN.  The regular kind takes its t -> 0 limit
-    below t = 1e-6, where z_n/t = t^(n-1)/(2n+1)!!; the radiating kind is
-    singular there.
+    below t = 1e-6, where z_n/t = t^(n-1)/(2n+1)!!; the radiating kind runs
+    the recurrence at every t > 0 (`radial_factors` refuses the origin).
     """
     out = np.empty((3, n_max, t.size), dtype=float if kind == 1 else complex)
     n = np.arange(n_max + 1)[:, None]
-    small = t < 1e-6
-    if kind == 3 and np.any(small):
-        raise InvalidArgumentError("radiating wavefunction evaluated at the origin")
+    small = (t < 1e-6) & (kind == 1)
     # Every column goes through the kernel; those below 1e-6 are then
     # overwritten by the series.
     t_k = np.where(small, 1.0, t)
-    z = spherical_z(n_max + 1, kind, t_k)
     deg = n[1:]
-    for part, dest in ((z.real, out.real), (z.imag, out.imag))[: 1 + (kind == 3)]:
+    for part, dest in zip(spherical_z(n_max + 1, kind, t_k), (out.real, out.imag)):
         z_n = part[1:-1]
         dest[0] = z_n
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,13 +239,13 @@ def radial_factors(n_max: int, kind: int, k: float,
                    r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """z_n(t)/s, (psi_n'(t)/t)/s and s z_n(t)/t at t = k r for n = 1..n_max,
     s = sqrt(n(n+1)), each of shape (n_max, points): the factors by which
-    M_nm and N_nm scale the angular ones (rows of ``_radial_table``)."""
+    M_nm and N_nm scale the angular ones (rows of ``radial_table``)."""
     if kind not in (1, 3):
         raise InvalidArgumentError(f"kind must be 1 or 3, got {kind}")
     check_wavenumber(k)
     if kind == 3 and np.any(r < 1e-12):
         raise InvalidArgumentError("radiating wavefunction evaluated at the origin")
-    z, z_over_t, psip_over_t = _radial_table(n_max, kind, k * r)
+    z, z_over_t, psip_over_t = radial_table(n_max, kind, k * r)
     root = np.sqrt(np.arange(1, n_max + 1) * np.arange(2, n_max + 2))[:, None]
     return z / root, psip_over_t / root, z_over_t * root
 

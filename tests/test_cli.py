@@ -807,6 +807,36 @@ class TestCliWorkflow:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "probe"])
+    def test_measurement_radius_mismatch_rejected(self, cfg_path, tmp_path, capsys, command):
+        # Data simulated at rho = mask_radius = 1.2, run with a config at 1.0:
+        # the mask would guard the config's sphere, not the data's.
+        wide = tmp_path / "wide.ini"
+        wide.write_text(FAST_CONFIG.replace("rho = 1.0", "rho = 1.2")
+                        .replace("mask_radius = 1.0", "mask_radius = 1.2"))
+        assert main(["simulate", "--config", str(wide), "--out", str(tmp_path / "wide")]) == 0
+        out = tmp_path / "out"
+        extra = {"reconstruct": ["--out", str(out)], "probe": ["--z", "1.1,0,0"]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path),
+                     "--data", str(tmp_path / "wide" / "fast_noisy.nfem"), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "rho=1.2" in captured.err and "rho=1.0" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "probe"])
+    def test_measurement_radius_within_tolerance_images(self, cfg_path, fast_data, tmp_path,
+                                                        command):
+        # A file whose rho is 4e-13 relative off the config's passes the check.
+        matrix, _ = read_nearfield(fast_data)
+        near = tmp_path / "near.nfem"
+        write_nearfield(dataclasses.replace(
+            matrix, grid=build_sphere_grid(6, 12, 1.0 * (1 + 4e-13))), near)
+        extra = {"reconstruct": ["--out", str(tmp_path / "out")],
+                 "probe": ["--z", "1.6,0,0"]}[command]
+        assert main([command, "--config", str(cfg_path), "--data", str(near), *extra]) == 0
+
+    @pytest.mark.parametrize("command", ["reconstruct", "probe"])
     def test_data_within_tolerance_images_at_the_files_k(self, cfg_path, fast_data,
                                                           tmp_path, monkeypatch, command):
         # A file whose k is 4e-13 relative off the config's passes the check,
@@ -1113,6 +1143,14 @@ class TestCliWorkflow:
              "--config", str(cfg_path), "--z", "0.1,0,0"]
         ) == 0
         assert "masked" in capsys.readouterr().out
+
+    def test_probe_prints_the_bound_it_masked_by(self, cfg_path, fast_data, capsys):
+        # Inside the guard band past mask_radius = 1 the point is masked, and
+        # the bound printed is mask_radius plus the guard, not mask_radius.
+        assert main(["probe", "--data", str(fast_data), "--config", str(cfg_path),
+                     "--z", "1.0000000005,0,0"]) == 0
+        bound = re.search(r"\|z\| <= [^=]*= ([^)]+)\)", capsys.readouterr().out).group(1)
+        assert float(bound) >= 1.0000000005
 
     def test_probe_masks_what_the_lattice_masks(self, cfg_path, fast_data, capsys):
         # On both sides of the guard band past mask_radius = 1, probe calls a

@@ -304,15 +304,14 @@ class TestEigenvalueMargin:
 
 
 def _trace_vec_scalar(family, n, kind, k_med, A, r):
-    # The kernel's own radial values, so that the scalar sweep differs from
+    # The radial table's own values, so that the scalar sweep differs from
     # solve_modes only in its steps: R_n magnifies a last-bit change in j_n
     # into about 1e-12 (the mpmath reference below bounds that).
     t = k_med * r
-    h = sf.spherical_z(n, 3, np.array([t]))[:, 0]
-    z = h if kind == 3 else h.real
-    zp = z[n - 1] - (n + 1) * z[n] / t
-    z = z[n]
-    psip = z + t * zp
+    z, _, psip_t = sf.radial_table(n, 3, np.array([t]))[:, n - 1, 0]
+    if kind == 1:
+        z, psip_t = z.real, psip_t.real
+    psip = t * psip_t
     if family == "TE":
         return np.array([z, A * psip], dtype=complex)
     return np.array([psip / k_med, A * k_med * z], dtype=complex)
@@ -398,11 +397,11 @@ class TestVectorizedSolve:
             ({"TE": [9], "TM": [5, 9]}, "degree n=5, family TM"),
             ({"TE": [7, 11], "TM": [7]}, "degree n=7, family TE"),
         ]:
-            def stub(family, kind, h, t, k_med, A, singular=singular):
-                out = real(family, kind, h, t, k_med, A)
+            def stub(family, kind, z, psip_t, t, k_med, A, singular=singular):
+                out = real(family, kind, z, psip_t, t, k_med, A)
                 if kind == 1:
-                    hit = np.isin(np.arange(1, h.shape[0]), singular[family])
-                    out[:, hit] = 2 * real(family, 3, h, t, k_med, A)[:, hit]
+                    hit = np.isin(np.arange(1, z.shape[0] + 1), singular[family])
+                    out[:, hit] = 2 * real(family, 3, z, psip_t, t, k_med, A)[:, hit]
                 return out
 
             monkeypatch.setattr(forward, "_trace_pair", stub)

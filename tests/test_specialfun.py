@@ -50,7 +50,7 @@ def radial(n_max: int, kind: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     """z_n(t) and z_n'(t) for n = 0..n_max read off the kernel's table of
     z_n, z_n/t and psi_n'/t (n >= 1), with z_0 = psi_1'/t + z_1/t, z_0' = -z_1
     and z_n' = psi_n'/t - z_n/t."""
-    z, z_t, psip_t = sf._radial_table(n_max, kind, np.array([float(t)]))[..., 0]
+    z, z_t, psip_t = sf.radial_table(n_max, kind, np.array([float(t)]))[..., 0]
     return np.r_[psip_t[0] + z_t[0], z], np.r_[-z[0], psip_t - z_t]
 
 
@@ -97,7 +97,7 @@ class TestRadial:
         t = 2.6
         n = np.arange(1, 7)
         for kind in (1, 3):
-            z, z_t, psip_t = sf._radial_table(6, kind, np.array([t]))[..., 0]
+            z, z_t, psip_t = sf.radial_table(6, kind, np.array([t]))[..., 0]
             i_y = 1j if kind == 3 else 0.0
             want = spherical_jn(n, t) + i_y * spherical_yn(n, t)
             want_p = (spherical_jn(n, t, derivative=True)
@@ -186,17 +186,29 @@ class TestRadialKernel:
 
     def test_kernel_matches_mpmath(self, mp_radial):
         values, moduli = mp_radial
-        h = sf.spherical_z(sf.ORDER_CAP, 3, KERNEL_T)
-        assert np.array_equal(sf.spherical_z(sf.ORDER_CAP, 1, KERNEL_T), h.real)
-        assert_matches_mpmath(h.real, values["j"][0], moduli[0], values["j"][0], 0)
-        assert_matches_mpmath(h.imag, values["y"][0], moduli[0], values["y"][0], 0)
+        j, y = sf.spherical_z(sf.ORDER_CAP, 3, KERNEL_T)
+        assert np.array_equal(sf.spherical_z(sf.ORDER_CAP, 1, KERNEL_T), [j])
+        assert_matches_mpmath(j, values["j"][0], moduli[0], values["j"][0], 0)
+        assert_matches_mpmath(y, values["y"][0], moduli[0], values["y"][0], 0)
+
+    def test_radiating_table_reads_the_kernel_near_the_origin(self):
+        # Only the regular kind takes the series below t = 1e-6.  The
+        # radiating table reads the kernel's rows there, y_n = -inf past its
+        # overflow included; radial_factors refuses the origin itself.
+        t = np.array([1e-7])
+        j, y = sf.spherical_z(41, 3, t)
+        z = sf.radial_table(40, 3, t)[0]
+        assert np.isneginf(y[-1, 0])
+        assert np.array_equal(z.real, j[1:-1]) and np.array_equal(z.imag, y[1:-1])
+        with pytest.raises(InvalidArgumentError, match="origin"):
+            sf.radial_factors(40, 3, 0.75, np.array([0.0]))
 
     @pytest.mark.parametrize("kind", [1, 3])
     def test_radial_table_matches_mpmath(self, mp_radial, kind):
         # z_n, z_n/t and psi_n'/t: the real part from j_n, the imaginary part
         # of the radiating kind from y_n.
         values, moduli = mp_radial
-        table = sf._radial_table(sf.ORDER_CAP, kind, KERNEL_T)
+        table = sf.radial_table(sf.ORDER_CAP, kind, KERNEL_T)
         parts = [("j", table.real)] + ([("y", table.imag)] if kind == 3 else [])
         for name, got in parts:
             z_n = values[name][0][1:]
@@ -615,7 +627,7 @@ class TestUnsoldIdentity:
         pts = dirs * rng.uniform(0.1 / k, 4.0 / k, size=(16, 1))
         _, r, *_, that, phat = sf._spherical_frame(pts)
         # j_n and psi_n'/t at the t = k|x| that vswf_fields takes.
-        radial = sf._radial_table(n_max, 1, k * r)[::2]
+        radial = sf.radial_table(n_max, 1, k * r)[::2]
         deg, _ = sf.mode_index(n_max)
         first = np.arange(1, n_max + 1) ** 2 - 1  # the row of mode (n, -n)
         want = (2 * np.arange(1, n_max + 1) + 1) / (8 * np.pi)
